@@ -26,7 +26,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .engine import Anharmonic, Hulthen, solve_chain
+from .engine import Anharmonic, Hulthen, ProblemFamily, solve_chain
 from .errors import SeaError
 from .exact import rational_to_str
 from .oracle import (
@@ -73,7 +73,13 @@ def _worker_count() -> int:
     return min(os.cpu_count() or 1, 8)
 
 
-def _parse_lambda_range(text: str) -> list[float]:
+def _grid(a: float, b: float, steps: int) -> list[float]:
+    if steps == 1:
+        return [a]
+    return [a + (b - a) * i / (steps - 1) for i in range(steps)]
+
+
+def _parse_range(text: str) -> list[float]:
     try:
         a, b, steps = text.split(":")
         a, b, steps = float(a), float(b), int(steps)
@@ -81,9 +87,7 @@ def _parse_lambda_range(text: str) -> list[float]:
         raise argparse.ArgumentTypeError("expected a:b:steps") from exc
     if steps < 1:
         raise argparse.ArgumentTypeError("steps must be >= 1")
-    if steps == 1:
-        return [a]
-    return [a + (b - a) * i / (steps - 1) for i in range(steps)]
+    return _grid(a, b, steps)
 
 
 def _parse_pade_pair(text: str) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -103,6 +107,13 @@ def _default_pade_pair(K: int) -> tuple[tuple[int, int], tuple[int, int]]:
     m = (K + 1) // 2
     n = m - 1
     return (m, n), (n, n)
+
+
+def _problem(args: argparse.Namespace) -> tuple[ProblemFamily, int]:
+    """The problem family named on the command line and the ladder depth of
+    the requested level."""
+    family = Hulthen(args.l) if args.family == "hulthen" else Anharmonic()
+    return family, family.rung_of(args.n, args.l, args.r)
 
 
 def _metadata(args: argparse.Namespace, **extra) -> dict:
@@ -153,11 +164,8 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
     _emit(args, meta, ["k", "coefficient", "exact"], rows)
     if args.with_superpotential:
         side = Path(args.out).with_suffix(".superpotential.json") if args.out else None
-        if args.family == "hulthen":
-            depth = args.n - 1 - args.l
-            chain = solve_chain(Hulthen(args.l), depth, args.K)
-        else:
-            chain = solve_chain(Anharmonic(), args.r, args.K)
+        family, rung = _problem(args)
+        chain = solve_chain(family, rung, args.K)
         doc = json.dumps({"metadata": _metadata(args), "chain": chain.to_json()}, indent=2)
         if side:
             side.write_text(doc + "\n")
@@ -261,24 +269,17 @@ def cmd_critical(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------- wavefunction ----
 
 
-def _parse_x_range(text: str) -> tuple[float, float, int]:
-    a, b, steps = text.split(":")
-    return float(a), float(b), int(steps)
-
-
 def cmd_wavefunction(args: argparse.Namespace) -> int:
-    if args.family == "hulthen":
-        state = build_eigenstate(Hulthen(args.l), args.K, n=args.n, l=args.l)
+    family, _ = _problem(args)
+    state = build_eigenstate(family, args.K, n=args.n, l=args.l, r=args.r)
+    if family.radial:
         lam_c = critical_value(args.n, args.l) if (args.n, args.l) in CRITICAL_SCREENING else None
         if lam_c is not None and args.lam >= lam_c:
             print(f"error: lam={args.lam} at or beyond critical {lam_c:.6g}", file=sys.stderr)
             return EXIT_USAGE
-        default_range = (0.0, max(40.0, 10.0 * args.n**2), 400)
+        xs = args.x_range or _grid(0.0, max(40.0, 10.0 * args.n**2), 400)
     else:
-        state = build_eigenstate(Anharmonic(), args.K, r=args.r)
-        default_range = (-8.0, 8.0, 401)
-    a, b, steps = _parse_x_range(args.x_range) if args.x_range else default_range
-    xs = [a + (b - a) * i / (steps - 1) for i in range(steps)]
+        xs = args.x_range or _grid(-8.0, 8.0, 401)
     lam = args.lam
     if args.pade_single:
         mp, np_ = args.pade_single
@@ -299,7 +300,7 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
         v = psi(x)
         rows.append([x, v, v * v, norm * v, (norm * v) ** 2])
     labels = {
-        "family": state.family,
+        "family": state.family.name,
         "n": state.n,
         "l": state.l,
         "r": state.r,
@@ -485,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", type=int, default=14)
     p.add_argument("--K-list", dest="K_list", type=lambda s: [int(x) for x in s.split(",")])
     p.add_argument("--lambda", dest="lam", type=float, default=0.0)
-    p.add_argument("--lambda-range", dest="lambda_range", type=_parse_lambda_range)
+    p.add_argument("--lambda-range", dest="lambda_range", type=_parse_range)
     p.add_argument("--pade", type=_parse_pade_pair, help="m/n or m1/n1,m2/n2")
     p.set_defaults(func=cmd_energy)
 
@@ -512,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=lambda s: tuple(int(v) for v in s.split("/")),
         help="pointwise-in-lambda resummation order m/n",
     )
-    p.add_argument("--x-range", dest="x_range", help="a:b:steps sample grid")
+    p.add_argument("--x-range", dest="x_range", type=_parse_range, help="a:b:steps sample grid")
     p.set_defaults(func=cmd_wavefunction)
 
     p = sub.add_parser("validate", help="run the cross-validation suites")

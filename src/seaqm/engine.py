@@ -18,12 +18,20 @@ Excited levels come from a ladder of partner problems: rung r+1 has potential
 except for the lowest state removed at each step.  A single generic triangular
 elimination serves all problem families; every solved rung is verified against
 the exact Riccati identity before a chain is returned.
+
+A problem family (``Hulthen``, ``GenericPerturbed`` and its quartic case
+``Anharmonic``) supplies only what differs between problems: its ``name``,
+whether it is ``radial`` (x > 0), the pole parameter ``b`` a chain records;
+``rung_leading(r)``, the closed-form order-0 term of rung r;
+``base_potential(k)``, the order-k coefficient of the rung-0 potential;
+``rung_of(n, l, r)`` and ``labels(r)``, which check a level's labels and map
+them to the ladder depth and back; and ``to_json()`` / ``from_json()``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -50,10 +58,6 @@ __all__ = [
     "ProblemFamily",
     "Rung",
     "ChainSolution",
-    "family_name",
-    "family_b",
-    "rung_leading",
-    "solve_leading",
     "potential_coefficient",
     "convolution_B",
     "solve_riccati_order",
@@ -108,113 +112,170 @@ class Hulthen:
 
     l: int
 
+    name = "hulthen"
+    radial = True
+
     def __post_init__(self):
         if self.l < 0:
             raise ValueError("angular momentum must be non-negative")
 
+    @property
+    def b(self) -> int:
+        return self.l + 1
 
-@dataclass(frozen=True)
-class Anharmonic:
-    """Quartic perturbation of the harmonic oscillator on the full line."""
-
-
-@dataclass(frozen=True)
-class GenericPerturbed:
-    """A solvable leading problem plus a polynomial perturbation at order lam.
-
-    ``v_0(x, lam) = (w00^2 - w00' + eps00) + lam * perturbation(x)``.
-    """
-
-    leading: LeadingSuperpotential
-    perturbation: LaurentPoly
-
-    def __post_init__(self):
-        mn = self.perturbation.min_exponent
-        if mn is not None and mn < 0:
-            raise ValueError("perturbation must be a pure polynomial (min exponent >= 0)")
-
-
-ProblemFamily = Union[Hulthen, Anharmonic, GenericPerturbed]
-
-
-def family_name(family: ProblemFamily) -> str:
-    if isinstance(family, Hulthen):
-        return "hulthen"
-    if isinstance(family, Anharmonic):
-        return "anharmonic"
-    if isinstance(family, GenericPerturbed):
-        return "generic"
-    raise TypeError(f"unknown problem family {family!r}")
-
-
-def family_b(family: ProblemFamily) -> int:
-    """Base pole parameter of the chain: l + 1 for the screened Coulomb family."""
-    return family.l + 1 if isinstance(family, Hulthen) else 0
-
-
-def rung_leading(family: ProblemFamily, b: int, r: int) -> LeadingSuperpotential:
-    """Order-0 solution for rung r of the partner ladder."""
-    if isinstance(family, Hulthen):
-        if b + r < 1:
-            raise InvalidLeading(f"need b + r >= 1, got b={b}, r={r}")
-        br = b + r
+    def rung_leading(self, r: int) -> LeadingSuperpotential:
+        br = self.b + r
+        if br < 1:
+            raise InvalidLeading(f"need b + r >= 1, got b={self.b}, r={r}")
         return LeadingSuperpotential(
             pole=Fraction(-br),
             constant=Fraction(1, br),
             linear=Fraction(0),
             leading_energy=Fraction(-1, br * br),
         )
-    if isinstance(family, Anharmonic):
+
+    def base_potential(self, k: int) -> LaurentPoly:
+        if k == 0:
+            return LaurentPoly({-2: Fraction(self.l * (self.l + 1)), -1: Fraction(-2)})
+        h_k = -2 * bernoulli_minus(k)
+        return LaurentPoly({k - 1: Fraction(h_k, factorial(k))})
+
+    def rung_of(self, n: int | None = None, l: int | None = None, r: int | None = None) -> int:
+        if n is None:
+            raise ValueError("screened Coulomb states need the label n")
+        l = self.l if l is None else l
+        if l != self.l:
+            raise ValueError(f"label l={l} disagrees with family l={self.l}")
+        if not 0 <= l <= n - 1:
+            raise ValueError(f"need 0 <= l <= n-1, got l={l}, n={n}")
+        return n - 1 - l
+
+    def labels(self, r: int) -> dict[str, int]:
+        return {"n": self.b + r, "l": self.l}
+
+    def to_json(self) -> dict:
+        return {"name": self.name, "l": self.l}
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "Hulthen":
+        return cls(int(obj["l"]))
+
+
+@dataclass(frozen=True)
+class GenericPerturbed:
+    """A solvable leading problem plus a polynomial perturbation at order lam.
+
+    ``v_0(x, lam) = (w00^2 - w00' + eps00) + lam * perturbation(x)``.  Levels
+    are labelled by their rung r; a Coulomb-type leading term makes the
+    problem radial.
+    """
+
+    leading: LeadingSuperpotential
+    perturbation: LaurentPoly
+
+    name = "generic"
+    b = 0
+
+    def __post_init__(self):
+        mn = self.perturbation.min_exponent
+        if mn is not None and mn < 0:
+            raise ValueError("perturbation must be a pure polynomial (min exponent >= 0)")
+
+    @property
+    def radial(self) -> bool:
+        return self.leading.is_coulomb
+
+    def rung_leading(self, r: int) -> LeadingSuperpotential:
+        # Partner rule at order 0: v_{r,0} = v_{r-1,0} + 2 w_{r-1,0}'.  For a
+        # Coulomb-type leading this shifts the pole by -1 per rung (keeping
+        # pole*constant invariant); an oscillator-type leading is unchanged and
+        # the energy climbs by 2*linear per rung.  Each shifted term is verified
+        # against the order-0 Riccati identity for the shifted potential.
         if r < 0:
             raise InvalidLeading("rung index must be non-negative")
-        return LeadingSuperpotential(
-            pole=Fraction(0),
-            constant=Fraction(0),
-            linear=Fraction(1),
-            leading_energy=Fraction(2 * r + 1),
+        lead = self.leading
+        v0 = lead.order_zero_potential()
+        for step in range(1, r + 1):
+            v0 = v0 + 2 * lead.as_poly().derivative()
+            if lead.is_coulomb:
+                new_pole = lead.pole - 1
+                if new_pole == 0:
+                    raise InvalidLeading(f"pole reaches 0 at rung {step}; ladder terminates")
+                new_const = lead.constant * lead.pole / new_pole
+                lead = LeadingSuperpotential(
+                    pole=new_pole,
+                    constant=new_const,
+                    linear=Fraction(0),
+                    leading_energy=lead.leading_energy + lead.constant**2 - new_const**2,
+                )
+            else:
+                lead = LeadingSuperpotential(
+                    pole=Fraction(0),
+                    constant=lead.constant,
+                    linear=lead.linear,
+                    leading_energy=lead.leading_energy + 2 * lead.linear,
+                )
+            if lead.order_zero_potential() != v0:
+                raise InvalidLeading(f"rung {step} leading term fails the order-0 Riccati identity")
+        return lead
+
+    def base_potential(self, k: int) -> LaurentPoly:
+        if k == 0:
+            return self.leading.order_zero_potential()
+        if k == 1:
+            return self.perturbation
+        return LaurentPoly.zero()
+
+    def rung_of(self, n: int | None = None, l: int | None = None, r: int | None = None) -> int:
+        if r is None:
+            raise ValueError(f"{self.name} states need the label r")
+        return r
+
+    def labels(self, r: int) -> dict[str, int]:
+        return {"r": r}
+
+    def to_json(self) -> dict:
+        return {
+            "name": self.name,
+            "leading": {
+                "pole": rational_to_str(self.leading.pole),
+                "constant": rational_to_str(self.leading.constant),
+                "linear": rational_to_str(self.leading.linear),
+                "leadingEnergy": rational_to_str(self.leading.leading_energy),
+            },
+            "perturbation": self.perturbation.to_json(),
+        }
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "GenericPerturbed":
+        lead = obj["leading"]
+        leading = LeadingSuperpotential(
+            lead["pole"], lead["constant"], lead["linear"], lead["leadingEnergy"]
         )
-    if isinstance(family, GenericPerturbed):
-        return _generic_rung_leading(family.leading, r)
-    raise TypeError(f"unknown problem family {family!r}")
+        return cls(leading, LaurentPoly.from_json(obj["perturbation"]))
 
 
-def _generic_rung_leading(base: LeadingSuperpotential, r: int) -> LeadingSuperpotential:
-    # Partner rule at order 0: v_{r,0} = v_{r-1,0} + 2 w_{r-1,0}'.  For a
-    # Coulomb-type leading this shifts the pole by -1 per rung (keeping
-    # pole*constant invariant); an oscillator-type leading is unchanged and
-    # the energy climbs by 2*linear per rung.  Each shifted term is verified
-    # against the order-0 Riccati identity for the shifted potential.
-    lead = base
-    v0 = base.order_zero_potential()
-    for step in range(1, r + 1):
-        v0 = v0 + 2 * lead.as_poly().derivative()
-        if lead.is_coulomb:
-            new_pole = lead.pole - 1
-            if new_pole == 0:
-                raise InvalidLeading(f"pole reaches 0 at rung {step}; ladder terminates")
-            new_const = lead.constant * lead.pole / new_pole
-            lead = LeadingSuperpotential(
-                pole=new_pole,
-                constant=new_const,
-                linear=Fraction(0),
-                leading_energy=lead.leading_energy + lead.constant**2 - new_const**2,
-            )
-        else:
-            lead = LeadingSuperpotential(
-                pole=Fraction(0),
-                constant=lead.constant,
-                linear=lead.linear,
-                leading_energy=lead.leading_energy + 2 * lead.linear,
-            )
-        if lead.order_zero_potential() != v0:
-            raise InvalidLeading(f"rung {step} leading term fails the order-0 Riccati identity")
-    return lead
+@dataclass(frozen=True)
+class Anharmonic(GenericPerturbed):
+    """Quartic perturbation lam*x^4 of the harmonic oscillator on the full line."""
+
+    leading: LeadingSuperpotential = field(
+        default=LeadingSuperpotential(pole=0, constant=0, linear=1, leading_energy=1), init=False
+    )
+    perturbation: LaurentPoly = field(default=LaurentPoly.monomial(4), init=False)
+
+    name = "anharmonic"
+
+    def to_json(self) -> dict:
+        return {"name": self.name}
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "Anharmonic":
+        return cls()
 
 
-def solve_leading(family: ProblemFamily, b: int, r: int) -> tuple[LaurentPoly, Fraction]:
-    """Order-0 superpotential and energy of rung r, as (polynomial, rational)."""
-    lead = rung_leading(family, b, r)
-    return lead.as_poly(), lead.leading_energy
+ProblemFamily = Union[Hulthen, Anharmonic, GenericPerturbed]
+_FAMILIES = {cls.name: cls for cls in (Hulthen, Anharmonic, GenericPerturbed)}
 
 
 @dataclass(frozen=True)
@@ -246,7 +307,6 @@ class ChainSolution:
     """A fully solved partner ladder for one problem, truncated at order K."""
 
     family: ProblemFamily
-    b: int
     r_max: int
     K: int
     rungs: tuple[Rung, ...]
@@ -256,15 +316,12 @@ class ChainSolution:
             raise ChainIncomplete(f"rung {r} outside solved range 0..{self.r_max}")
         return self.rungs[r]
 
-    def energy_coefficients(self, r: int) -> tuple[Fraction, ...]:
-        return self.rung(r).energy
-
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> dict:
         return {
-            "family": _family_to_json(self.family),
-            "b": self.b,
+            "family": self.family.to_json(),
+            "b": self.family.b,
             "rMax": self.r_max,
             "K": self.K,
             "rungs": [
@@ -279,18 +336,22 @@ class ChainSolution:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ChainSolution":
-        family = _family_from_json(obj["family"])
-        b = int(obj["b"])
+        name = obj["family"]["name"]
+        if name not in _FAMILIES:
+            raise ValueError(f"unknown family name {name!r}")
+        family = _FAMILIES[name].from_json(obj["family"])
+        if int(obj["b"]) != family.b:
+            raise ValueError(f"chain b={obj['b']} disagrees with the family's b={family.b}")
         K = int(obj["K"])
         rungs = []
         for entry in obj["rungs"]:
             r = int(entry["r"])
             w = tuple(LaurentPoly.from_json(p) for p in entry["superpotential"])
             energy = tuple(Fraction(e) for e in entry["energy"])
-            lead = rung_leading(family, b, r)
+            lead = family.rung_leading(r)
             potential = _rung_potentials(family, r, K, rungs)
             rungs.append(Rung(r, lead, w, energy, tuple(potential)))
-        return cls(family, b, int(obj["rMax"]), K, tuple(rungs))
+        return cls(family, int(obj["rMax"]), K, tuple(rungs))
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), indent=2)
@@ -298,67 +359,6 @@ class ChainSolution:
     @classmethod
     def loads(cls, text: str) -> "ChainSolution":
         return cls.from_json(json.loads(text))
-
-
-def _family_to_json(family: ProblemFamily) -> dict:
-    name = family_name(family)
-    if isinstance(family, Hulthen):
-        return {"name": name, "l": family.l}
-    if isinstance(family, Anharmonic):
-        return {"name": name}
-    return {
-        "name": name,
-        "leading": {
-            "pole": rational_to_str(family.leading.pole),
-            "constant": rational_to_str(family.leading.constant),
-            "linear": rational_to_str(family.leading.linear),
-            "leadingEnergy": rational_to_str(family.leading.leading_energy),
-        },
-        "perturbation": family.perturbation.to_json(),
-    }
-
-
-def _family_from_json(obj: dict) -> ProblemFamily:
-    name = obj["name"]
-    if name == "hulthen":
-        return Hulthen(int(obj["l"]))
-    if name == "anharmonic":
-        return Anharmonic()
-    if name == "generic":
-        lead = obj["leading"]
-        return GenericPerturbed(
-            LeadingSuperpotential(
-                Fraction(lead["pole"]),
-                Fraction(lead["constant"]),
-                Fraction(lead["linear"]),
-                Fraction(lead["leadingEnergy"]),
-            ),
-            LaurentPoly.from_json(obj["perturbation"]),
-        )
-    raise ValueError(f"unknown family name {name!r}")
-
-
-def _base_potential_order(family: ProblemFamily, k: int) -> LaurentPoly:
-    """Order-k coefficient of the rung-0 potential expansion."""
-    if isinstance(family, Hulthen):
-        l = family.l
-        if k == 0:
-            return LaurentPoly({-2: Fraction(l * (l + 1)), -1: Fraction(-2)})
-        h_k = -2 * bernoulli_minus(k)
-        return LaurentPoly({k - 1: Fraction(h_k, factorial(k))})
-    if isinstance(family, Anharmonic):
-        if k == 0:
-            return LaurentPoly.monomial(2)
-        if k == 1:
-            return LaurentPoly.monomial(4)
-        return LaurentPoly.zero()
-    if isinstance(family, GenericPerturbed):
-        if k == 0:
-            return family.leading.order_zero_potential()
-        if k == 1:
-            return family.perturbation
-        return LaurentPoly.zero()
-    raise TypeError(f"unknown problem family {family!r}")
 
 
 def potential_coefficient(
@@ -373,7 +373,7 @@ def potential_coefficient(
     if k < 0 or r < 0:
         raise ValueError("indices must be non-negative")
     if r == 0:
-        return _base_potential_order(family, k)
+        return family.base_potential(k)
     rungs = chain.rungs if isinstance(chain, ChainSolution) else chain
     if rungs is None or len(rungs) < r:
         raise ChainIncomplete(f"rung {r - 1} not solved; cannot form rung {r} potential")
@@ -465,14 +465,11 @@ def riccati_residual(
 ) -> list[LaurentPoly]:
     """Order-by-order residual ``C_k - w_k' - v_k + eps_k`` with C the
     self-convolution of W; identically zero for a valid solution."""
-    out = []
-    for k in range(K + 1):
-        acc = W[0] * W[k]
-        for m in range(1, k + 1):
-            acc = acc + W[m] * W[k - m]
-        acc = acc - W[k].derivative() - v[k] + LaurentPoly.constant(eps[k])
-        out.append(acc)
-    return out
+    W = W.truncated(K)
+    C = W * W
+    return [
+        C[k] - W[k].derivative() - v[k] + LaurentPoly.constant(eps[k]) for k in range(K + 1)
+    ]
 
 
 def solve_chain(family: ProblemFamily, r_max: int, K: int) -> ChainSolution:
@@ -496,16 +493,13 @@ def _rung_potentials(
 def _solve_chain_cached(family: ProblemFamily, r_max: int, K: int) -> ChainSolution:
     # Chains extend their one-rung-shorter prefix, so ladders of different
     # depths over the same family share all common rungs through the cache.
-    b = family_b(family)
     below = _solve_chain_cached(family, r_max - 1, K).rungs if r_max > 0 else ()
-    rung = _solve_rung(family, b, r_max, K, below)
-    return ChainSolution(family, b, r_max, K, below + (rung,))
+    rung = _solve_rung(family, r_max, K, below)
+    return ChainSolution(family, r_max, K, below + (rung,))
 
 
-def _solve_rung(
-    family: ProblemFamily, b: int, r: int, K: int, below: tuple[Rung, ...]
-) -> Rung:
-    lead = rung_leading(family, b, r)
+def _solve_rung(family: ProblemFamily, r: int, K: int, below: tuple[Rung, ...]) -> Rung:
+    lead = family.rung_leading(r)
     v = _rung_potentials(family, r, K, below)
     w = [lead.as_poly()]
     energy = [lead.leading_energy]

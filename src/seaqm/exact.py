@@ -28,10 +28,6 @@ __all__ = [
     "LaurentPoly",
     "LambdaSeries",
     "bernoulli_minus",
-    "poly_mul",
-    "poly_derivative",
-    "poly_antiderivative",
-    "series_convolution_order",
     "rational_to_str",
     "rational_from_str",
 ]
@@ -283,32 +279,6 @@ class LambdaSeries:
 
     def scale(self, c: RationalLike) -> "LambdaSeries":
         return self.map(lambda p: p * Fraction(c))
-
-
-def series_convolution_order(a: LambdaSeries, b: LambdaSeries, k: int) -> Payload:
-    """Order-k coefficient of the product a*b, i.e. sum over m+n=k of a_m b_n."""
-    if k > min(a.order, b.order):
-        raise OrderExceeded(f"order {k} exceeds min series order {min(a.order, b.order)}")
-    if k < 0:
-        raise OrderExceeded("negative order")
-    acc = a[0] * b[k]
-    for m in range(1, k + 1):
-        acc = acc + a[m] * b[k - m]
-    return acc
-
-
-# Module-level operation aliases for the polynomial calculus.
-
-def poly_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    return a * b
-
-
-def poly_derivative(p: LaurentPoly) -> LaurentPoly:
-    return p.derivative()
-
-
-def poly_antiderivative(p: LaurentPoly) -> LaurentPoly:
-    return p.antiderivative()
 
 
 _bernoulli_cache: dict[int, Fraction] = {}

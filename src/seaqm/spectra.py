@@ -67,14 +67,11 @@ class EnergySeries:
 
 def hulthen_energy_series(n: int, l: int, K: int) -> EnergySeries:
     """Energy series of the screened Coulomb level (n, l) through order K."""
-    if n < 1:
-        raise ValueError("principal quantum number must be >= 1")
-    if not 0 <= l <= n - 1:
-        raise ValueError(f"need 0 <= l <= n-1, got l={l}, n={n}")
     if K < 0:
         raise ValueError("K must be non-negative")
-    r = n - 1 - l
-    chain = solve_chain(Hulthen(l), r, K)
+    family = Hulthen(l)
+    r = family.rung_of(n, l)
+    chain = solve_chain(family, r, K)
     return EnergySeries(family="hulthen", n=n, l=l, K=K, coeffs=chain.rung(r).energy)
 
 

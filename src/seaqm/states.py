@@ -23,15 +23,8 @@ from dataclasses import dataclass, replace
 
 from scipy import integrate
 
-from .engine import (
-    Anharmonic,
-    ChainSolution,
-    Hulthen,
-    ProblemFamily,
-    family_name,
-    solve_chain,
-)
-from .errors import DomainError, NonNormalizable, RungOrderViolation
+from .engine import ChainSolution, ProblemFamily, solve_chain
+from .errors import DomainError, InvalidLeading, NonNormalizable, RungOrderViolation
 from .exact import LambdaSeries, LaurentPoly
 
 __all__ = [
@@ -71,7 +64,7 @@ class QuadratureConfig:
 class StateRep:
     """Eigenstate in prefactor-times-edge-exponential form (unnormalized)."""
 
-    family: str
+    family: ProblemFamily
     base_rung: int
     power: int               # exponent of the x^p factor (0 on the full line)
     decay: LaurentPoly       # D(x): order-0 exponent, pure polynomial
@@ -87,7 +80,7 @@ class StateRep:
 
     @property
     def radial(self) -> bool:
-        return self.family == "hulthen"
+        return self.family.radial
 
 
 def build_G(chain: ChainSolution, r: int) -> LambdaSeries:
@@ -105,28 +98,24 @@ def build_G(chain: ChainSolution, r: int) -> LambdaSeries:
 
 def edge_state(chain: ChainSolution, r: int) -> StateRep:
     """The nodeless state of rung r: R = 1 with the rung's own decay."""
-    rung = chain.rung(r)
-    lead = rung.leading
-    power = int(-lead.pole)  # x^{-pole}; pole is integral for the families here
+    lead = chain.rung(r).leading
+    if lead.pole.denominator != 1:
+        raise InvalidLeading(
+            f"rung {r} has a non-integral pole {lead.pole}; its edge state x^{-lead.pole} "
+            "is not a Laurent monomial"
+        )
     decay = LaurentPoly({1: lead.constant, 2: lead.linear / 2})
     one = LambdaSeries(
         [LaurentPoly.constant(1)] + [LaurentPoly.zero()] * chain.K
     )
-    fam = family_name(chain.family)
-    labels: dict[str, int | None] = {"n": None, "l": None, "r": None}
-    if isinstance(chain.family, Hulthen):
-        labels["n"] = chain.b + r       # the rung-r edge state sits in level n = b + r
-        labels["l"] = chain.b - 1
-    else:
-        labels["r"] = r
     return StateRep(
-        family=fam,
+        family=chain.family,
         base_rung=r,
-        power=power,
+        power=int(-lead.pole),
         decay=decay,
         prefactor=one,
         G=build_G(chain, r),
-        **labels,
+        **chain.family.labels(r),
     )
 
 
@@ -154,33 +143,15 @@ def build_eigenstate(
     """Assemble the eigenstate of the base problem with the given labels.
 
     Screened Coulomb: labels (n, l) with 0 <= l <= n-1; ladder depth is
-    n - 1 - l.  Anharmonic: label r; ladder depth r.  The result is the edge
-    state of the deepest rung with every lower-rung creation operator applied,
-    and is unnormalized.
+    n - 1 - l.  Anharmonic and generic families: label r; ladder depth r.  The
+    result is the edge state of the deepest rung with every lower-rung
+    creation operator applied, and is unnormalized.
     """
-    if isinstance(family, Hulthen):
-        if n is None:
-            raise ValueError("screened Coulomb states need the label n")
-        l = family.l if l is None else l
-        if l != family.l:
-            raise ValueError(f"label l={l} disagrees with family l={family.l}")
-        if not 0 <= l <= n - 1:
-            raise ValueError(f"need 0 <= l <= n-1, got l={l}, n={n}")
-        depth = n - 1 - l
-    elif isinstance(family, Anharmonic):
-        if r is None:
-            raise ValueError("anharmonic states need the label r")
-        depth = r
-    else:
-        raise ValueError("eigenstate assembly covers the built-in families")
+    depth = family.rung_of(n, l, r)
     chain = solve_chain(family, depth, K)
     state = edge_state(chain, depth)
     for q in range(depth - 1, -1, -1):
         state = apply_creation(state, q, chain)
-    if isinstance(family, Hulthen):
-        state = replace(state, n=n, l=l)
-    else:
-        state = replace(state, r=r)
     return state
 
 
@@ -262,27 +233,18 @@ def normalize_function(f, radial: bool, config: QuadratureConfig | None = None) 
     wavefunction sampling); same tail logic as `normalize`."""
     config = config or QuadratureConfig()
     density = lambda x: f(x) ** 2
-    if radial:
-        hi = _scan_cutoff(density, 0.0, config.domain_bound, config.scan_points, config.tail_ratio)
-        intervals = [(0.0, hi)]
-    else:
-        hi = _scan_cutoff(density, 0.0, config.domain_bound, config.scan_points, config.tail_ratio)
-        lo = -_scan_cutoff(
-            lambda x: density(-x), 0.0, config.domain_bound, config.scan_points, config.tail_ratio
-        )
-        intervals = [(lo, hi)]
-    total = 0.0
-    for a, b in intervals:
-        res = integrate.quad(
-            density, a, b, epsabs=0.0, epsrel=config.rel_tol, limit=400, full_output=1
-        )
-        val, err = res[0], res[1]
-        # pointwise-resummed evaluators carry per-point solve noise, so only a
-        # genuinely non-convergent integral is rejected here
-        if val <= 0.0 or not (err < 1e-3 * val):
-            raise NonNormalizable(f"norm quadrature did not converge (err {err:.2e})")
-        total += val
-    return 1.0 / math.sqrt(total)
+    scan = lambda g: _scan_cutoff(g, 0.0, config.domain_bound, config.scan_points, config.tail_ratio)
+    hi = scan(density)
+    lo = 0.0 if radial else -scan(lambda x: density(-x))
+    res = integrate.quad(
+        density, lo, hi, epsabs=0.0, epsrel=config.rel_tol, limit=400, full_output=1
+    )
+    val, err = res[0], res[1]
+    # pointwise-resummed evaluators carry per-point solve noise, so only a
+    # genuinely non-convergent integral is rejected here
+    if val <= 0.0 or not (err < 1e-3 * val):
+        raise NonNormalizable(f"norm quadrature did not converge (err {err:.2e})")
+    return 1.0 / math.sqrt(val)
 
 
 def normalize(
@@ -315,19 +277,15 @@ def hamiltonian_residual(state: StateRep, chain: ChainSolution, K: int | None = 
     Rp = R.derivative()
     Rpp = Rp.derivative()
     # A = W' - W^2 + v0 - eps, assembled once so the residual is a single
-    # pair of series convolutions per order
+    # pair of series convolutions
     Wsq = W * W
-    A = [
+    A = LambdaSeries([
         W[k].derivative() - Wsq[k] + v0[k] - LaurentPoly.constant(eps[k])
         for k in range(K + 1)
-    ]
-    residuals = []
-    for k in range(K + 1):
-        acc = -Rpp[k]
-        for m in range(k + 1):
-            acc = acc + 2 * (W[m] * Rp[k - m]) + A[m] * R[k - m]
-        residuals.append(acc)
-    return residuals
+    ])
+    WRp = W * Rp
+    AR = A * R
+    return [-Rpp[k] + 2 * WRp[k] + AR[k] for k in range(K + 1)]
 
 
 def count_nodes(

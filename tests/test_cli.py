@@ -154,6 +154,23 @@ def test_wavefunction_hydrogen_2p_peak(tmp_path):
     assert (tmp_path / "w.meta.json").exists()
 
 
+def test_wavefunction_single_point_x_range(tmp_path):
+    out = tmp_path / "w.csv"
+    assert run(
+        ["wavefunction", "anharmonic", "--r", "0", "--K", "4", "--lambda", "0",
+         "--x-range=-1:1:1", "--out", str(out)]
+    ) == 0
+    _, _, rows = read_csv(out)
+    assert len(rows) == 1 and float(rows[0][0]) == -1.0
+
+
+def test_wavefunction_malformed_x_range_exit_2():
+    with pytest.raises(SystemExit) as exc:
+        run(["wavefunction", "anharmonic", "--r", "0", "--K", "4", "--lambda", "0",
+             "--x-range=-1:1"])
+    assert exc.value.code == 2
+
+
 def test_wavefunction_rejects_beyond_critical(tmp_path, capsys):
     assert run(
         ["wavefunction", "hulthen", "--n", "1", "--l", "0", "--K", "2",

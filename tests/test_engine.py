@@ -14,7 +14,6 @@ from seaqm.engine import (
     potential_coefficient,
     riccati_residual,
     solve_chain,
-    solve_leading,
     solve_order,
 )
 from seaqm.errors import ChainIncomplete, InvalidLeading, UnsolvableOrder
@@ -64,17 +63,17 @@ def test_partner_potential_needs_chain():
 
 
 def test_hulthen_leading_examples():
-    w, eps = solve_leading(Hulthen(0), 1, 0)
-    assert w == P({0: F(1), -1: F(-1)}) and eps == -1
-    w, eps = solve_leading(Hulthen(1), 2, 3)
-    assert w == P({0: F(1, 5), -1: F(-5)}) and eps == F(-1, 25)
+    lead = Hulthen(0).rung_leading(0)
+    assert lead.as_poly() == P({0: F(1), -1: F(-1)}) and lead.leading_energy == -1
+    lead = Hulthen(1).rung_leading(3)
+    assert lead.as_poly() == P({0: F(1, 5), -1: F(-5)}) and lead.leading_energy == F(-1, 25)
 
 
 def test_anharmonic_leading_examples():
-    w, eps = solve_leading(Anharmonic(), 0, 3)
-    assert w == P.monomial(1) and eps == 7
-    w, eps = solve_leading(Anharmonic(), 0, 0)
-    assert eps == 1
+    lead = Anharmonic().rung_leading(3)
+    assert lead.as_poly() == P.monomial(1) and lead.leading_energy == 7
+    lead = Anharmonic().rung_leading(0)
+    assert lead.leading_energy == 1
 
 
 def test_leading_shape_validation():
@@ -306,9 +305,19 @@ def test_generic_unsolvable_without_constant_part():
 
 
 def test_chain_json_roundtrip_bit_exact():
-    for fam, r_max, K in [(Hulthen(1), 2, 6), (Anharmonic(), 1, 5)]:
+    coulomb = LeadingSuperpotential(pole=F(-1), constant=F(1), linear=F(0), leading_energy=F(-1))
+    generic = GenericPerturbed(coulomb, P({1: F(1), 2: F(-1, 3)}))
+    for fam, r_max, K in [(Hulthen(1), 2, 6), (Anharmonic(), 1, 5), (generic, 2, 4)]:
         chain = solve_chain(fam, r_max, K)
         text = chain.dumps()
         back = ChainSolution.loads(text)
         assert back == chain
         assert back.dumps() == text
+
+
+def test_chain_json_rejects_unknown_family_and_wrong_b():
+    doc = solve_chain(Hulthen(1), 1, 2).to_json()
+    with pytest.raises(ValueError, match="unknown family"):
+        ChainSolution.from_json({**doc, "family": {"name": "morse"}})
+    with pytest.raises(ValueError, match="disagrees"):
+        ChainSolution.from_json({**doc, "b": 3})

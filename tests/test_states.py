@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from seaqm.engine import Anharmonic, Hulthen, solve_chain
-from seaqm.errors import NonNormalizable, RungOrderViolation
+from seaqm.engine import Anharmonic, GenericPerturbed, Hulthen, LeadingSuperpotential, solve_chain
+from seaqm.errors import DomainError, InvalidLeading, NonNormalizable, RungOrderViolation
 from seaqm.exact import LambdaSeries, LaurentPoly
 from seaqm.states import (
     QuadratureConfig,
@@ -68,6 +68,22 @@ def test_edge_state_harmonic_ground():
     assert evaluate_state(st, 1.5, 0.0) == pytest.approx(math.exp(-1.125), rel=1e-14)
 
 
+def test_edge_state_generic_coulomb_is_radial():
+    lead = LeadingSuperpotential(pole=F(-1), constant=F(1), linear=F(0), leading_energy=F(-1))
+    chain = solve_chain(GenericPerturbed(lead, P.monomial(1)), 1, 2)
+    st = edge_state(chain, 1)
+    assert st.radial and st.power == 2 and st.r == 1
+    with pytest.raises(DomainError):
+        evaluate_state(st, -1.0, 0.0)
+
+
+def test_edge_state_rejects_non_integral_pole():
+    lead = LeadingSuperpotential(pole=F(-3, 2), constant=F(1), linear=F(0), leading_energy=F(-1))
+    chain = solve_chain(GenericPerturbed(lead, P.monomial(1)), 0, 2)
+    with pytest.raises(InvalidLeading):
+        edge_state(chain, 0)
+
+
 # ---------------------------------------------------------- creation ladder -
 
 
@@ -127,6 +143,16 @@ def test_build_eigenstate_2s_shape():
 def test_build_eigenstate_second_hermite():
     st = build_eigenstate(Anharmonic(), 0, r=2)
     assert st.prefactor[0] == P({0: F(-2), 2: F(4)})
+
+
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_build_eigenstate_generic_matches_anharmonic(r):
+    harmonic = LeadingSuperpotential(pole=F(0), constant=F(0), linear=F(1), leading_energy=F(1))
+    st = build_eigenstate(GenericPerturbed(harmonic, P.monomial(4)), 6, r=r)
+    ref = build_eigenstate(Anharmonic(), 6, r=r)
+    assert st.prefactor == ref.prefactor and st.G == ref.G
+    assert st.power == ref.power and st.decay == ref.decay
+    assert st.r == r and not st.radial
 
 
 # ---------------------------------------------------------------- evaluation -
