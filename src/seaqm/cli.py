@@ -23,6 +23,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -360,20 +361,29 @@ def _validate_coefficients(inject_error: bool) -> list[dict]:
 
 
 def _validate_oracle() -> tuple[list[dict], list[ValidationRecord]]:
+    # each case: problem, level, lam, series, Pade orders for reconstruct_energy,
+    # plain truncation order, grid, oracle eigensolver (count, grid), pass rule
+    cases = [
+        (f"hulthen n={n} l={l}", n - l - 1, lam, hulthen_energy_series(n, l, 30), (15, 14, (14, 14)), 14,
+         default_hulthen_grid(n, lam, critical_value(n, l)), partial(hulthen_numeric, l, lam),
+         lambda rec, unc: rec.rel_diff <= 1e-5)
+        for (n, l, lam) in [(2, 1, 0.1), (3, 2, 0.1)]
+    ] + [
+        (f"anharmonic r={r}", r, lam, anharmonic_energy_series(r, 41), (21, 20, (20, 20)), 5,
+         default_anharmonic_grid(), partial(anharmonic_numeric, lam),
+         lambda rec, unc: rec.abs_diff <= max(unc, 1e-6))
+        for (r, lam) in [(0, 1.0), (1, 1.0)]
+    ]
     records = []
     failures = []
-    for (n, l, lam) in [(2, 1, 0.1), (3, 2, 0.1)]:
-        series = hulthen_energy_series(n, l, 30)
-        value, unc = reconstruct_energy(series, lam, 15, 14, (14, 14))
-        grid = default_hulthen_grid(n, lam, critical_value(n, l))
-        level = n - l - 1
-        oracle_vals = hulthen_numeric(l, lam, level + 1, grid)
-        oracle = oracle_vals[level]
+    for problem, level, lam, series, pade_orders, K, grid, eigensolver, passes in cases:
+        value, unc = reconstruct_energy(series, lam, *pade_orders)
+        oracle = eigensolver(level + 1, grid)[level]
         rec = ValidationRecord(
-            problem=f"hulthen n={n} l={l}",
+            problem=problem,
             lam=lam,
             level=level,
-            series_value=evaluate_truncated(series, lam, 14),
+            series_value=evaluate_truncated(series, lam, K),
             pade_value=value,
             oracle_value=oracle,
             abs_diff=abs(value - oracle),
@@ -381,27 +391,8 @@ def _validate_oracle() -> tuple[list[dict], list[ValidationRecord]]:
             grid=(grid.x_min, grid.x_max, grid.points),
         )
         records.append(rec)
-        if rec.rel_diff > 1e-5:
-            failures.append({"check": rec.problem, "got": value, "expected": oracle})
-    for (r, lam) in [(0, 1.0), (1, 1.0)]:
-        series = anharmonic_energy_series(r, 41)
-        value, unc = reconstruct_energy(series, lam, 21, 20, (20, 20))
-        grid = default_anharmonic_grid()
-        oracle = anharmonic_numeric(lam, r + 1, grid)[r]
-        rec = ValidationRecord(
-            problem=f"anharmonic r={r}",
-            lam=lam,
-            level=r,
-            series_value=evaluate_truncated(series, lam, 5),
-            pade_value=value,
-            oracle_value=oracle,
-            abs_diff=abs(value - oracle),
-            rel_diff=abs(value - oracle) / abs(oracle),
-            grid=(grid.x_min, grid.x_max, grid.points),
-        )
-        records.append(rec)
-        if abs(value - oracle) > max(unc, 1e-6):
-            failures.append({"check": rec.problem, "got": value, "expected": oracle})
+        if not passes(rec, unc):
+            failures.append({"check": problem, "got": value, "expected": oracle})
     return [{"suite": "oracle", "checks": len(records), "failures": failures}], records
 
 

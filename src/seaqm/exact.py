@@ -8,13 +8,13 @@ coefficient mapping because negative exponents and widely varying degrees
 coexist (centrifugal ``1/x**2`` terms next to degree ~2k polynomials).
 
 Values are immutable after construction and safe to share across threads; the
-only internal cache is the Bernoulli table, which is guarded by a lock.
+only internal cache is the Bernoulli table, a ``functools.lru_cache``.
 """
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -28,8 +28,8 @@ __all__ = [
     "LaurentPoly",
     "LambdaSeries",
     "bernoulli_minus",
+    "horner",
     "rational_to_str",
-    "rational_from_str",
 ]
 
 
@@ -41,8 +41,13 @@ def rational_to_str(q: Rational) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def rational_from_str(s: str) -> Rational:
-    return Fraction(s)
+def horner(coeffs: Sequence[float | Fraction], t: float) -> float:
+    """Float value of sum_k coeffs[k] * t**k by Horner's rule, top coefficient
+    first: the one float evaluator of coupling series (and of the l = 0 eta)."""
+    val = 0.0
+    for c in reversed(coeffs):
+        val = val * t + float(c)
+    return val
 
 
 class LaurentPoly:
@@ -281,29 +286,20 @@ class LambdaSeries:
         return self.map(lambda p: p * Fraction(c))
 
 
-_bernoulli_cache: dict[int, Fraction] = {}
-_bernoulli_lock = threading.Lock()
-
-
+@lru_cache(maxsize=None)
 def bernoulli_minus(k: int) -> Fraction:
     """Bernoulli number B_k in the minus convention (B_1 = -1/2).
 
     Computed from the explicit double sum
         B_k = sum_{n=0..k} sum_{m=0..n} (-1)^m C(n, m) m^k / (n + 1),
-    with results cached (the cache is shared and lock-protected).
+    with results cached.
     """
     if k < 0:
         raise ValueError("Bernoulli index must be non-negative")
-    with _bernoulli_lock:
-        cached = _bernoulli_cache.get(k)
-    if cached is not None:
-        return cached
     total = Fraction(0)
     for n in range(k + 1):
         inner = 0
         for m in range(n + 1):
             inner += (-1) ** m * comb(n, m) * m**k
         total += Fraction(inner, n + 1)
-    with _bernoulli_lock:
-        _bernoulli_cache[k] = total
     return total

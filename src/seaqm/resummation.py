@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NoSignChange, PoleProximity, SingularPadeSystem
+from .exact import horner
 from .spectra import EnergySeries, hulthen_energy_series
 
 __all__ = [
@@ -133,12 +134,8 @@ def reexpand(P: PadeApproximant, order: int) -> list[Fraction]:
 
 def pade_eval(P: PadeApproximant, lam: float) -> float:
     """Floating Horner evaluation; raises PoleProximity near a denominator zero."""
-    num = 0.0
-    for c in reversed(P.numerator):
-        num = num * lam + float(c)
-    den = 0.0
-    for c in reversed(P.denominator):
-        den = den * lam + float(c)
+    num = horner(P.numerator, lam)
+    den = horner(P.denominator, lam)
     if abs(den) < 1e-12 * max(1.0, abs(num)):
         raise PoleProximity(f"denominator {den:.3e} too small at lam={lam}")
     return num / den

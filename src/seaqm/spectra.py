@@ -9,12 +9,13 @@ energy series of rung r of the quartic chain.
 from __future__ import annotations
 
 import decimal
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .engine import Anharmonic, Hulthen, solve_chain
 from .errors import OrderExceeded, OutOfBoundDomain
-from .exact import LaurentPoly, rational_to_str
+from .exact import LaurentPoly, horner, rational_to_str
 
 __all__ = [
     "EnergySeries",
@@ -47,7 +48,7 @@ class EnergySeries:
             raise ValueError("coefficient list must have length K + 1")
 
     def to_json(self) -> dict:
-        labels = {"n": self.n, "l": self.l} if self.family == "hulthen" else {"r": self.r}
+        labels = {k: v for k, v in {"n": self.n, "l": self.l, "r": self.r}.items() if v is not None}
         return {
             "family": self.family,
             **labels,
@@ -113,22 +114,16 @@ class ClosedFormL0:
     def b(self, lam: float) -> float:
         return 1.0 / (self.n * lam) - self.n / 2.0
 
-    @property
-    def critical_lam(self) -> float:
-        return 2.0 / self.n**2
-
     def quantization_residual(self) -> LaurentPoly:
         """c_{n+1} as a polynomial in mu; identically zero by quantization."""
         return self.c[self.n + 1]
 
     def eta(self, y: float, lam: float) -> float:
         mu = 1.0 / lam
-        return sum(poly(mu) * y**k for k, poly in enumerate(self.c[: self.n + 1]))
+        return horner([poly(mu) for poly in self.c[: self.n + 1]], y)
 
     def wavefunction(self, x: float, lam: float) -> float:
         """phi_{n0}(x, lam), unnormalized (c_1 = 1 convention)."""
-        import math
-
         y = -math.expm1(-lam * x)
         return math.exp(-lam * self.b(lam) * x) * self.eta(y, lam)
 
@@ -159,7 +154,4 @@ def evaluate_truncated(series: EnergySeries, lam: float, K: int) -> float:
     """Horner evaluation of the series truncated at order K."""
     if K > series.K:
         raise OrderExceeded(f"K={K} beyond series order {series.K}")
-    val = 0.0
-    for c in reversed(series.coeffs[: K + 1]):
-        val = val * lam + float(c)
-    return val
+    return horner(series.coeffs[: K + 1], lam)

@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from scipy import integrate
 
 from .engine import ChainSolution, ProblemFamily, solve_chain
 from .errors import DomainError, InvalidLeading, NonNormalizable, RungOrderViolation
-from .exact import LambdaSeries, LaurentPoly
+from .exact import LambdaSeries, LaurentPoly, horner
 
 __all__ = [
     "StateRep",
@@ -81,6 +82,12 @@ class StateRep:
     @property
     def radial(self) -> bool:
         return self.family.radial
+
+    @cached_property
+    def _xp_prefactor(self) -> tuple[LaurentPoly, ...]:
+        """x^power * R_k for every order, built once: pole-free for every valid state."""
+        xp = LaurentPoly.monomial(self.power)
+        return tuple(xp * p for p in self.prefactor)
 
 
 def build_G(chain: ChainSolution, r: int) -> LambdaSeries:
@@ -155,36 +162,30 @@ def build_eigenstate(
     return state
 
 
-def _poly_prefactor(state: StateRep) -> list[LaurentPoly]:
-    """x^power * R_k: pole-free polynomials for every valid state."""
-    xp = LaurentPoly.monomial(state.power)
-    return [xp * p for p in state.prefactor]
+def _pointwise(state: StateRep, x: float, K: int | None) -> tuple[list[float], list[float]]:
+    """(x^p R_k)(x) for k = 0..K and G_k(x) for k = 1..K; K defaults to the state's order.
+
+    At the origin only the constant terms of x^p R survive, and every G_k is
+    taken as zero there (the G_k are antiderivatives with zero constant term).
+    """
+    K = state.order if K is None else K
+    if K > state.order:
+        raise DomainError(f"K={K} beyond state order {state.order}")
+    Q = state._xp_prefactor[: K + 1]
+    if x == 0.0:
+        if any(p.min_exponent is not None and p.min_exponent < 0 for p in Q):
+            raise DomainError("prefactor retains a pole at x = 0")
+        return [float(p.coeff(0)) for p in Q], [0.0] * K
+    return [p(x) for p in Q], [state.G[k](x) for k in range(1, K + 1)]
 
 
 def evaluate_state(state: StateRep, x: float, lam: float, K: int | None = None) -> float:
     """Floating evaluation of the factored form, truncated at order K."""
-    K = state.order if K is None else K
-    if K > state.order:
-        raise DomainError(f"K={K} beyond state order {state.order}")
     if state.radial and x < 0:
         raise DomainError("radial states are defined for x >= 0")
-    Q = _poly_prefactor(state)
-    if x == 0.0:
-        # only the constant terms of x^p * R survive at the origin
-        if any(p.min_exponent is not None and p.min_exponent < 0 for p in Q[: K + 1]):
-            raise DomainError("prefactor retains a pole at x = 0")
-        pref = 0.0
-        for k in range(K, -1, -1):
-            pref = pref * lam + float(Q[k].coeff(0))
-        return pref
-    pref = 0.0
-    for k in range(K, -1, -1):
-        pref = pref * lam + Q[k](x)
-    expo = -state.decay(x)
-    tail = 0.0
-    for k in range(K, 0, -1):
-        tail = tail * lam + state.G[k](x)
-    expo -= tail * lam
+    q, g = _pointwise(state, x, K)
+    pref = horner(q, lam)
+    expo = -state.decay(x) - horner(g, lam) * lam
     if expo > _EXP_MAX:
         return math.copysign(math.inf, pref)
     return pref * math.exp(expo)
@@ -196,14 +197,12 @@ def state_lambda_series(state: StateRep, x: float, K: int | None = None) -> list
     Exponentiates the -sum lam^k G_k(x) series termwise and convolves with the
     prefactor; used for pointwise resummation of wavefunctions.
     """
-    K = state.order if K is None else K
-    Q = _poly_prefactor(state)
-    q = [Q[k](x) if x != 0.0 else float(Q[k].coeff(0)) for k in range(K + 1)]
-    g = [0.0] + [state.G[k](x) for k in range(1, K + 1)]
-    # E = exp(-sum_{k>=1} g_k lam^k):  m E_m = -sum_{j=1..m} j g_j E_{m-j}
+    q, g = _pointwise(state, x, K)
+    K = len(q) - 1
+    # E = exp(-sum_{k>=1} g_k lam^k):  m E_m = -sum_{j=1..m} j g_j E_{m-j}  (g_j is g[j - 1])
     E = [1.0] + [0.0] * K
     for m in range(1, K + 1):
-        E[m] = -sum(j * g[j] * E[m - j] for j in range(1, m + 1)) / m
+        E[m] = -sum(j * g[j - 1] * E[m - j] for j in range(1, m + 1)) / m
     base = math.exp(-state.decay(x))
     return [base * sum(q[m] * E[k - m] for m in range(k + 1)) for k in range(K + 1)]
 

@@ -11,7 +11,7 @@ from seaqm.exact import (
     LambdaSeries,
     LaurentPoly,
     bernoulli_minus,
-    rational_from_str,
+    horner,
     rational_to_str,
 )
 
@@ -46,6 +46,13 @@ def test_bernoulli_matches_independent_scheme():
 def test_bernoulli_h1_matches_first_order_energy():
     # the order-1 potential coefficient -2*B_1 must equal the exact eps_1 = 1
     assert -2 * bernoulli_minus(1) == 1
+
+
+def test_bernoulli_negative_index_rejected_every_time():
+    # the cache must not swallow the error after a first rejection
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            bernoulli_minus(-1)
 
 
 # ------------------------------------------------------------- LaurentPoly -
@@ -126,7 +133,18 @@ def test_poly_json_format():
 def test_rational_string_forms():
     assert rational_to_str(F(3, 1)) == "3"
     assert rational_to_str(F(-7, 12)) == "-7/12"
-    assert rational_from_str("-7/12") == F(-7, 12)
+
+
+# ------------------------------------------------------------------ horner -
+
+
+def test_horner_operation_order():
+    # from the top coefficient down, starting at 0.0: ((0*t + c2)*t + c1)*t + c0
+    t = 0.3
+    expected = ((0.0 * t + float(F(1, 7))) * t - 2.5) * t + 1.0
+    assert horner([1, -2.5, F(1, 7)], t) == expected
+    assert horner((), t) == 0.0
+    assert horner([F(3, 4)], 123.0) == 0.75
 
 
 # ------------------------------------------------------------ LambdaSeries -
