@@ -47,7 +47,13 @@ from .reference import (
     critical_value,
     hulthen_energy_coefficient,
 )
-from .resummation import critical_lambda, pade_eval, pade_with_fallback, reconstruct_energy
+from .resummation import (
+    critical_lambda,
+    pade_eval,
+    pade_pair_value,
+    pade_with_fallback,
+    reconstruct_energy,
+)
 from .spectra import (
     anharmonic_energy_series,
     evaluate_truncated,
@@ -196,11 +202,11 @@ def cmd_energy(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     header = ["lambda"] + [f"K{k}" for k in K_list] + ["pade", "uncertainty"]
+    first, second = (pade_with_fallback(series.coeffs, m, n) for m, n in pair)
     rows = []
     for lam in lams:
         row = [lam] + [evaluate_truncated(series, lam, k) for k in K_list]
-        value, unc = reconstruct_energy(series, lam, pair[0][0], pair[0][1], pair[1])
-        rows.append(row + [value, unc])
+        rows.append(row + list(pade_pair_value(first, second, lam)))
     meta = _metadata(args, K_list=K_list, pade_pair=[list(pair[0]), list(pair[1])], order=K_max)
     _emit(args, meta, header, rows)
     return EXIT_OK

@@ -46,6 +46,11 @@ from .errors import (
 from .exact import (
     LambdaSeries,
     LaurentPoly,
+    _Dense,
+    _dense,
+    _dense_derivative,
+    _dense_mul,
+    _dense_sum,
     bernoulli_minus,
     rational_to_str,
 )
@@ -385,6 +390,17 @@ def potential_coefficient(
     return prev.potential[k] + 2 * prev.w[k].derivative()
 
 
+def _self_convolution(w: Sequence[LaurentPoly], k: int, first: int) -> list[tuple[int, _Dense]]:
+    """Weighted integer-kernel terms of ``sum_{m+n=k, m,n>=first} w_m w_n``,
+    each distinct product formed once: ``2 w_m w_{k-m}`` for m < k/2 plus the
+    middle square."""
+    terms = [(2, _dense_mul(_dense(w[m]), _dense(w[k - m]))) for m in range(first, (k + 1) // 2)]
+    if k % 2 == 0 and k // 2 >= first:
+        mid = _dense(w[k // 2])
+        terms.append((1, _dense_mul(mid, mid)))
+    return terms
+
+
 def convolution_B(
     rung: "Rung | Sequence[LaurentPoly]", k: int, alpha: int | None = None
 ) -> "LaurentPoly | Fraction":
@@ -397,9 +413,7 @@ def convolution_B(
     w = rung.w if isinstance(rung, Rung) else tuple(rung)
     if k >= 1 and len(w) < k:
         raise ChainIncomplete(f"need orders 1..{k - 1} solved, have {len(w) - 1}")
-    acc = LaurentPoly.zero()
-    for m in range(1, k):
-        acc = acc + w[m] * w[k - m]
+    acc = _dense_sum(_self_convolution(w, k, 1))
     if alpha is None:
         return acc
     return acc.coeff(alpha)
@@ -464,11 +478,22 @@ def riccati_residual(
     W: LambdaSeries, v: LambdaSeries, eps: LambdaSeries, K: int
 ) -> list[LaurentPoly]:
     """Order-by-order residual ``C_k - w_k' - v_k + eps_k`` with C the
-    self-convolution of W; identically zero for a valid solution."""
-    W = W.truncated(K)
-    C = W * W
+    self-convolution of W; identically zero for a valid solution.
+
+    Each ``C_k`` is formed afresh from all of ``w_0..w_k``, independently of
+    the ``B_k`` the solver used, so the check is the full exact identity.
+    """
+    w = W.truncated(K).coeffs
     return [
-        C[k] - W[k].derivative() - v[k] + LaurentPoly.constant(eps[k]) for k in range(K + 1)
+        _dense_sum(
+            _self_convolution(w, k, 0)
+            + [
+                (-1, _dense_derivative(_dense(w[k]))),
+                (-1, _dense(v[k])),
+                (1, _dense(LaurentPoly.constant(eps[k]))),
+            ]
+        )
+        for k in range(K + 1)
     ]
 
 

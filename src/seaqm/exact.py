@@ -7,15 +7,25 @@ evaluation time.  Laurent polynomials are stored sparsely as an exponent ->
 coefficient mapping because negative exponents and widely varying degrees
 coexist (centrifugal ``1/x**2`` terms next to degree ~2k polynomials).
 
+The solver's hot sums of products (the ``B_k`` convolution and the Riccati
+residual) run on an integer kernel instead: each polynomial's dense form, a
+lowest exponent with a tuple of integer numerators over one common
+denominator, is built once per instance, products are convolutions of
+integer tuples, and a sum of terms is combined over the lcm of their
+denominators and turned back into a canonical ``LaurentPoly`` once.
+
 Values are immutable after construction and safe to share across threads; the
-only internal cache is the Bernoulli table, a ``functools.lru_cache``.
+internal caches are the Bernoulli table (a ``functools.lru_cache``) and each
+polynomial's hash and dense form, computed on first use.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from itertools import repeat
+from math import comb, lcm
+from operator import add, mul
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import NonIntegrableTerm, OrderExceeded
@@ -58,7 +68,7 @@ class LaurentPoly:
     Instances are immutable and hashable.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms", "_hash", "_dense")
 
     def __init__(self, terms: Mapping[int, RationalLike] | Iterable[tuple[int, RationalLike]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -69,6 +79,7 @@ class LaurentPoly:
                 clean[int(exp)] = c
         self._terms = clean
         self._hash: int | None = None
+        self._dense: _Dense | None = None
 
     # -- constructors -------------------------------------------------------
 
@@ -206,7 +217,71 @@ def _wrap(terms: dict[int, Fraction]) -> LaurentPoly:
     p = LaurentPoly.__new__(LaurentPoly)
     p._terms = terms
     p._hash = None
+    p._dense = None
     return p
+
+
+# -- integer kernel -----------------------------------------------------------
+
+_Dense = tuple[int, tuple[int, ...], int]
+"""(lowest exponent e, numerators n_i, common denominator d) for sum_i n_i/d * x^(e+i)."""
+
+_DENSE_ZERO: _Dense = (0, (), 1)
+
+
+def _dense(p: LaurentPoly) -> _Dense:
+    """The dense integer form of p, built on first use and kept on the instance."""
+    d = p._dense
+    if d is None:
+        terms = p._terms
+        if not terms:
+            d = _DENSE_ZERO
+        else:
+            lo = min(terms)
+            den = lcm(*(c.denominator for c in terms.values()))
+            nums = [0] * (max(terms) - lo + 1)
+            for e, c in terms.items():
+                nums[e - lo] = c.numerator * (den // c.denominator)
+            d = (lo, tuple(nums), den)
+        p._dense = d
+    return d
+
+
+def _dense_mul(a: _Dense, b: _Dense) -> _Dense:
+    """Exact product of two dense forms (schoolbook convolution of the numerators)."""
+    alo, an, ad = a
+    blo, bn, bd = b
+    if not an or not bn:
+        return _DENSE_ZERO
+    nb = len(bn)
+    out = [0] * (len(an) + nb - 1)
+    for i, x in enumerate(an):
+        if x:
+            out[i : i + nb] = map(add, out[i : i + nb], map(mul, repeat(x), bn))
+    return (alo + blo, tuple(out), ad * bd)
+
+
+def _dense_derivative(a: _Dense) -> _Dense:
+    """Term-wise d/dx of a dense form (the constant's numerator becomes 0)."""
+    lo, nums, den = a
+    return (lo - 1, tuple(n * (lo + i) for i, n in enumerate(nums)), den)
+
+
+def _dense_sum(terms: Iterable[tuple[int, _Dense]]) -> LaurentPoly:
+    """The canonical LaurentPoly of sum_j c_j * a_j for integer weights c_j,
+    combined over the lcm of the terms' denominators."""
+    terms = [(c, a) for c, a in terms if c and a[1]]
+    if not terms:
+        return LaurentPoly()
+    den = lcm(*(a[2] for _, a in terms))
+    lo = min(a[0] for _, a in terms)
+    acc = [0] * (max(a[0] + len(a[1]) for _, a in terms) - lo)
+    for c, (alo, nums, aden) in terms:
+        i = alo - lo
+        acc[i : i + len(nums)] = map(
+            add, acc[i : i + len(nums)], map(mul, repeat(c * (den // aden)), nums)
+        )
+    return _wrap({lo + i: Fraction(n, den) for i, n in enumerate(acc) if n})
 
 
 Payload = Union[LaurentPoly, Fraction]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -28,6 +29,7 @@ __all__ = [
     "pade_with_fallback",
     "CriticalResult",
     "critical_lambda",
+    "pade_pair_value",
     "reconstruct_energy",
 ]
 
@@ -50,6 +52,11 @@ class PadeApproximant:
             raise ValueError("coefficient lengths must be m+1 and n+1")
         if self.denominator[0] != 1:
             raise ValueError("denominator constant term must be 1")
+
+    @cached_property
+    def float_coefficients(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """Numerator and denominator coefficients as floats, converted once."""
+        return tuple(map(float, self.numerator)), tuple(map(float, self.denominator))
 
     def to_json(self) -> dict:
         from .exact import rational_to_str
@@ -134,8 +141,9 @@ def reexpand(P: PadeApproximant, order: int) -> list[Fraction]:
 
 def pade_eval(P: PadeApproximant, lam: float) -> float:
     """Floating Horner evaluation; raises PoleProximity near a denominator zero."""
-    num = horner(P.numerator, lam)
-    den = horner(P.denominator, lam)
+    numerator, denominator = P.float_coefficients
+    num = horner(numerator, lam)
+    den = horner(denominator, lam)
     if abs(den) < 1e-12 * max(1.0, abs(num)):
         raise PoleProximity(f"denominator {den:.3e} too small at lam={lam}")
     return num / den
@@ -173,7 +181,7 @@ class CriticalResult:
 
 
 def _real_denominator_roots(P: PadeApproximant, hi: float) -> list[float]:
-    coeffs = [float(c) for c in P.denominator]
+    coeffs = P.float_coefficients[1]
     if len(coeffs) < 2:
         return []
     roots = np.roots(coeffs[::-1])
@@ -294,6 +302,15 @@ def critical_lambda(
     return CriticalResult(n, l, lam_c, unc, used, tuple(notes), tuple(approximants))
 
 
+def pade_pair_value(
+    first: PadeApproximant, second: PadeApproximant, lam: float
+) -> tuple[float, float]:
+    """Resummed value at one coupling: the first approximant's value, with the
+    absolute difference from the second as the uncertainty."""
+    value = pade_eval(first, lam)
+    return value, abs(value - pade_eval(second, lam))
+
+
 def reconstruct_energy(
     series: "EnergySeries | Sequence[Fraction]",
     lam: float,
@@ -306,6 +323,4 @@ def reconstruct_energy(
     coeffs = series.coeffs if isinstance(series, EnergySeries) else tuple(series)
     first = pade_with_fallback(coeffs, m, n)
     second = pade_with_fallback(coeffs, alt[0], alt[1])
-    v1 = pade_eval(first, lam)
-    v2 = pade_eval(second, lam)
-    return v1, abs(v1 - v2)
+    return pade_pair_value(first, second, lam)

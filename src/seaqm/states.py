@@ -165,9 +165,12 @@ def build_eigenstate(
 def _pointwise(state: StateRep, x: float, K: int | None) -> tuple[list[float], list[float]]:
     """(x^p R_k)(x) for k = 0..K and G_k(x) for k = 1..K; K defaults to the state's order.
 
-    At the origin only the constant terms of x^p R survive, and every G_k is
-    taken as zero there (the G_k are antiderivatives with zero constant term).
+    A radial state is rejected at x < 0.  At the origin only the constant
+    terms of x^p R survive, and every G_k is taken as zero there (the G_k are
+    antiderivatives with zero constant term).
     """
+    if state.radial and x < 0:
+        raise DomainError("radial states are defined for x >= 0")
     K = state.order if K is None else K
     if K > state.order:
         raise DomainError(f"K={K} beyond state order {state.order}")
@@ -181,8 +184,6 @@ def _pointwise(state: StateRep, x: float, K: int | None) -> tuple[list[float], l
 
 def evaluate_state(state: StateRep, x: float, lam: float, K: int | None = None) -> float:
     """Floating evaluation of the factored form, truncated at order K."""
-    if state.radial and x < 0:
-        raise DomainError("radial states are defined for x >= 0")
     q, g = _pointwise(state, x, K)
     pref = horner(q, lam)
     expo = -state.decay(x) - horner(g, lam) * lam
@@ -209,21 +210,42 @@ def state_lambda_series(state: StateRep, x: float, K: int | None = None) -> list
 
 def _scan_cutoff(f, start: float, stop: float, points: int, tail_ratio: float) -> float:
     """March from `start` toward `stop`; return the abscissa where f has
-    decayed below tail_ratio times its running peak."""
+    decayed below tail_ratio times its running peak.
+
+    When it never does, the truncated series has broken down before the state
+    decayed: the error names where f stopped decaying (its lowest point
+    relative to the running peak), the decay reached there, and how the scan
+    ended.
+    """
     xs = [start + (stop - start) * i / points for i in range(points + 1)]
     peak = 0.0
+    lowest, x_turn = 1.0, start
     for x in xs:
         try:
             val = f(x)
         except OverflowError:
-            raise NonNormalizable("integrand overflows before decaying")
+            raise NonNormalizable(_breakdown(x_turn, lowest, tail_ratio, f"overflows at x = {x:.6g}"))
         if not math.isfinite(val):
-            raise NonNormalizable("integrand diverges before decaying")
+            raise NonNormalizable(_breakdown(x_turn, lowest, tail_ratio, f"diverges at x = {x:.6g}"))
         peak = max(peak, val)
         if peak > 0.0 and val < tail_ratio * peak:
             return x
+        if val < lowest * peak:
+            lowest, x_turn = val / peak, x
     raise NonNormalizable(
-        f"tail criterion not met inside the domain bound {stop}"
+        _breakdown(x_turn, lowest, tail_ratio, f"is still above the cutoff at the domain bound {stop}")
+    )
+
+
+def _breakdown(x_turn: float, lowest: float, tail_ratio: float, end: str) -> str:
+    turn = (
+        f"stops decaying at x = {x_turn:.6g}, at {lowest:.3g} of its peak"
+        if lowest < 1.0
+        else "never decays"
+    )
+    return (
+        f"integrand {turn} (tail cutoff {tail_ratio:.3g}) and {end}: the truncated "
+        "series breaks down before the state decays; resum it (--pade) or use a smaller lambda"
     )
 
 
@@ -232,9 +254,9 @@ def normalize_function(f, radial: bool, config: QuadratureConfig | None = None) 
     wavefunction sampling); same tail logic as `normalize`."""
     config = config or QuadratureConfig()
     density = lambda x: f(x) ** 2
-    scan = lambda g: _scan_cutoff(g, 0.0, config.domain_bound, config.scan_points, config.tail_ratio)
-    hi = scan(density)
-    lo = 0.0 if radial else -scan(lambda x: density(-x))
+    scan = lambda stop: _scan_cutoff(density, 0.0, stop, config.scan_points, config.tail_ratio)
+    hi = scan(config.domain_bound)
+    lo = 0.0 if radial else scan(-config.domain_bound)
     res = integrate.quad(
         density, lo, hi, epsabs=0.0, epsrel=config.rel_tol, limit=400, full_output=1
     )

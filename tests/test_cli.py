@@ -1,9 +1,11 @@
 """Command-line interface tests (run in-process through main)."""
 
+import hashlib
 import json
 
 import pytest
 
+import seaqm.resummation
 from seaqm.cli import main
 
 
@@ -109,6 +111,29 @@ def test_energy_warns_beyond_critical(tmp_path, capsys):
     assert "critical" in capsys.readouterr().err
 
 
+def test_energy_builds_each_approximant_once(monkeypatch, capsys):
+    # the README anharmonic curve; its CSV digest was recorded before the
+    # approximant builds were moved out of the per-lambda loop
+    builds = []
+    pade = seaqm.resummation.pade
+
+    def counting(*args):
+        builds.append(args[1:])
+        return pade(*args)
+
+    monkeypatch.setattr(seaqm.resummation, "pade", counting)
+    args = ["energy", "anharmonic", "--r", "0", "--K", "5", "--K-list", "3,4,5",
+            "--pade", "21/20,20/20"]
+    assert run(args + ["--lambda", "0.1"]) == 0
+    single, builds[:] = list(builds), []
+    capsys.readouterr()
+    assert run(args + ["--lambda-range", "0:0.2:41"]) == 0
+    assert builds == single == [(21, 20), (20, 20)]
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "21da9cbb8fd182ccf25549573f80a45e03c7ee25573227e643ff339f421ec1f6"
+    )
+
+
 # ---------------------------------------------------------------- critical --
 
 
@@ -197,11 +222,33 @@ def test_wavefunction_compactification_with_coupling(tmp_path):
     assert variances[0] > variances[1] > variances[2]
 
 
-def test_wavefunction_computation_failure_exit_3(tmp_path):
-    # runaway truncated exponent: not normalizable, reported as a computation error
+def test_wavefunction_computation_failure_exit_3(tmp_path, capsys):
+    # runaway truncated exponent: not normalizable, reported as a computation
+    # error that names where the density stopped decaying and what to do
     assert run(
         ["wavefunction", "anharmonic", "--r", "0", "--K", "2", "--lambda", "5.0"]
     ) == 3
+    assert capsys.readouterr().err == (
+        "computation failed: integrand never decays (tail cutoff 1e-16) and overflows at "
+        "x = 2.5: the truncated series breaks down before the state decays; resum it "
+        "(--pade) or use a smaller lambda\n"
+    )
+    assert run(
+        ["wavefunction", "anharmonic", "--r", "0", "--K", "8", "--lambda", "0.1"]
+    ) == 3
+    assert capsys.readouterr().err == (
+        "computation failed: integrand stops decaying at x = 3.5, at 1.61e-06 of its peak "
+        "(tail cutoff 1e-16) and overflows at x = 5.5: the truncated series breaks down "
+        "before the state decays; resum it (--pade) or use a smaller lambda\n"
+    )
+
+
+def test_wavefunction_pade_rejects_negative_radial_x_exit_3(capsys):
+    assert run(
+        ["wavefunction", "hulthen", "--n", "2", "--l", "1", "--K", "10", "--lambda", "0.1",
+         "--pade", "5/5", "--x-range=-2:2:3"]
+    ) == 3
+    assert "radial states are defined for x >= 0" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- validate --

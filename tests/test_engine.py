@@ -1,8 +1,11 @@
 """Chain solver tests: leading terms, triangular orders, partner ladders."""
 
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seaqm.engine import (
     Anharmonic,
@@ -20,9 +23,17 @@ from seaqm.errors import ChainIncomplete, InvalidLeading, UnsolvableOrder
 from seaqm.exact import LambdaSeries, LaurentPoly
 
 from family_recurrences import anharmonic_ladder, hulthen_ladder
+from make_chain_digests import DIGEST_FILE, chain_digest, golden_chains
 
 F = Fraction
 P = LaurentPoly
+
+# sparse Laurent polynomials with poles, zero polynomials and mixed denominators
+polys = st.dictionaries(
+    st.integers(min_value=-4, max_value=6),
+    st.fractions(min_value=-50, max_value=50, max_denominator=60),
+    max_size=5,
+).map(P)
 
 
 # ------------------------------------------------------ potential expansion -
@@ -103,6 +114,29 @@ def test_convolution_B_hulthen_k4(l):
 def test_convolution_B_anharmonic_k2():
     chain = solve_chain(Anharmonic(), 0, 2)
     assert convolution_B(chain.rung(0), 2, alpha=4) == F(3, 4)
+
+
+@given(st.lists(polys, min_size=1, max_size=7))
+@settings(max_examples=50)
+def test_convolution_B_matches_fraction_sum(w):
+    for k in range(len(w) + 1):
+        expected = P.zero()
+        for m in range(1, k):
+            expected = expected + w[m] * w[k - m]
+        assert convolution_B(w, k) == expected
+
+
+@given(st.lists(st.tuples(polys, polys, st.fractions(max_denominator=40)), min_size=1, max_size=6))
+@settings(max_examples=40)
+def test_riccati_residual_matches_series_product(orders):
+    # reference: the LambdaSeries Cauchy product C = W * W, term by term
+    W, v, eps = (LambdaSeries(list(col)) for col in zip(*orders))
+    K = W.order
+    C = W * W
+    expected = [
+        C[k] - W[k].derivative() - v[k] + P.constant(eps[k]) for k in range(K + 1)
+    ]
+    assert riccati_residual(W, v, eps, K) == expected
 
 
 def test_convolution_B_incomplete():
@@ -196,6 +230,18 @@ def test_riccati_residual_detects_corruption():
     )
     assert not res[2].is_zero
     assert res[0].is_zero and res[1].is_zero
+    # changing any one coefficient of any solved w_k is seen at order k
+    for family, r, K in [(Hulthen(1), 2, 8), (Anharmonic(), 2, 6)]:
+        rung = solve_chain(family, r, K).rung(r)
+        for k in range(K + 1):
+            for e, c in rung.w[k].items():
+                w = list(rung.w)
+                w[k] = w[k] + P.monomial(e, c / 7)
+                res = riccati_residual(
+                    LambdaSeries(w), rung.potential_series(), rung.energy_series(), K
+                )
+                assert not res[k].is_zero, (family, k, e)
+                assert all(p.is_zero for p in res[:k]), (family, k, e)
 
 
 # -------------------------------------------------- invariants & properties -
@@ -313,6 +359,16 @@ def test_chain_json_roundtrip_bit_exact():
         back = ChainSolution.loads(text)
         assert back == chain
         assert back.dumps() == text
+
+
+def test_golden_chain_digests():
+    # tests/make_chain_digests.py wrote the file from the Fraction-dict solver;
+    # every chain must still serialize byte for byte the same
+    expected = json.loads(DIGEST_FILE.read_text())
+    chains = golden_chains()
+    assert list(expected) == list(chains)
+    for label, spec in chains.items():
+        assert chain_digest(*spec) == expected[label], label
 
 
 def test_chain_json_rejects_unknown_family_and_wrong_b():

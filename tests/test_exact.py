@@ -10,6 +10,10 @@ from seaqm.errors import NonIntegrableTerm, OrderExceeded
 from seaqm.exact import (
     LambdaSeries,
     LaurentPoly,
+    _dense,
+    _dense_derivative,
+    _dense_mul,
+    _dense_sum,
     bernoulli_minus,
     horner,
     rational_to_str,
@@ -118,6 +122,23 @@ def test_derivative_inverts_antiderivative(p):
 @given(polys, polys)
 def test_poly_mul_commutes(a, b):
     assert a * b == b * a
+
+
+@given(st.lists(st.tuples(st.integers(min_value=-3, max_value=3), polys, polys), max_size=5))
+@settings(max_examples=80)
+def test_integer_kernel_matches_fraction_products(terms):
+    # weighted sums of products, combined over the lcm of the denominators,
+    # against the per-term Fraction products of LaurentPoly.__mul__
+    expected = P.zero()
+    for c, a, b in terms:
+        expected = expected + c * (a * b)
+    got = _dense_sum((c, _dense_mul(_dense(a), _dense(b))) for c, a, b in terms)
+    assert got == expected
+    assert all(coeff for _, coeff in got.items())
+    for _, a, _ in terms:
+        assert _dense(a) is _dense(a)  # converted once per instance
+        assert _dense_sum([(1, _dense(a))]) == a
+        assert _dense_sum([(1, _dense_derivative(_dense(a)))]) == a.derivative()
 
 
 @given(polys)

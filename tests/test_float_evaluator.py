@@ -68,6 +68,18 @@ def test_energy_evaluation_bits():
     assert pade_eval(pade(series.coeffs, 7, 7), 0.2) == float.fromhex("-0x1.5721693e23d78p-4")
 
 
+def test_pade_float_coefficients_converted_once():
+    series = hulthen_energy_series(2, 1, 14).coeffs
+    P = pade(series, 7, 7)
+    floats = P.float_coefficients
+    assert floats == (tuple(map(float, P.numerator)), tuple(map(float, P.denominator)))
+    assert P.float_coefficients is floats
+    assert pade_eval(P, 0.2) == float.fromhex("-0x1.5721693e23d78p-4")
+    # the cache is not part of the value: equality and JSON see only the exact fields
+    fresh = pade(series, 7, 7)
+    assert P == fresh and P.to_json() == fresh.to_json()
+
+
 def test_prefactor_built_once(hulthen_52, monkeypatch):
     evaluate_state(hulthen_52, 1.0, 0.02)
     calls = []
@@ -100,6 +112,14 @@ def test_pole_at_origin_rejected_by_both_evaluators():
         evaluate_state(st, 0.0, 0.0)
     with pytest.raises(DomainError, match="pole"):
         state_lambda_series(st, 0.0)
+
+
+def test_negative_x_rejected_by_both_evaluators_for_radial_states(hulthen_52, anharmonic_2):
+    with pytest.raises(DomainError, match="radial"):
+        evaluate_state(hulthen_52, -2.0, 0.02)
+    with pytest.raises(DomainError, match="radial"):
+        state_lambda_series(hulthen_52, -2.0)
+    assert len(state_lambda_series(anharmonic_2, -2.0)) == anharmonic_2.order + 1
 
 
 def test_order_beyond_state_rejected_by_both_evaluators(hulthen_52):
