@@ -49,7 +49,7 @@ from .reference import (
 )
 from .resummation import (
     critical_lambda,
-    pade_eval,
+    float_pade_eval,
     pade_pair_value,
     pade_with_fallback,
     reconstruct_energy,
@@ -97,16 +97,24 @@ def _parse_range(text: str) -> list[float]:
     return _grid(a, b, steps)
 
 
+def _parse_pade_order(text: str) -> tuple[int, int]:
+    """One Pade order "m/n" with non-negative integers m and n."""
+    parts = text.split("/")
+    if len(parts) != 2 or not all(p.isdecimal() for p in parts):
+        raise argparse.ArgumentTypeError(
+            f"expected m/n with non-negative integer orders m and n, got {text!r}"
+        )
+    return int(parts[0]), int(parts[1])
+
+
 def _parse_pade_pair(text: str) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Two Pade orders "m1/n1,m2/n2"; a single "m/n" pairs [m/n] with [n/n]."""
     parts = text.split(",")
-    pairs = []
-    for part in parts:
-        m, n = part.split("/")
-        pairs.append((int(m), int(n)))
+    if len(parts) > 2:
+        raise argparse.ArgumentTypeError(f"expected m/n or m1/n1,m2/n2, got {text!r}")
+    pairs = [_parse_pade_order(part) for part in parts]
     if len(pairs) == 1:
         pairs.append((pairs[0][1], pairs[0][1]))
-    if len(pairs) != 2:
-        raise argparse.ArgumentTypeError("expected m/n or m1/n1,m2/n2")
     return pairs[0], pairs[1]
 
 
@@ -289,12 +297,9 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
         xs = args.x_range or _grid(-8.0, 8.0, 401)
     lam = args.lam
     if args.pade_single:
-        mp, np_ = args.pade_single
 
         def psi(x: float) -> float:
-            series = state_lambda_series(state, x, state.order)
-            coeffs = [Fraction(c).limit_denominator(10**15) for c in series]
-            return pade_eval(pade_with_fallback(coeffs, mp, np_), lam)
+            return float_pade_eval(state_lambda_series(state, x), *args.pade_single, lam)
 
     else:
 
@@ -507,8 +512,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--pade",
         dest="pade_single",
-        type=lambda s: tuple(int(v) for v in s.split("/")),
-        help="pointwise-in-lambda resummation order m/n",
+        type=_parse_pade_order,
+        help="pointwise-in-lambda float resummation order m/n",
     )
     p.add_argument("--x-range", dest="x_range", type=_parse_range, help="a:b:steps sample grid")
     p.set_defaults(func=cmd_wavefunction)

@@ -16,7 +16,7 @@ denominators and turned back into a canonical ``LaurentPoly`` once.
 
 Values are immutable after construction and safe to share across threads; the
 internal caches are the Bernoulli table (a ``functools.lru_cache``) and each
-polynomial's hash and dense form, computed on first use.
+polynomial's hash, dense form and float terms, computed on first use.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ class LaurentPoly:
     Instances are immutable and hashable.
     """
 
-    __slots__ = ("_terms", "_hash", "_dense")
+    __slots__ = ("_terms", "_hash", "_dense", "_floats")
 
     def __init__(self, terms: Mapping[int, RationalLike] | Iterable[tuple[int, RationalLike]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -80,6 +80,7 @@ class LaurentPoly:
         self._terms = clean
         self._hash: int | None = None
         self._dense: _Dense | None = None
+        self._floats: tuple[tuple[int, float], ...] | None = None
 
     # -- constructors -------------------------------------------------------
 
@@ -190,7 +191,10 @@ class LaurentPoly:
     # -- evaluation ----------------------------------------------------------
 
     def __call__(self, x: float) -> float:
-        return sum(float(c) * x**e for e, c in self._terms.items())
+        terms = self._floats
+        if terms is None:
+            terms = self._floats = tuple((e, float(c)) for e, c in self._terms.items())
+        return sum(c * x**e for e, c in terms)
 
     def eval_exact(self, x: Rational) -> Fraction:
         x = Fraction(x)
@@ -218,6 +222,7 @@ def _wrap(terms: dict[int, Fraction]) -> LaurentPoly:
     p._terms = terms
     p._hash = None
     p._dense = None
+    p._floats = None
     return p
 
 

@@ -1,8 +1,11 @@
 """Pade resummation of truncated coupling series.
 
-The linear system for the denominator is solved in exact rational arithmetic
-(high-order Hankel systems are catastrophically ill-conditioned in floating
-point); only the final evaluation and root refinement are floating point.
+For exact series (energies, critical couplings) the linear system for the
+denominator is solved in exact rational arithmetic (high-order Hankel systems
+are catastrophically ill-conditioned in floating point); only the final
+evaluation and root refinement are floating point.  Series that are only known
+as floats (a wavefunction's coupling series at one x) get a low-order float
+Pade by one LU solve, with the same fallback and pole rules.
 Critical screening strengths are located as the zero crossing of the resummed
 level and reported as the mean of two approximants with the half-difference
 as the uncertainty.
@@ -27,6 +30,8 @@ __all__ = [
     "pade_eval",
     "reexpand",
     "pade_with_fallback",
+    "float_pade",
+    "float_pade_eval",
     "CriticalResult",
     "critical_lambda",
     "pade_pair_value",
@@ -92,6 +97,13 @@ def _solve_linear_exact(A: list[list[Fraction]], b: list[Fraction]) -> list[Frac
     return x
 
 
+def _check_orders(series: Sequence, m: int, n: int) -> None:
+    if m < 0 or n < 0:
+        raise ValueError("orders must be non-negative")
+    if len(series) < m + n + 1:
+        raise ValueError(f"[{m}/{n}] needs {m + n + 1} coefficients, got {len(series)}")
+
+
 def pade(series: Sequence[Fraction], m: int, n: int) -> PadeApproximant:
     """Exact [m/n] approximant of a truncated series.
 
@@ -99,10 +111,7 @@ def pade(series: Sequence[Fraction], m: int, n: int) -> PadeApproximant:
     Hankel system for the denominator has no unique solution (callers may
     retry with a smaller n).
     """
-    if m < 0 or n < 0:
-        raise ValueError("orders must be non-negative")
-    if len(series) < m + n + 1:
-        raise ValueError(f"[{m}/{n}] needs {m + n + 1} coefficients, got {len(series)}")
+    _check_orders(series, m, n)
     coeffs = [Fraction(c) for c in series]
 
     def c(i: int) -> Fraction:
@@ -139,14 +148,19 @@ def reexpand(P: PadeApproximant, order: int) -> list[Fraction]:
     return out
 
 
-def pade_eval(P: PadeApproximant, lam: float) -> float:
-    """Floating Horner evaluation; raises PoleProximity near a denominator zero."""
-    numerator, denominator = P.float_coefficients
+def _ratio(numerator: Sequence[float], denominator: Sequence[float], lam: float) -> float:
+    """Horner value of numerator / denominator at lam; raises PoleProximity
+    near a denominator zero."""
     num = horner(numerator, lam)
     den = horner(denominator, lam)
     if abs(den) < 1e-12 * max(1.0, abs(num)):
         raise PoleProximity(f"denominator {den:.3e} too small at lam={lam}")
     return num / den
+
+
+def pade_eval(P: PadeApproximant, lam: float) -> float:
+    """Floating Horner evaluation; raises PoleProximity near a denominator zero."""
+    return _ratio(*P.float_coefficients, lam)
 
 
 def pade_with_fallback(series: Sequence[Fraction], m: int, n: int) -> PadeApproximant:
@@ -162,6 +176,37 @@ def pade_with_fallback(series: Sequence[Fraction], m: int, n: int) -> PadeApprox
         except SingularPadeSystem:
             continue
     raise SingularPadeSystem(f"no solvable approximant at or below [{m}/{n}]")
+
+
+def float_pade(series: Sequence[float], m: int, n: int) -> tuple[list[float], list[float]]:
+    """Float [m/n] approximant of a series known only as floats: the numerator
+    and denominator coefficients, denominator constant term 1.
+
+    The denominator comes from one LU solve of the n x n Pade system (no rank
+    truncation), the numerator from the convolution of the denominator with
+    the series.  As in `pade_with_fallback`, a singular system or a non-finite
+    solution steps n down, ending at [m/0], the truncated series itself.
+    """
+    _check_orders(series, m, n)
+    c = np.asarray(series[: m + n + 1], dtype=float)
+    for nn in range(n, 0, -1):
+        # row i, column j: c[m + i - j] for i, j = 1..nn (zero below index 0)
+        A = np.array([[c[m + i - j] if m + i >= j else 0.0 for j in range(1, nn + 1)]
+                      for i in range(1, nn + 1)])
+        try:
+            q = np.linalg.solve(A, -c[m + 1 : m + nn + 1])
+        except np.linalg.LinAlgError:
+            continue
+        if np.all(np.isfinite(q)):
+            q = np.concatenate(([1.0], q))
+            return np.convolve(q, c[: m + 1])[: m + 1].tolist(), q.tolist()
+    return c[: m + 1].tolist(), [1.0]
+
+
+def float_pade_eval(series: Sequence[float], m: int, n: int, lam: float) -> float:
+    """Value at lam of `float_pade(series, m, n)`; raises PoleProximity near a
+    denominator zero, by the rule of `pade_eval`."""
+    return _ratio(*float_pade(series, m, n), lam)
 
 
 @dataclass(frozen=True)

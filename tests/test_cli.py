@@ -111,9 +111,9 @@ def test_energy_warns_beyond_critical(tmp_path, capsys):
     assert "critical" in capsys.readouterr().err
 
 
-def test_energy_builds_each_approximant_once(monkeypatch, capsys):
-    # the README anharmonic curve; its CSV digest was recorded before the
-    # approximant builds were moved out of the per-lambda loop
+@pytest.fixture
+def pade_builds(monkeypatch):
+    """The (m, n) of every exact Pade approximant built while the test runs."""
     builds = []
     pade = seaqm.resummation.pade
 
@@ -122,6 +122,13 @@ def test_energy_builds_each_approximant_once(monkeypatch, capsys):
         return pade(*args)
 
     monkeypatch.setattr(seaqm.resummation, "pade", counting)
+    return builds
+
+
+def test_energy_builds_each_approximant_once(pade_builds, capsys):
+    # the README anharmonic curve; its CSV digest was recorded before the
+    # approximant builds were moved out of the per-lambda loop
+    builds = pade_builds
     args = ["energy", "anharmonic", "--r", "0", "--K", "5", "--K-list", "3,4,5",
             "--pade", "21/20,20/20"]
     assert run(args + ["--lambda", "0.1"]) == 0
@@ -249,6 +256,60 @@ def test_wavefunction_pade_rejects_negative_radial_x_exit_3(capsys):
          "--pade", "5/5", "--x-range=-2:2:3"]
     ) == 3
     assert "radial states are defined for x >= 0" in capsys.readouterr().err
+
+
+def test_wavefunction_pade_values_pinned(tmp_path):
+    # the README coupling resummed pointwise by the float [5/5]; psi and the
+    # norm were recorded before, from the exact Pade of the rationalized series
+    out = tmp_path / "w.csv"
+    assert run(
+        ["wavefunction", "anharmonic", "--r", "0", "--K", "12", "--lambda", "3.0",
+         "--pade", "5/5", "--x-range=-3:3:7", "--out", str(out)]
+    ) == 0
+    meta, _, rows = read_csv(out)
+    assert meta["norm"] == pytest.approx(0.8826934622218234, rel=1e-10)
+    assert meta["pade"] == "5/5"
+    psi = {float(r[0]): float(r[1]) for r in rows}
+    recorded = {
+        -3.0: 0.0005133211965241116,
+        -1.0: 0.3675306351984871,
+        0.0: 1.0,
+        2.0: -0.005475957004554274,
+        3.0: 0.0005133211965241116,
+    }
+    for x, value in recorded.items():
+        assert psi[x] == pytest.approx(value, rel=1e-10)
+
+
+def test_wavefunction_pade_builds_no_exact_approximant(pade_builds, capsys):
+    # the README command; the rationalized exact path built 2852 approximants
+    assert run(
+        ["wavefunction", "anharmonic", "--r", "0", "--K", "12", "--lambda", "3.0",
+         "--pade", "5/5", "--x-range=-5:5:201"]
+    ) == 0
+    assert pade_builds == []
+
+
+@pytest.mark.parametrize(
+    "args, text",
+    [
+        (["wavefunction", "anharmonic", "--r", "0", "--K", "12", "--lambda", "3.0"], "5/-1"),
+        (["wavefunction", "anharmonic", "--r", "0", "--K", "12", "--lambda", "3.0"], "5/5/5"),
+        (["wavefunction", "anharmonic", "--r", "0", "--K", "12", "--lambda", "3.0"], "5/5,4/4"),
+        (["wavefunction", "anharmonic", "--r", "0", "--K", "12", "--lambda", "3.0"], "five/5"),
+        (["energy", "anharmonic", "--r", "0", "--K", "41", "--lambda", "0.1"], "21/20,20/-1"),
+        (["energy", "anharmonic", "--r", "0", "--K", "41", "--lambda", "0.1"], "21/20,20/20,19/19"),
+        (["energy", "anharmonic", "--r", "0", "--K", "41", "--lambda", "0.1"], "21-20"),
+        (["critical", "--nmax", "2"], "-1/4"),
+        (["critical", "--nmax", "2"], "15/14,"),
+    ],
+)
+def test_malformed_pade_order_exit_2(args, text, capsys):
+    # rejected while parsing, before any chain is solved
+    with pytest.raises(SystemExit) as exc:
+        run(args + [f"--pade={text}"])
+    assert exc.value.code == 2
+    assert "argument --pade: expected m/n" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- validate --

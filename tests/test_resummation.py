@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from seaqm.errors import NoSignChange, PoleProximity, SingularPadeSystem
 from seaqm.resummation import (
     critical_lambda,
+    float_pade,
+    float_pade_eval,
     pade,
     pade_eval,
     pade_with_fallback,
@@ -91,6 +93,58 @@ def test_pade_eval_pole_proximity():
     P = pade([F(1)] * 3, 0, 1)  # 1/(1-x)
     with pytest.raises(PoleProximity):
         pade_eval(P, 1.0)
+
+
+# ----------------------------------------------------------------- float Pade -
+
+
+def _rational_series(K):
+    # (1 + x/3) / ((1 - x/2)(1 + x/5)), poles at 2 and -5
+    num, den = [F(1), F(1, 3)], [F(1), F(-3, 10), F(-1, 10)]
+    out = []
+    for k in range(K + 1):
+        s = num[k] if k < len(num) else F(0)
+        out.append(s - sum(den[j] * out[k - j] for j in range(1, min(k, 2) + 1)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "series, m, n",
+    [
+        (_rational_series(8), 1, 2),
+        (_rational_series(8), 3, 2),
+        ([F(1, factorial(k)) for k in range(11)], 5, 5),
+        ([F(1, factorial(k)) for k in range(9)], 4, 3),
+        ([F((-3) ** k, factorial(k)) for k in range(11)], 5, 5),
+    ],
+)
+def test_float_pade_matches_exact_pade(series, m, n):
+    exact = pade(series, m, n)
+    floats = [float(c) for c in series]
+    for lam in (-0.7, 0.0, 0.3, 0.9, 1.5):
+        assert float_pade_eval(floats, m, n, lam) == pytest.approx(
+            pade_eval(exact, lam), rel=1e-13, abs=0.0
+        )
+
+
+def test_float_pade_zero_tail_steps_down_to_polynomial():
+    # as in pade_with_fallback: every n >= 1 system of a degree-2 series is singular
+    series = [1.0, 2.0, 3.0] + [0.0] * 10
+    numerator, denominator = float_pade(series, 5, 4)
+    assert pade_with_fallback([F(c) for c in series], 5, 4).n == 0
+    assert denominator == [1.0]
+    assert numerator == series[:6]
+    assert float_pade_eval(series, 5, 4, 2.0) == 1 + 4 + 12
+
+
+def test_float_pade_pole_proximity():
+    with pytest.raises(PoleProximity):
+        float_pade_eval([1.0] * 3, 0, 1, 1.0)  # 1/(1-x)
+
+
+def test_float_pade_requires_enough_coefficients():
+    with pytest.raises(ValueError, match=r"\[2/2\] needs 5 coefficients, got 4"):
+        float_pade([1.0] * 4, 2, 2)
 
 
 # ----------------------------------------------------------- critical values -
