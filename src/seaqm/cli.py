@@ -108,13 +108,20 @@ def _parse_pade_order(text: str) -> tuple[int, int]:
 
 
 def _parse_pade_pair(text: str) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Two Pade orders "m1/n1,m2/n2"; a single "m/n" pairs [m/n] with [n/n]."""
+    """Two different Pade orders "m1/n1,m2/n2"; a single "m/n" (m != n) pairs
+    [m/n] with [n/n]."""
     parts = text.split(",")
     if len(parts) > 2:
         raise argparse.ArgumentTypeError(f"expected m/n or m1/n1,m2/n2, got {text!r}")
     pairs = [_parse_pade_order(part) for part in parts]
     if len(pairs) == 1:
         pairs.append((pairs[0][1], pairs[0][1]))
+    if pairs[0] == pairs[1]:
+        m, n = pairs[0]
+        raise argparse.ArgumentTypeError(
+            f"{text!r} pairs [{m}/{n}] with itself: the pair would be identical and "
+            "its uncertainty 0; give two different orders m1/n1,m2/n2"
+        )
     return pairs[0], pairs[1]
 
 

@@ -1,9 +1,11 @@
 """Pade resummation of truncated coupling series.
 
 For exact series (energies, critical couplings) the linear system for the
-denominator is solved in exact rational arithmetic (high-order Hankel systems
-are catastrophically ill-conditioned in floating point); only the final
-evaluation and root refinement are floating point.  Series that are only known
+denominator is solved exactly (high-order Hankel systems are catastrophically
+ill-conditioned in floating point): the series is scaled to integers, the
+system solved by fraction-free Bareiss elimination, and every re-expansion
+row checked in integers.  Only the final evaluation, the vectorized root scan
+and the bisection are floating point.  Series that are only known
 as floats (a wavefunction's coupling series at one x) get a low-order float
 Pade by one LU solve, with the same fallback and pole rules.
 Critical screening strengths are located as the zero crossing of the resummed
@@ -16,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Sequence
 
 import numpy as np
@@ -74,29 +77,6 @@ class PadeApproximant:
         }
 
 
-def _solve_linear_exact(A: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
-    """Gaussian elimination over the rationals; None if the matrix is singular."""
-    size = len(A)
-    M = [row[:] + [b[i]] for i, row in enumerate(A)]
-    for col in range(size):
-        piv = next((r for r in range(col, size) if M[r][col] != 0), None)
-        if piv is None:
-            return None
-        M[col], M[piv] = M[piv], M[col]
-        pivot = M[col][col]
-        for r in range(col + 1, size):
-            f = M[r][col] / pivot
-            if f:
-                M[r] = [M[r][j] - f * M[col][j] for j in range(size + 1)]
-    x = [Fraction(0)] * size
-    for r in range(size - 1, -1, -1):
-        s = M[r][size]
-        for j in range(r + 1, size):
-            s -= M[r][j] * x[j]
-        x[r] = s / M[r][r]
-    return x
-
-
 def _check_orders(series: Sequence, m: int, n: int) -> None:
     if m < 0 or n < 0:
         raise ValueError("orders must be non-negative")
@@ -112,28 +92,39 @@ def pade(series: Sequence[Fraction], m: int, n: int) -> PadeApproximant:
     retry with a smaller n).
     """
     _check_orders(series, m, n)
-    coeffs = [Fraction(c) for c in series]
-
-    def c(i: int) -> Fraction:
-        return coeffs[i] if 0 <= i < len(coeffs) else Fraction(0)
-
-    if n == 0:
-        q = [Fraction(1)]
-    else:
-        A = [[c(m + i - j) for j in range(1, n + 1)] for i in range(1, n + 1)]
-        rhs = [-c(m + i) for i in range(1, n + 1)]
-        sol = _solve_linear_exact(A, rhs)
-        if sol is None:
+    coeffs = [Fraction(c) for c in series[: m + n + 1]]
+    # a_i = D c_i are integers; rows i = 1..n of the Hankel system read
+    # sum_{j=1..n} a_{m+i-j} q_j = -a_{m+i}, solved by Bareiss elimination
+    D = lcm(*(c.denominator for c in coeffs))
+    a = [c.numerator * (D // c.denominator) for c in coeffs]
+    M = [[a[m + i - j] if m + i >= j else 0 for j in range(1, n + 1)] + [-a[m + i]]
+         for i in range(1, n + 1)]
+    det = 1
+    for col in range(n):
+        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
+        if piv is None:
             raise SingularPadeSystem(f"[{m}/{n}] denominator system is singular")
-        q = [Fraction(1)] + sol
-    p = [
-        sum((q[j] * c(i - j) for j in range(0, min(i, n) + 1)), Fraction(0))
-        for i in range(m + 1)
-    ]
-    approx = PadeApproximant(m, n, tuple(p), tuple(q))
-    if reexpand(approx, m + n) != coeffs[: m + n + 1]:
+        M[col], M[piv] = M[piv], M[col]
+        pivot, top = M[col][col], M[col]
+        for r in range(col + 1, n):
+            f, row = M[r][col], M[r]
+            M[r] = [(pivot * row[j] - f * top[j]) // det for j in range(n + 1)]
+        det = pivot
+    # y_j = det q_j are integers (Cramer); Y = (det, y_1, ..., y_n)
+    Y = [0] * n
+    for r in range(n - 1, -1, -1):
+        row = M[r]
+        Y[r] = (det * row[n] - sum(row[j] * Y[j] for j in range(r + 1, n))) // row[r]
+    Y = [det] + Y
+    conv = [sum(Y[j] * a[k - j] for j in range(min(k, n) + 1)) for k in range(m + n + 1)]
+    # with q_0 = 1 the re-expansion matches the series through m + n exactly
+    # when every convolution term past the numerator vanishes
+    if any(conv[m + 1 :]):
         raise SingularPadeSystem(f"[{m}/{n}] re-expansion check failed")
-    return approx
+    return PadeApproximant(
+        m, n, tuple(Fraction(c, det * D) for c in conv[: m + 1]),
+        tuple(Fraction(y, det) for y in Y),
+    )
 
 
 def reexpand(P: PadeApproximant, order: int) -> list[Fraction]:
@@ -279,6 +270,23 @@ def _bisect_root(f, lo: float, hi: float, tol: float = 1e-12) -> float:
     return 0.5 * (lo + hi)
 
 
+def _scan_values(P: PadeApproximant, grid: Sequence[float]) -> list[float | None]:
+    """`pade_eval` at every grid point, None where it raises PoleProximity.
+
+    np.polyval does the Horner steps of `exact.horner` in the same order (no
+    fused multiply-add), so every value is bit-identical to the scalar one;
+    np.fmax, like Python's max, ignores a NaN against 1.0.
+    """
+    numerator, denominator = P.float_coefficients
+    x = np.asarray(grid, dtype=float)
+    with np.errstate(all="ignore"):
+        num = np.polyval(numerator[::-1], x)
+        den = np.polyval(denominator[::-1], x)
+        keep = ~(np.abs(den) < 1e-12 * np.fmax(1.0, np.abs(num)))
+        vals = num / den
+    return [v if k else None for v, k in zip(vals.tolist(), keep.tolist())]
+
+
 def _track_root(
     series: Sequence[Fraction], m: int, n: int, scan_hi: float = 2.0, grid_points: int = 1000
 ) -> tuple[float, PadeApproximant, list[str]]:
@@ -289,13 +297,7 @@ def _track_root(
     while True:
         P = pade_with_fallback(series, m, nn)
         grid = [scan_hi * (i + 1) / grid_points for i in range(grid_points)]
-        vals: list[float | None] = []
-        for x in grid:
-            try:
-                vals.append(pade_eval(P, x))
-            except PoleProximity:
-                vals.append(None)
-        lo, hi = _first_crossing(vals, grid)
+        lo, hi = _first_crossing(_scan_values(P, grid), grid)
         root = _bisect_root(lambda x: pade_eval(P, x), lo, hi)
         pole = spurious_pole_near_root(P, root)
         if pole is not None and P.n > 0:

@@ -312,6 +312,38 @@ def test_malformed_pade_order_exit_2(args, text, capsys):
     assert "argument --pade: expected m/n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args, text",
+    [
+        (["energy", "anharmonic", "--r", "0", "--K", "4", "--lambda", "0.1"], "2/2"),
+        (["energy", "anharmonic", "--r", "0", "--K", "41", "--lambda", "0.1"], "20/20,20/20"),
+        (["critical", "--nmax", "2"], "14/14"),
+    ],
+)
+def test_identical_pade_pair_exit_2(args, text, capsys):
+    # a single m/m pairs [m/m] with itself: an uncertainty of 0 in every row
+    with pytest.raises(SystemExit) as exc:
+        run(args + [f"--pade={text}"])
+    assert exc.value.code == 2
+    assert "the pair would be identical" in capsys.readouterr().err
+
+
+def test_single_pade_order_pairs_with_square(tmp_path):
+    # a single m/n with m != n still pairs [m/n] with [n/n]
+    out = tmp_path / "e.json"
+    assert run(["energy", "anharmonic", "--r", "0", "--K", "4", "--lambda", "0.1",
+                "--pade", "3/1", "--format", "json", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["metadata"]["pade_pair"] == [[3, 1], [1, 1]]
+    assert doc["data"][0]["uncertainty"] > 0.0
+    out = tmp_path / "c.json"
+    assert run(["critical", "--nmax", "2", "--pade", "15/14",
+                "--format", "json", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["metadata"]["pade_pair"] == [[15, 14], [14, 14]]
+    assert doc["data"][-1]["pade_used"] == "[15/14] [14/14]"
+
+
 # ---------------------------------------------------------------- validate --
 
 

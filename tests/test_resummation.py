@@ -1,14 +1,19 @@
 """Pade construction, evaluation, and critical-coupling tests."""
 
+import json
+import math
 from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from make_pade_digests import DIGEST_FILE, golden_pade_digests
 from seaqm.errors import NoSignChange, PoleProximity, SingularPadeSystem
 from seaqm.resummation import (
+    PadeApproximant,
+    _scan_values,
     critical_lambda,
     float_pade,
     float_pade_eval,
@@ -75,6 +80,71 @@ def test_pade_reexpansion_identity(series):
     assert reexpand(P, 6) == series
 
 
+def _reference_pade(series, m, n):
+    """[m/n] by Gaussian elimination over the rationals, the numerator by
+    convolution and the re-expansion check: the Fraction construction that
+    the integer (Bareiss) build of `pade` must reproduce exactly."""
+    c = [F(x) for x in series[: m + n + 1]]
+    A = [[c[m + i - j] if m + i >= j else F(0) for j in range(1, n + 1)] + [-c[m + i]]
+         for i in range(1, n + 1)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if A[r][col] != 0), None)
+        if piv is None:
+            raise SingularPadeSystem("singular")
+        A[col], A[piv] = A[piv], A[col]
+        for r in range(col + 1, n):
+            f = A[r][col] / A[col][col]
+            A[r] = [A[r][j] - f * A[col][j] for j in range(n + 1)]
+    q = [F(0)] * n
+    for r in range(n - 1, -1, -1):
+        q[r] = (A[r][n] - sum(A[r][j] * q[j] for j in range(r + 1, n))) / A[r][r]
+    q = [F(1)] + q
+    p = [sum(q[j] * c[i - j] for j in range(min(i, n) + 1)) for i in range(m + 1)]
+    P = PadeApproximant(m, n, tuple(p), tuple(q))
+    if reexpand(P, m + n) != c:
+        raise SingularPadeSystem("re-expansion check failed")
+    return P
+
+
+_coefficient = st.one_of(
+    st.just(F(0)),  # zero blocks, singular and row-swapping systems
+    st.fractions(min_value=-50, max_value=50, max_denominator=60),
+    st.integers(-10**12, 10**12).map(F),
+)
+
+
+@st.composite
+def _pade_case(draw):
+    m = draw(st.integers(0, 6))
+    n = draw(st.integers(0, 6))
+    extra = draw(st.integers(0, 2))
+    series = draw(st.lists(_coefficient, min_size=m + n + 1 + extra, max_size=m + n + 1 + extra))
+    return series, m, n
+
+
+@given(_pade_case())
+@example(([F(1), F(0), F(2), F(3)], 1, 2))  # first pivot c_1 = 0: a row swap
+@example(([F(1, 3), F(0), F(0), F(5, 7), F(0), F(-2, 9)], 2, 3))
+@example(([F(1), F(2), F(3)] + [F(0)] * 6, 4, 4))  # all-zero tail: singular
+@settings(max_examples=300, deadline=None)
+def test_pade_matches_fraction_elimination(case):
+    series, m, n = case
+    try:
+        expected = _reference_pade(series, m, n)
+    except SingularPadeSystem:
+        with pytest.raises(SingularPadeSystem):
+            pade(series, m, n)
+        return
+    assert pade(series, m, n) == expected
+
+
+def test_golden_pade_digests():
+    # tests/make_pade_digests.py wrote the file from the Fraction-elimination
+    # build; every approximant must still serialize byte for byte the same
+    expected = json.loads(DIGEST_FILE.read_text())
+    assert golden_pade_digests() == expected
+
+
 # ---------------------------------------------------------------- evaluation -
 
 
@@ -93,6 +163,39 @@ def test_pade_eval_pole_proximity():
     P = pade([F(1)] * 3, 0, 1)  # 1/(1-x)
     with pytest.raises(PoleProximity):
         pade_eval(P, 1.0)
+
+
+def _scalar_scan(P, grid):
+    out = []
+    for x in grid:
+        try:
+            out.append(pade_eval(P, x))
+        except PoleProximity:
+            out.append(None)
+    return out
+
+
+def _same(a, b):
+    return a == b or (a is not None and b is not None and math.isnan(a) and math.isnan(b))
+
+
+@pytest.mark.parametrize(
+    "P",
+    [
+        *critical_lambda(2, 1).approximants,
+        pade([F(1)] * 3, 0, 1),  # 1/(1-x): a denominator zero on the grid at x = 1
+        # |num| and |den| overflow to inf: inf/inf is NaN on both paths
+        PadeApproximant(1, 1, (F(10**300), F(10**308)), (F(1), F(10**308))),
+    ],
+)
+def test_scan_values_bit_identical_to_pade_eval(P):
+    grid = [2.0 * (i + 1) / 1000 for i in range(1000)]
+    vectorized, scalar = _scan_values(P, grid), _scalar_scan(P, grid)
+    assert len(vectorized) == len(scalar)
+    assert all(_same(v, s) for v, s in zip(vectorized, scalar))
+    assert all(v is None or type(v) is float for v in vectorized)
+    if P.denominator == (F(1), F(-1)):
+        assert vectorized[499] is None  # x = 1.0
 
 
 # ----------------------------------------------------------------- float Pade -
