@@ -21,7 +21,7 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -250,6 +250,14 @@ def _critical_group(task: tuple[int, list[int], int, tuple, bool]) -> list[dict]
     return out
 
 
+def _replace_file(path: Path, text: str) -> None:
+    """Write `text` to `path` through a temporary file and one atomic rename,
+    so a reader never sees a half-written file."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)
+
+
 def cmd_critical(args: argparse.Namespace) -> int:
     pair = args.pade or ((15, 14), (14, 14))
     order = args.K
@@ -265,16 +273,27 @@ def cmd_critical(args: argparse.Namespace) -> int:
     embed = args.embed_approximants and args.format == "json"
     tasks = [(l, ns, order, pair, embed) for l, ns in sorted(pending_by_l.items())]
     workers = min(_worker_count(), len(tasks)) if tasks else 1
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            groups = list(pool.map(_critical_group, tasks))
-    else:
-        groups = [_critical_group(t) for t in tasks]
-    for group in groups:
+
+    def record(group: list[dict]) -> None:
+        # progress is saved after every finished l-group, so an interrupted
+        # run resumes from the last one
         for rec in group:
             done[f"{rec['n']},{rec['l']}"] = rec
-            if resume_path:
-                resume_path.write_text(json.dumps(done, indent=2))
+        if resume_path:
+            _replace_file(resume_path, json.dumps(done, indent=2))
+
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_critical_group, t) for t in tasks]
+            try:
+                for future in as_completed(futures):
+                    record(future.result())
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
+    else:
+        for task in tasks:
+            record(_critical_group(task))
     rows = []
     for n, l in cells:
         rec = done[f"{n},{l}"]

@@ -19,6 +19,15 @@ except for the lowest state removed at each step.  A single generic triangular
 elimination serves all problem families; every solved rung is verified against
 the exact Riccati identity before a chain is returned.
 
+Each order of a rung is solved on integers end to end.  The partner potential
+``v_{r,k}`` and the right-hand side ``v_k - B_k`` are integer combinations of
+the dense forms of ``exact`` (integer numerators over one denominator); the
+back-substitution runs on those numerators with each row scaled once, so the
+whole order lies over one denominator, and one gcd reduces it to the canonical
+``w_k``.  Only the energy coefficient is formed as a single ``Fraction``.  The
+residual check stays independent of this path: it recomputes every ``C_k``
+from all of ``w_0..w_k``.
+
 A problem family (``Hulthen``, ``GenericPerturbed`` and its quartic case
 ``Anharmonic``) supplies only what differs between problems: its ``name``,
 whether it is ``radial`` (x > 0), the pole parameter ``b`` a chain records;
@@ -48,8 +57,11 @@ from .exact import (
     LaurentPoly,
     _Dense,
     _dense,
+    _dense_combine,
     _dense_derivative,
     _dense_mul,
+    _dense_poly,
+    _dense_reduced,
     _dense_sum,
     bernoulli_minus,
     rational_to_str,
@@ -387,7 +399,9 @@ def potential_coefficient(
         raise ChainIncomplete(
             f"rung {r - 1} solved only to order {prev.order}; order {k} requested"
         )
-    return prev.potential[k] + 2 * prev.w[k].derivative()
+    return _dense_sum(
+        [(1, _dense(prev.potential[k])), (2, _dense_derivative(_dense(prev.w[k])))]
+    )
 
 
 def _self_convolution(w: Sequence[LaurentPoly], k: int, first: int) -> list[tuple[int, _Dense]]:
@@ -419,6 +433,68 @@ def convolution_B(
     return acc.coeff(alpha)
 
 
+def _rhs(v_k: LaurentPoly, w: Sequence[LaurentPoly], k: int) -> tuple[int, list[int], int]:
+    """``rhs_k = v_k - B_k`` as integer numerators over one denominator."""
+    return _dense_combine(
+        [(1, _dense(v_k))] + [(-c, t) for c, t in _self_convolution(w, k, 1)]
+    )
+
+
+def _back_substitute(
+    leading: LeadingSuperpotential, rhs: tuple[int, Sequence[int], int]
+) -> tuple[LaurentPoly, Fraction]:
+    """Solve ``2 w_0 w - w' = rhs - eps`` on the integer numerators N_beta of
+    ``rhs`` over its denominator ``den``, from the top exponent down.
+
+    Each row is scaled once by M (the numerator of the pivot times the
+    denominator of the other leading coefficient), so every ``w`` coefficient
+    lies over ``den * M^top``; one gcd then gives the canonical dense form.
+    """
+    lo, nums, den = rhs
+    nonzero = [i for i, n in enumerate(nums) if n]
+    if nonzero and lo + nonzero[0] < 0:
+        raise UnsolvableOrder(f"inhomogeneity has a pole (min exponent {lo + nonzero[0]})")
+    top = lo + nonzero[-1] if nonzero else 0
+    N = [0] * (top + 1)
+    for i in nonzero:
+        N[lo + i] = nums[i]
+    u = [0] * (top + 2)
+    if leading.is_coulomb:
+        two_c, p = 2 * leading.constant, leading.pole
+        if not two_c:
+            raise UnsolvableOrder("Coulomb-type leading term with zero constant part")
+        tn, td, pn, pd = two_c.numerator, two_c.denominator, p.numerator, p.denominator
+        M = tn * pd
+        # row x^beta, beta >= 1:  2c*w_beta + (2p - beta - 1)*w_{beta+1} = rhs_beta,
+        # with w_beta = u_beta / (den * M^(top-beta+1))
+        scale = pd  # pd * M^(top-beta)
+        for beta in range(top, 0, -1):
+            u[beta] = td * (scale * N[beta] - (2 * pn - (beta + 1) * pd) * u[beta + 1])
+            scale *= M
+        eps = Fraction(scale * N[0] - (2 * pn - pd) * u[1], scale * den)
+        first = 1  # w_1 .. w_top
+    else:
+        two_w, two_c = 2 * leading.linear, 2 * leading.constant
+        sn, sd, qn, qd = two_w.numerator, two_w.denominator, two_c.numerator, two_c.denominator
+        M = sn * qd
+        qdM = qd * M
+        # row x^beta, beta >= 1:  2om*w_{beta-1} + 2c*w_beta - (beta+1)*w_{beta+1} = rhs_beta,
+        # with w_(beta-1) = u_(beta-1) / (den * M^(top-beta+1))
+        scale = qd  # qd * M^(top-beta)
+        for beta in range(top, 0, -1):
+            u[beta - 1] = sd * (scale * N[beta] - qn * u[beta] + (beta + 1) * qdM * u[beta + 1])
+            scale *= M
+        eps = Fraction(scale * N[0] - qn * u[0] + qdM * u[1], scale * den)
+        first = 0  # w_0 .. w_(top-1)
+    # w_first lies over den * M^top, each higher coefficient over one power of M
+    # less: bring them all over den * M^top
+    out, power = [], 1
+    for beta in range(first, top + first):
+        out.append(u[beta] * power)
+        power *= M
+    return _dense_poly(_dense_reduced(first, out, den * power)), eps
+
+
 def solve_riccati_order(
     leading: LeadingSuperpotential, rhs: LaurentPoly
 ) -> tuple[LaurentPoly, Fraction]:
@@ -427,37 +503,7 @@ def solve_riccati_order(
     ``w_0`` is the rung's leading superpotential.  The system is triangular
     from the top exponent down; the constant row yields the energy coefficient.
     """
-    mn = rhs.min_exponent
-    if mn is not None and mn < 0:
-        raise UnsolvableOrder(f"inhomogeneity has a pole (min exponent {mn})")
-    top = rhs.max_exponent if rhs.max_exponent is not None else 0
-    w: dict[int, Fraction] = {}
-    if leading.is_coulomb:
-        c, p = leading.constant, leading.pole
-        if c == 0:
-            raise UnsolvableOrder("Coulomb-type leading term with zero constant part")
-        # row x^beta, beta >= 1:  2c*w_beta + (2p - beta - 1)*w_{beta+1} = rhs_beta
-        for beta in range(top, 0, -1):
-            val = (rhs.coeff(beta) - (2 * p - beta - 1) * w.get(beta + 1, Fraction(0))) / (2 * c)
-            if val:
-                w[beta] = val
-        eps = rhs.coeff(0) - (2 * p - 1) * w.get(1, Fraction(0))
-    else:
-        c, om = leading.constant, leading.linear
-        # row x^beta, beta >= 1:  2om*w_{beta-1} + 2c*w_beta - (beta+1)*w_{beta+1} = rhs_beta
-        for beta in range(top, 0, -1):
-            val = (
-                rhs.coeff(beta)
-                - 2 * c * w.get(beta, Fraction(0))
-                + (beta + 1) * w.get(beta + 1, Fraction(0))
-            ) / (2 * om)
-            if val:
-                w[beta - 1] = val
-        w0 = w.pop(0, Fraction(0))
-        eps = rhs.coeff(0) - 2 * c * w0 + w.get(1, Fraction(0))
-        if w0:
-            w[0] = w0
-    return LaurentPoly(w), eps
+    return _back_substitute(leading, _dense(rhs))
 
 
 def solve_order(chain: ChainSolution, r: int, k: int) -> tuple[LaurentPoly, Fraction]:
@@ -469,9 +515,7 @@ def solve_order(chain: ChainSolution, r: int, k: int) -> tuple[LaurentPoly, Frac
         raise ChainIncomplete(f"rung {r} solved to order {rung.order}; need {k - 1}")
     if k > chain.K:
         raise ChainIncomplete(f"order {k} beyond chain truncation K={chain.K}")
-    v_k = rung.potential[k]
-    B_k = convolution_B(rung.w[:k], k)
-    return solve_riccati_order(rung.leading, v_k - B_k)
+    return _back_substitute(rung.leading, _rhs(rung.potential[k], rung.w, k))
 
 
 def riccati_residual(
@@ -529,8 +573,7 @@ def _solve_rung(family: ProblemFamily, r: int, K: int, below: tuple[Rung, ...]) 
     w = [lead.as_poly()]
     energy = [lead.leading_energy]
     for k in range(1, K + 1):
-        B_k = convolution_B(w, k)
-        w_k, eps_k = solve_riccati_order(lead, v[k] - B_k)
+        w_k, eps_k = _back_substitute(lead, _rhs(v[k], w, k))
         w.append(w_k)
         energy.append(eps_k)
     rung = Rung(r, lead, tuple(w), tuple(energy), tuple(v))

@@ -7,12 +7,13 @@ evaluation time.  Laurent polynomials are stored sparsely as an exponent ->
 coefficient mapping because negative exponents and widely varying degrees
 coexist (centrifugal ``1/x**2`` terms next to degree ~2k polynomials).
 
-The solver's hot sums of products (the ``B_k`` convolution and the Riccati
-residual) run on an integer kernel instead: each polynomial's dense form, a
-lowest exponent with a tuple of integer numerators over one common
-denominator, is built once per instance, products are convolutions of
-integer tuples, and a sum of terms is combined over the lcm of their
-denominators and turned back into a canonical ``LaurentPoly`` once.
+The solver's hot sums of products (the ``B_k`` convolution, the right-hand
+side of each order, the partner potentials and the Riccati residual) run on an
+integer kernel instead: each polynomial's dense form, a lowest exponent with a
+tuple of integer numerators over one common denominator, is built once per
+instance, products are convolutions of integer tuples, and a sum of terms is
+combined over the lcm of their denominators (``_dense_combine``) and turned
+back into a canonical ``LaurentPoly`` once.
 
 Values are immutable after construction and safe to share across threads; the
 internal caches are the Bernoulli table (a ``functools.lru_cache``) and each
@@ -24,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from math import comb, lcm
+from math import comb, gcd, lcm
 from operator import add, mul
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -191,6 +192,9 @@ class LaurentPoly:
     # -- evaluation ----------------------------------------------------------
 
     def __call__(self, x: float) -> float:
+        """Float value at x.  The float sum runs over the terms in insertion
+        order, so two equal polynomials built in different term orders can
+        differ in the last bits."""
         terms = self._floats
         if terms is None:
             terms = self._floats = tuple((e, float(c)) for e, c in self._terms.items())
@@ -272,12 +276,13 @@ def _dense_derivative(a: _Dense) -> _Dense:
     return (lo - 1, tuple(n * (lo + i) for i, n in enumerate(nums)), den)
 
 
-def _dense_sum(terms: Iterable[tuple[int, _Dense]]) -> LaurentPoly:
-    """The canonical LaurentPoly of sum_j c_j * a_j for integer weights c_j,
-    combined over the lcm of the terms' denominators."""
+def _dense_combine(terms: Iterable[tuple[int, _Dense]]) -> tuple[int, list[int], int]:
+    """sum_j c_j * a_j for integer weights c_j, as integer numerators over the
+    lcm of the terms' denominators: not reduced, and zero numerators may stand
+    at either end."""
     terms = [(c, a) for c, a in terms if c and a[1]]
     if not terms:
-        return LaurentPoly()
+        return (0, [], 1)
     den = lcm(*(a[2] for _, a in terms))
     lo = min(a[0] for _, a in terms)
     acc = [0] * (max(a[0] + len(a[1]) for _, a in terms) - lo)
@@ -286,7 +291,37 @@ def _dense_sum(terms: Iterable[tuple[int, _Dense]]) -> LaurentPoly:
         acc[i : i + len(nums)] = map(
             add, acc[i : i + len(nums)], map(mul, repeat(c * (den // aden)), nums)
         )
+    return (lo, acc, den)
+
+
+def _dense_sum(terms: Iterable[tuple[int, _Dense]]) -> LaurentPoly:
+    """The canonical LaurentPoly of sum_j c_j * a_j for integer weights c_j."""
+    lo, acc, den = _dense_combine(terms)
     return _wrap({lo + i: Fraction(n, den) for i, n in enumerate(acc) if n})
+
+
+def _dense_reduced(lo: int, nums: Sequence[int], den: int) -> _Dense:
+    """The canonical dense form of sum_i nums[i]/den * x^(lo+i) (den != 0):
+    zero ends trimmed, and numerators and denominator divided by their one gcd,
+    which leaves exactly the lcm of the reduced coefficients' denominators."""
+    first = next((i for i, n in enumerate(nums) if n), None)
+    if first is None:
+        return _DENSE_ZERO
+    end = len(nums) - next(i for i, n in enumerate(reversed(nums)) if n)
+    nums = nums[first:end]
+    g = gcd(den, *nums)
+    if den < 0:
+        g = -g
+    return (lo + first, tuple(n // g for n in nums), den // g)
+
+
+def _dense_poly(d: _Dense) -> LaurentPoly:
+    """The LaurentPoly of a canonical dense form, its terms inserted top
+    exponent first and the dense form kept on the instance."""
+    lo, nums, den = d
+    p = _wrap({lo + i: Fraction(nums[i], den) for i in range(len(nums) - 1, -1, -1) if nums[i]})
+    p._dense = d
+    return p
 
 
 Payload = Union[LaurentPoly, Fraction]

@@ -7,6 +7,7 @@ import pytest
 
 import seaqm.resummation
 from seaqm.cli import main
+from seaqm.errors import NoSignChange
 
 
 def run(args):
@@ -166,6 +167,34 @@ def test_critical_resume_skips_done_cells(tmp_path, monkeypatch):
     assert run(["critical", "--nmax", "1", "--resume", str(progress), "--out", str(out)]) == 0
     _, _, rows = read_csv(out)
     assert float(rows[0][2]) == 123.0  # the resumed cell was not recomputed
+
+
+def test_critical_resume_saves_each_group(tmp_path, monkeypatch):
+    # --nmax 2 runs two l-groups: l = 0 with n = 1, 2, then l = 1 with n = 2
+    monkeypatch.setenv("SEA_THREADS", "1")
+    progress = tmp_path / "progress.json"
+    out = tmp_path / "t.csv"
+    argv = ["critical", "--nmax", "2", "--resume", str(progress), "--out", str(out)]
+    calls, fail_on = [], {(2, 1)}
+
+    def fake(n, l, order, pair):
+        calls.append((n, l))
+        if (n, l) in fail_on:
+            raise NoSignChange("second group fails")
+        return seaqm.resummation.CriticalResult(n, l, 10.0 * n + l, 0.0, "fake")
+
+    monkeypatch.setattr("seaqm.cli.critical_lambda", fake)
+    assert run(argv) == 3
+    assert calls == [(1, 0), (2, 0), (2, 1)]
+    assert sorted(json.loads(progress.read_text())) == ["1,0", "2,0"]
+    assert not progress.with_name("progress.json.tmp").exists()
+    calls.clear()
+    fail_on.clear()
+    assert run(argv) == 0
+    assert calls == [(2, 1)]  # only the failed group is computed again
+    _, _, rows = read_csv(out)
+    assert [float(r[2]) for r in rows] == [10.0, 20.0, 21.0]
+    assert sorted(json.loads(progress.read_text())) == ["1,0", "2,0", "2,1"]
 
 
 # ------------------------------------------------------------ wavefunction --
@@ -375,11 +404,12 @@ def test_validate_table1_subset(tmp_path):
 
 def test_critical_parallel_pool(tmp_path, monkeypatch):
     monkeypatch.setenv("SEA_THREADS", "2")
-    out = tmp_path / "t.json"
+    out, progress = tmp_path / "t.json", tmp_path / "progress.json"
     assert run(
         ["critical", "--nmax", "2", "--format", "json", "--embed-approximants",
-         "--out", str(out)]
+         "--resume", str(progress), "--out", str(out)]
     ) == 0
+    assert sorted(json.loads(progress.read_text())) == ["1,0", "2,0", "2,1"]
     doc = json.loads(out.read_text())
     cell = {(rec["n"], rec["l"]): rec for rec in doc["data"]}
     assert abs(cell[(2, 1)]["lambda_c"] - 0.3767388) <= 5e-7

@@ -4,7 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seaqm.engine import (
@@ -18,9 +18,11 @@ from seaqm.engine import (
     riccati_residual,
     solve_chain,
     solve_order,
+    solve_riccati_order,
 )
+from seaqm.engine import _back_substitute
 from seaqm.errors import ChainIncomplete, InvalidLeading, UnsolvableOrder
-from seaqm.exact import LambdaSeries, LaurentPoly
+from seaqm.exact import LambdaSeries, LaurentPoly, _dense, _dense_combine
 
 from family_recurrences import anharmonic_ladder, hulthen_ladder
 from make_chain_digests import DIGEST_FILE, chain_digest, golden_chains
@@ -183,6 +185,106 @@ def test_anharmonic_order_five_energy():
     chain = solve_chain(Anharmonic(), 0, 5)
     _, e5 = solve_order(chain, 0, 5)
     assert e5 == F(916731, 4096)
+
+
+# ------------------------------------------------- integer back-substitution -
+
+
+def fraction_back_substitution(
+    leading: LeadingSuperpotential, rhs: LaurentPoly
+) -> tuple[LaurentPoly, Fraction]:
+    """The per-coefficient Fraction loop the integer kernel replaced, kept
+    verbatim as the reference."""
+    mn = rhs.min_exponent
+    if mn is not None and mn < 0:
+        raise UnsolvableOrder(f"inhomogeneity has a pole (min exponent {mn})")
+    top = rhs.max_exponent if rhs.max_exponent is not None else 0
+    w: dict[int, Fraction] = {}
+    if leading.is_coulomb:
+        c, p = leading.constant, leading.pole
+        if c == 0:
+            raise UnsolvableOrder("Coulomb-type leading term with zero constant part")
+        # row x^beta, beta >= 1:  2c*w_beta + (2p - beta - 1)*w_{beta+1} = rhs_beta
+        for beta in range(top, 0, -1):
+            val = (rhs.coeff(beta) - (2 * p - beta - 1) * w.get(beta + 1, Fraction(0))) / (2 * c)
+            if val:
+                w[beta] = val
+        eps = rhs.coeff(0) - (2 * p - 1) * w.get(1, Fraction(0))
+    else:
+        c, om = leading.constant, leading.linear
+        # row x^beta, beta >= 1:  2om*w_{beta-1} + 2c*w_beta - (beta+1)*w_{beta+1} = rhs_beta
+        for beta in range(top, 0, -1):
+            val = (
+                rhs.coeff(beta)
+                - 2 * c * w.get(beta, Fraction(0))
+                + (beta + 1) * w.get(beta + 1, Fraction(0))
+            ) / (2 * om)
+            if val:
+                w[beta - 1] = val
+        w0 = w.pop(0, Fraction(0))
+        eps = rhs.coeff(0) - 2 * c * w0 + w.get(1, Fraction(0))
+        if w0:
+            w[0] = w0
+    return LaurentPoly(w), eps
+
+
+nonzero = st.fractions(min_value=-6, max_value=6, max_denominator=9).filter(bool)
+coulomb_leads = st.builds(lambda p, c: LeadingSuperpotential(p, c, 0, 0), nonzero, nonzero)
+oscillator_leads = st.builds(
+    lambda c, om: LeadingSuperpotential(0, c, om, 0),
+    st.fractions(min_value=-6, max_value=6, max_denominator=9),
+    nonzero,
+)
+# pole-free right-hand sides with mixed denominators, including 0 and constants
+rhs_polys = st.dictionaries(
+    st.integers(min_value=0, max_value=9),
+    st.fractions(min_value=-50, max_value=50, max_denominator=60),
+    max_size=6,
+).map(P)
+
+
+@given(st.one_of(coulomb_leads, oscillator_leads), rhs_polys, polys)
+@example(LeadingSuperpotential(-3, F(1, 3), 0, 0), P.zero(), P.zero())
+@example(LeadingSuperpotential(0, F(1, 2), F(3, 4), 0), P.zero(), P.zero())
+@example(LeadingSuperpotential(F(-5, 2), F(2, 7), 0, 0), P.constant(F(-7, 6)), P.monomial(-2))
+@example(LeadingSuperpotential(0, F(-1, 3), F(5, 2), 0), P.constant(F(4, 9)), P.monomial(3))
+@settings(max_examples=100)
+def test_integer_back_substitution_matches_fraction_loop(lead, rhs, cancel):
+    expected = fraction_back_substitution(lead, rhs)
+    # the same right-hand side as the rung loop forms it: an unreduced integer
+    # combination over a larger denominator, with zero numerators at its ends
+    combined = _dense_combine([(1, _dense(rhs)), (3, _dense(cancel)), (-3, _dense(cancel))])
+    for w, eps in (solve_riccati_order(lead, rhs), _back_substitute(lead, combined)):
+        assert (w, eps) == expected
+        # terms are inserted top exponent first, as the Fraction loop inserted them
+        assert list(w._terms.items()) == list(expected[0]._terms.items())
+        assert w._dense == _dense(P(w._terms))
+
+
+def test_integer_back_substitution_errors():
+    coulomb = LeadingSuperpotential(F(-3, 2), F(1, 5), 0, 0)
+    oscillator = LeadingSuperpotential(0, F(1, 2), 1, 0)
+    pole = P({-1: F(2, 3), 2: F(1)})
+    for lead in (coulomb, oscillator):
+        with pytest.raises(UnsolvableOrder, match="pole"):
+            solve_riccati_order(lead, pole)
+        with pytest.raises(UnsolvableOrder, match="pole"):
+            _back_substitute(lead, _dense_combine([(1, _dense(pole)), (-1, _dense(P.monomial(2)))]))
+    no_constant = LeadingSuperpotential(-1, 0, 0, 0)
+    for rhs in (P.zero(), P({0: F(1), 3: F(-2, 7)})):
+        with pytest.raises(UnsolvableOrder, match="zero constant"):
+            solve_riccati_order(no_constant, rhs)
+
+
+def test_solved_orders_list_terms_top_exponent_first():
+    # LaurentPoly evaluates its float sum in insertion order, so the order of
+    # the solved terms fixes the last bits of every state value; the chain
+    # digests sort the terms and cannot see it
+    for label, spec in golden_chains().items():
+        for rung in solve_chain(*spec).rungs:
+            for k, w_k in enumerate(rung.w[1:], start=1):
+                exps = list(w_k._terms)
+                assert exps == sorted(exps, reverse=True), (label, rung.index, k)
 
 
 # -------------------------------------------------------------- full chains -
