@@ -60,7 +60,6 @@ from .spectra import (
     hulthen_energy_series,
 )
 from .states import (
-    QuadratureConfig,
     build_eigenstate,
     evaluate_state,
     normalize_function,
@@ -332,7 +331,7 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
         def psi(x: float) -> float:
             return evaluate_state(state, x, lam)
 
-    norm = normalize_function(psi, state.radial, QuadratureConfig())
+    norm = normalize_function(psi, state.radial)
     rows = []
     for x in xs:
         v = psi(x)
@@ -568,6 +567,8 @@ def _validate_labels(args: argparse.Namespace) -> str | None:
             return "need r >= 0"
     if getattr(args, "K", None) is not None and args.K < 0:
         return "need K >= 0"
+    if any(k < 0 for k in getattr(args, "K_list", None) or ()):
+        return f"need every --K-list order >= 0, got {args.K_list}"
     return None
 
 

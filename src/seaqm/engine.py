@@ -35,6 +35,12 @@ whether it is ``radial`` (x > 0), the pole parameter ``b`` a chain records;
 ``base_potential(k)``, the order-k coefficient of the rung-0 potential;
 ``rung_of(n, l, r)`` and ``labels(r)``, which check a level's labels and map
 them to the ladder depth and back; and ``to_json()`` / ``from_json()``.
+
+The public surface is those families (with ``LeadingSuperpotential``), the
+solved ``Rung`` and ``ChainSolution``, ``solve_chain`` and
+``riccati_residual``.  ``ChainSolution.loads`` verifies what it loads: the
+rungs must be complete, and each must pass the same exact residual check as a
+solved one.
 """
 
 from __future__ import annotations
@@ -75,10 +81,6 @@ __all__ = [
     "ProblemFamily",
     "Rung",
     "ChainSolution",
-    "potential_coefficient",
-    "convolution_B",
-    "solve_riccati_order",
-    "solve_order",
     "riccati_residual",
     "solve_chain",
 ]
@@ -353,22 +355,32 @@ class ChainSolution:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ChainSolution":
+        """The chain `obj` describes, verified: ValueError for a malformed or
+        incomplete ladder, ResidualNonzero for a rung that is not a solution."""
         name = obj["family"]["name"]
         if name not in _FAMILIES:
             raise ValueError(f"unknown family name {name!r}")
         family = _FAMILIES[name].from_json(obj["family"])
         if int(obj["b"]) != family.b:
             raise ValueError(f"chain b={obj['b']} disagrees with the family's b={family.b}")
-        K = int(obj["K"])
-        rungs = []
-        for entry in obj["rungs"]:
-            r = int(entry["r"])
-            w = tuple(LaurentPoly.from_json(p) for p in entry["superpotential"])
-            energy = tuple(Fraction(e) for e in entry["energy"])
+        K, r_max = int(obj["K"]), int(obj["rMax"])
+        found = [int(entry["r"]) for entry in obj["rungs"]]
+        if K < 0 or r_max < 0 or found != list(range(r_max + 1)):
+            raise ValueError(f"need K >= 0 and rungs 0..rMax in order; got K={K}, rungs {found}")
+        rungs: list[Rung] = []
+        for r, entry in enumerate(obj["rungs"]):
+            if not len(entry["superpotential"]) == len(entry["energy"]) == K + 1:
+                raise ValueError(f"rung {r} must hold orders 0..{K}")
+            # each w_k takes the route of a solved order, so it evaluates bit
+            # for bit like the solved w_k
+            w = tuple(_dense_poly(_dense(LaurentPoly.from_json(p))) for p in entry["superpotential"])
             lead = family.rung_leading(r)
-            potential = _rung_potentials(family, r, K, rungs)
-            rungs.append(Rung(r, lead, w, energy, tuple(potential)))
-        return cls(family, int(obj["rMax"]), K, tuple(rungs))
+            if w[0] != lead.as_poly():
+                raise ValueError(f"rung {r} order-0 superpotential is not the family's leading term")
+            energy = tuple(Fraction(e) for e in entry["energy"])
+            v = _rung_potentials(family, r, K, rungs)
+            rungs.append(_checked(Rung(r, lead, w, energy, v)))
+        return cls(family, r_max, K, tuple(rungs))
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), indent=2)
@@ -376,32 +388,6 @@ class ChainSolution:
     @classmethod
     def loads(cls, text: str) -> "ChainSolution":
         return cls.from_json(json.loads(text))
-
-
-def potential_coefficient(
-    family: ProblemFamily, r: int, k: int, chain: "ChainSolution | Sequence[Rung] | None" = None
-) -> LaurentPoly:
-    """Order-k coefficient of the rung-r potential.
-
-    Rung 0 comes from the family's coupling expansion; rung r >= 1 from the
-    partner rule ``v_r = v_{r-1} + 2 w_{r-1}'`` applied order by order, which
-    requires rung r-1 of `chain` to be solved through order k.
-    """
-    if k < 0 or r < 0:
-        raise ValueError("indices must be non-negative")
-    if r == 0:
-        return family.base_potential(k)
-    rungs = chain.rungs if isinstance(chain, ChainSolution) else chain
-    if rungs is None or len(rungs) < r:
-        raise ChainIncomplete(f"rung {r - 1} not solved; cannot form rung {r} potential")
-    prev = rungs[r - 1]
-    if prev.order < k:
-        raise ChainIncomplete(
-            f"rung {r - 1} solved only to order {prev.order}; order {k} requested"
-        )
-    return _dense_sum(
-        [(1, _dense(prev.potential[k])), (2, _dense_derivative(_dense(prev.w[k])))]
-    )
 
 
 def _self_convolution(w: Sequence[LaurentPoly], k: int, first: int) -> list[tuple[int, _Dense]]:
@@ -413,24 +399,6 @@ def _self_convolution(w: Sequence[LaurentPoly], k: int, first: int) -> list[tupl
         mid = _dense(w[k // 2])
         terms.append((1, _dense_mul(mid, mid)))
     return terms
-
-
-def convolution_B(
-    rung: "Rung | Sequence[LaurentPoly]", k: int, alpha: int | None = None
-) -> "LaurentPoly | Fraction":
-    """The order-k self-convolution of a rung's superpotential, excluding the
-    order-0 factors: ``B_k = sum_{m+n=k, m,n>=1} w_m w_n``.
-
-    Returns the full polynomial, or the x^alpha coefficient when `alpha` is
-    given.  Requires orders 1..k-1 of the rung to be solved.
-    """
-    w = rung.w if isinstance(rung, Rung) else tuple(rung)
-    if k >= 1 and len(w) < k:
-        raise ChainIncomplete(f"need orders 1..{k - 1} solved, have {len(w) - 1}")
-    acc = _dense_sum(_self_convolution(w, k, 1))
-    if alpha is None:
-        return acc
-    return acc.coeff(alpha)
 
 
 def _rhs(v_k: LaurentPoly, w: Sequence[LaurentPoly], k: int) -> tuple[int, list[int], int]:
@@ -495,29 +463,6 @@ def _back_substitute(
     return _dense_poly(_dense_reduced(first, out, den * power)), eps
 
 
-def solve_riccati_order(
-    leading: LeadingSuperpotential, rhs: LaurentPoly
-) -> tuple[LaurentPoly, Fraction]:
-    """Solve ``2 w_0 w - w' = rhs - eps`` for a polynomial ``w`` and scalar ``eps``.
-
-    ``w_0`` is the rung's leading superpotential.  The system is triangular
-    from the top exponent down; the constant row yields the energy coefficient.
-    """
-    return _back_substitute(leading, _dense(rhs))
-
-
-def solve_order(chain: ChainSolution, r: int, k: int) -> tuple[LaurentPoly, Fraction]:
-    """Re-derive order k >= 1 of rung r from the chain's lower-order data."""
-    if k < 1:
-        raise ValueError("solve_order handles k >= 1; order 0 is the leading solution")
-    rung = chain.rung(r)
-    if rung.order < k - 1:
-        raise ChainIncomplete(f"rung {r} solved to order {rung.order}; need {k - 1}")
-    if k > chain.K:
-        raise ChainIncomplete(f"order {k} beyond chain truncation K={chain.K}")
-    return _back_substitute(rung.leading, _rhs(rung.potential[k], rung.w, k))
-
-
 def riccati_residual(
     W: LambdaSeries, v: LambdaSeries, eps: LambdaSeries, K: int
 ) -> list[LaurentPoly]:
@@ -553,9 +498,30 @@ def solve_chain(family: ProblemFamily, r_max: int, K: int) -> ChainSolution:
 
 
 def _rung_potentials(
-    family: ProblemFamily, r: int, K: int, rungs_below: Sequence[Rung]
-) -> list[LaurentPoly]:
-    return [potential_coefficient(family, r, k, rungs_below) for k in range(K + 1)]
+    family: ProblemFamily, r: int, K: int, below: Sequence[Rung]
+) -> tuple[LaurentPoly, ...]:
+    """Orders 0..K of the rung-r potential: the family's coupling expansion at
+    r = 0, the partner rule ``v_r = v_{r-1} + 2 w_{r-1}'`` on rung r-1 of
+    `below` above that."""
+    if r == 0:
+        return tuple(family.base_potential(k) for k in range(K + 1))
+    prev = below[r - 1]
+    return tuple(
+        _dense_sum([(1, _dense(v)), (2, _dense_derivative(_dense(w)))])
+        for v, w in zip(prev.potential, prev.w)
+    )
+
+
+def _checked(rung: Rung) -> Rung:
+    """`rung`, once it satisfies the exact Riccati identity at every order;
+    ResidualNonzero otherwise."""
+    residuals = riccati_residual(
+        rung.superpotential_series(), rung.potential_series(), rung.energy_series(), rung.order
+    )
+    bad = [k for k, res in enumerate(residuals) if res]
+    if bad:
+        raise ResidualNonzero(f"rung {rung.index} violates the Riccati identity at orders {bad}")
+    return rung
 
 
 @lru_cache(maxsize=256)
@@ -576,11 +542,4 @@ def _solve_rung(family: ProblemFamily, r: int, K: int, below: tuple[Rung, ...]) 
         w_k, eps_k = _back_substitute(lead, _rhs(v[k], w, k))
         w.append(w_k)
         energy.append(eps_k)
-    rung = Rung(r, lead, tuple(w), tuple(energy), tuple(v))
-    residuals = riccati_residual(
-        rung.superpotential_series(), rung.potential_series(), rung.energy_series(), K
-    )
-    if any(res for res in residuals):
-        bad = [k for k, res in enumerate(residuals) if res]
-        raise ResidualNonzero(f"rung {r} violates the Riccati identity at orders {bad}")
-    return rung
+    return _checked(Rung(r, lead, tuple(w), tuple(energy), v))

@@ -200,10 +200,6 @@ class LaurentPoly:
             terms = self._floats = tuple((e, float(c)) for e, c in self._terms.items())
         return sum(c * x**e for e, c in terms)
 
-    def eval_exact(self, x: Rational) -> Fraction:
-        x = Fraction(x)
-        return sum((c * x**e for e, c in self._terms.items()), Fraction(0))
-
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> dict[str, str]:
@@ -296,8 +292,7 @@ def _dense_combine(terms: Iterable[tuple[int, _Dense]]) -> tuple[int, list[int],
 
 def _dense_sum(terms: Iterable[tuple[int, _Dense]]) -> LaurentPoly:
     """The canonical LaurentPoly of sum_j c_j * a_j for integer weights c_j."""
-    lo, acc, den = _dense_combine(terms)
-    return _wrap({lo + i: Fraction(n, den) for i, n in enumerate(acc) if n})
+    return _dense_poly(_dense_reduced(*_dense_combine(terms)))
 
 
 def _dense_reduced(lo: int, nums: Sequence[int], den: int) -> _Dense:

@@ -30,7 +30,6 @@ from .exact import LambdaSeries, LaurentPoly, horner
 
 __all__ = [
     "StateRep",
-    "QuadratureConfig",
     "build_G",
     "edge_state",
     "apply_creation",
@@ -46,19 +45,19 @@ __all__ = [
 _EXP_MAX = 709.0  # stay inside double range
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Controls for the normalization quadrature.
+# Normalization quadrature: the integration window ends where the integrand
+# has fallen below _TAIL_RATIO times its peak, found on a grid of _SCAN_POINTS
+# steps; if that never happens inside _DOMAIN_BOUND the state is reported as
+# non-normalizable.
+_REL_TOL = 1e-10
+_DOMAIN_BOUND = 2000.0
+_TAIL_RATIO = 1e-16
+_SCAN_POINTS = 8000
 
-    The integration window ends where the integrand has fallen below
-    ``tail_ratio`` times its peak; if that never happens inside
-    ``domain_bound`` the state is reported as non-normalizable.
-    """
-
-    rel_tol: float = 1e-10
-    domain_bound: float = 2000.0
-    tail_ratio: float = 1e-16
-    scan_points: int = 8000
+# Node counting samples _NODE_SAMPLES points on (0, max(40, 12 p^2)) for a
+# radial state and on [-_NODE_HALF_WIDTH, _NODE_HALF_WIDTH] on the line.
+_NODE_SAMPLES = 6000
+_NODE_HALF_WIDTH = 10.0
 
 
 @dataclass(frozen=True)
@@ -208,58 +207,54 @@ def state_lambda_series(state: StateRep, x: float, K: int | None = None) -> list
     return [base * sum(q[m] * E[k - m] for m in range(k + 1)) for k in range(K + 1)]
 
 
-def _scan_cutoff(f, start: float, stop: float, points: int, tail_ratio: float) -> float:
-    """March from `start` toward `stop`; return the abscissa where f has
-    decayed below tail_ratio times its running peak.
+def _scan_cutoff(f, stop: float) -> float:
+    """March from 0 toward `stop`; return the abscissa where f has decayed
+    below _TAIL_RATIO times its running peak.
 
     When it never does, the truncated series has broken down before the state
     decayed: the error names where f stopped decaying (its lowest point
     relative to the running peak), the decay reached there, and how the scan
     ended.
     """
-    xs = [start + (stop - start) * i / points for i in range(points + 1)]
+    xs = [stop * i / _SCAN_POINTS for i in range(_SCAN_POINTS + 1)]
     peak = 0.0
-    lowest, x_turn = 1.0, start
+    lowest, x_turn = 1.0, 0.0
     for x in xs:
         try:
             val = f(x)
         except OverflowError:
-            raise NonNormalizable(_breakdown(x_turn, lowest, tail_ratio, f"overflows at x = {x:.6g}"))
+            raise NonNormalizable(_breakdown(x_turn, lowest, f"overflows at x = {x:.6g}"))
         if not math.isfinite(val):
-            raise NonNormalizable(_breakdown(x_turn, lowest, tail_ratio, f"diverges at x = {x:.6g}"))
+            raise NonNormalizable(_breakdown(x_turn, lowest, f"diverges at x = {x:.6g}"))
         peak = max(peak, val)
-        if peak > 0.0 and val < tail_ratio * peak:
+        if peak > 0.0 and val < _TAIL_RATIO * peak:
             return x
         if val < lowest * peak:
             lowest, x_turn = val / peak, x
     raise NonNormalizable(
-        _breakdown(x_turn, lowest, tail_ratio, f"is still above the cutoff at the domain bound {stop}")
+        _breakdown(x_turn, lowest, f"is still above the cutoff at the domain bound {stop}")
     )
 
 
-def _breakdown(x_turn: float, lowest: float, tail_ratio: float, end: str) -> str:
+def _breakdown(x_turn: float, lowest: float, end: str) -> str:
     turn = (
         f"stops decaying at x = {x_turn:.6g}, at {lowest:.3g} of its peak"
         if lowest < 1.0
         else "never decays"
     )
     return (
-        f"integrand {turn} (tail cutoff {tail_ratio:.3g}) and {end}: the truncated "
+        f"integrand {turn} (tail cutoff {_TAIL_RATIO:.3g}) and {end}: the truncated "
         "series breaks down before the state decays; resum it (--pade) or use a smaller lambda"
     )
 
 
-def normalize_function(f, radial: bool, config: QuadratureConfig | None = None) -> float:
+def normalize_function(f, radial: bool) -> float:
     """Normalization constant for an arbitrary evaluator f(x) (used for resummed
     wavefunction sampling); same tail logic as `normalize`."""
-    config = config or QuadratureConfig()
     density = lambda x: f(x) ** 2
-    scan = lambda stop: _scan_cutoff(density, 0.0, stop, config.scan_points, config.tail_ratio)
-    hi = scan(config.domain_bound)
-    lo = 0.0 if radial else scan(-config.domain_bound)
-    res = integrate.quad(
-        density, lo, hi, epsabs=0.0, epsrel=config.rel_tol, limit=400, full_output=1
-    )
+    hi = _scan_cutoff(density, _DOMAIN_BOUND)
+    lo = 0.0 if radial else _scan_cutoff(density, -_DOMAIN_BOUND)
+    res = integrate.quad(density, lo, hi, epsabs=0.0, epsrel=_REL_TOL, limit=400, full_output=1)
     val, err = res[0], res[1]
     # pointwise-resummed evaluators carry per-point solve noise, so only a
     # genuinely non-convergent integral is rejected here
@@ -268,15 +263,10 @@ def normalize_function(f, radial: bool, config: QuadratureConfig | None = None) 
     return 1.0 / math.sqrt(val)
 
 
-def normalize(
-    state: StateRep, lam: float, K: int | None = None, quadrature: QuadratureConfig | None = None
-) -> float:
+def normalize(state: StateRep, lam: float, K: int | None = None) -> float:
     """Normalization constant N with the square of N*psi integrating to 1."""
-    config = quadrature or QuadratureConfig()
     K = state.order if K is None else K
-    return normalize_function(
-        lambda x: evaluate_state(state, x, lam, K), state.radial, config
-    )
+    return normalize_function(lambda x: evaluate_state(state, x, lam, K), state.radial)
 
 
 def hamiltonian_residual(state: StateRep, chain: ChainSolution, K: int | None = None) -> list[LaurentPoly]:
@@ -309,14 +299,9 @@ def hamiltonian_residual(state: StateRep, chain: ChainSolution, K: int | None = 
     return [-Rpp[k] + 2 * WRp[k] + AR[k] for k in range(K + 1)]
 
 
-def count_nodes(
-    state: StateRep,
-    lam: float,
-    K: int | None = None,
-    x_max: float | None = None,
-    samples: int = 6000,
-) -> int:
-    """Count interior sign changes on a grid (radial: (0, x_max); line: symmetric).
+def count_nodes(state: StateRep, lam: float, K: int | None = None) -> int:
+    """Count interior sign changes on a grid (radial: (0, max(40, 12 p^2));
+    line: symmetric about 0).
 
     A truncated exponent series can turn around and grow far outside the
     physical region; any strictly growing window edge is stripped before
@@ -324,12 +309,11 @@ def count_nodes(
     """
     K = state.order if K is None else K
     if state.radial:
-        n_scale = state.power
-        hi = x_max if x_max is not None else max(40.0, 12.0 * n_scale**2)
-        xs = [hi * (i + 1) / (samples + 1) for i in range(samples)]
+        hi = max(40.0, 12.0 * state.power**2)
+        xs = [hi * (i + 1) / (_NODE_SAMPLES + 1) for i in range(_NODE_SAMPLES)]
     else:
-        hi = x_max if x_max is not None else 10.0
-        xs = [-hi + 2 * hi * i / samples for i in range(samples + 1)]
+        hi = _NODE_HALF_WIDTH
+        xs = [-hi + 2 * hi * i / _NODE_SAMPLES for i in range(_NODE_SAMPLES + 1)]
     vals = [evaluate_state(state, x, lam, K) for x in xs]
     start, end = 0, len(vals)
     while end - start > 2 and abs(vals[end - 1]) > abs(vals[end - 2]):

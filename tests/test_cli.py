@@ -73,6 +73,14 @@ def test_coeffs_bad_labels_exit_2(capsys):
     assert "l <= n-1" in capsys.readouterr().err
 
 
+def test_energy_negative_K_list_exit_2(capsys):
+    args = ["energy", "hulthen", "--n", "2", "--l", "1", "--K", "6", "--K-list=-1,3",
+            "--lambda-range", "0:0.1:2"]
+    assert run(args) == 2
+    captured = capsys.readouterr()
+    assert "--K-list order >= 0" in captured.err and not captured.out
+
+
 # ------------------------------------------------------------------ energy --
 
 

@@ -13,16 +13,12 @@ from seaqm.engine import (
     GenericPerturbed,
     Hulthen,
     LeadingSuperpotential,
-    convolution_B,
-    potential_coefficient,
     riccati_residual,
     solve_chain,
-    solve_order,
-    solve_riccati_order,
 )
-from seaqm.engine import _back_substitute
-from seaqm.errors import ChainIncomplete, InvalidLeading, UnsolvableOrder
-from seaqm.exact import LambdaSeries, LaurentPoly, _dense, _dense_combine
+from seaqm.engine import _back_substitute, _self_convolution
+from seaqm.errors import InvalidLeading, ResidualNonzero, UnsolvableOrder
+from seaqm.exact import LambdaSeries, LaurentPoly, _dense, _dense_combine, _dense_sum
 
 from family_recurrences import anharmonic_ladder, hulthen_ladder
 from make_chain_digests import DIGEST_FILE, chain_digest, golden_chains
@@ -44,32 +40,35 @@ polys = st.dictionaries(
 def test_hulthen_potential_order_zero():
     for l in (0, 1, 3):
         expected = P({-2: F(l * (l + 1)), -1: F(-2)})
-        assert potential_coefficient(Hulthen(l), 0, 0) == expected
+        assert solve_chain(Hulthen(l), 0, 0).rung(0).potential[0] == expected
 
 
 def test_anharmonic_potential_orders():
-    fam = Anharmonic()
-    assert potential_coefficient(fam, 0, 0) == P.monomial(2)
-    assert potential_coefficient(fam, 0, 1) == P.monomial(4)
-    assert potential_coefficient(fam, 0, 2) == P.zero()
-    assert potential_coefficient(fam, 0, 7) == P.zero()
+    v = solve_chain(Anharmonic(), 0, 7).rung(0).potential
+    assert v[0] == P.monomial(2)
+    assert v[1] == P.monomial(4)
+    assert v[2] == P.zero()
+    assert v[7] == P.zero()
 
 
 def test_partner_potential_order_zero():
     for l in (0, 2):
-        chain = solve_chain(Hulthen(l), 0, 0)
-        got = potential_coefficient(Hulthen(l), 1, 0, chain)
+        got = solve_chain(Hulthen(l), 1, 0).rung(1).potential[0]
         assert got == P({-2: F((l + 1) * (l + 2)), -1: F(-2)})
 
 
 def test_partner_potential_needs_chain():
-    with pytest.raises(ChainIncomplete):
-        potential_coefficient(Hulthen(0), 1, 0, None)
-    chain = solve_chain(Hulthen(0), 0, 2)
-    with pytest.raises(ChainIncomplete):
-        potential_coefficient(Hulthen(0), 1, 3, chain)  # order beyond K
-    with pytest.raises(ChainIncomplete):
-        potential_coefficient(Hulthen(0), 2, 1, chain)  # rung 1 unsolved
+    # a loaded rung's potential comes from the rung below it, so a chain
+    # document must hold rungs 0..rMax in order, each through order K
+    doc = solve_chain(Hulthen(0), 2, 2).to_json()
+    rungs = doc["rungs"]
+    with pytest.raises(ValueError, match="rungs 0..rMax"):
+        ChainSolution.from_json({**doc, "rungs": [rungs[0], rungs[2]]})  # rung 1 dropped
+    with pytest.raises(ValueError, match="rungs 0..rMax"):
+        ChainSolution.from_json({**doc, "rungs": [rungs[1], rungs[0], rungs[2]]})
+    short = {**rungs[1], "superpotential": rungs[1]["superpotential"][:2]}
+    with pytest.raises(ValueError, match="orders 0..2"):
+        ChainSolution.from_json({**doc, "rungs": [rungs[0], short, rungs[2]]})
 
 
 # ------------------------------------------------------------ leading terms -
@@ -99,10 +98,15 @@ def test_leading_shape_validation():
 # -------------------------------------------------------------- convolution -
 
 
+def B(w, k):
+    """``B_k = sum_{m+n=k, m,n>=1} w_m w_n`` from the solver's kernel terms."""
+    return _dense_sum(_self_convolution(w, k, 1))
+
+
 def test_convolution_B_order_one_empty():
     chain = solve_chain(Hulthen(2), 0, 3)
-    assert convolution_B(chain.rung(0), 1) == P.zero()
-    assert convolution_B(chain.rung(0), 1, alpha=0) == 0
+    assert _self_convolution(chain.rung(0).w, 1, 1) == []
+    assert B(chain.rung(0).w, 1) == P.zero()
 
 
 @pytest.mark.parametrize("l", [0, 1, 2])
@@ -110,12 +114,12 @@ def test_convolution_B_hulthen_k4(l):
     b = F(l + 1)
     chain = solve_chain(Hulthen(l), 0, 4)
     # only the square of the order-2 term contributes at x^2
-    assert convolution_B(chain.rung(0), 4, alpha=2) == b * b / 144
+    assert B(chain.rung(0).w, 4).coeff(2) == b * b / 144
 
 
 def test_convolution_B_anharmonic_k2():
     chain = solve_chain(Anharmonic(), 0, 2)
-    assert convolution_B(chain.rung(0), 2, alpha=4) == F(3, 4)
+    assert B(chain.rung(0).w, 2).coeff(4) == F(3, 4)
 
 
 @given(st.lists(polys, min_size=1, max_size=7))
@@ -125,7 +129,7 @@ def test_convolution_B_matches_fraction_sum(w):
         expected = P.zero()
         for m in range(1, k):
             expected = expected + w[m] * w[k - m]
-        assert convolution_B(w, k) == expected
+        assert B(w, k) == expected
 
 
 @given(st.lists(st.tuples(polys, polys, st.fractions(max_denominator=40)), min_size=1, max_size=6))
@@ -141,50 +145,38 @@ def test_riccati_residual_matches_series_product(orders):
     assert riccati_residual(W, v, eps, K) == expected
 
 
-def test_convolution_B_incomplete():
-    chain = solve_chain(Anharmonic(), 0, 2)
-    with pytest.raises(ChainIncomplete):
-        convolution_B(chain.rung(0).w[:2], 4)
-
-
 # ------------------------------------------------------------ single orders -
 
 
 @pytest.mark.parametrize("l", [0, 1, 4])
 def test_hulthen_order_two_and_three(l):
     b = F(l + 1)
-    chain = solve_chain(Hulthen(l), 0, 3)
-    w2, e2 = solve_order(chain, 0, 2)
-    assert w2 == P({1: -b / 12})
-    assert e2 == -b * (2 * b + 1) / 12
-    w3, e3 = solve_order(chain, 0, 3)
-    assert w3 == P.zero() and e3 == 0
+    rung = solve_chain(Hulthen(l), 0, 3).rung(0)
+    assert rung.w[2] == P({1: -b / 12})
+    assert rung.energy[2] == -b * (2 * b + 1) / 12
+    assert rung.w[3] == P.zero() and rung.energy[3] == 0
 
 
 @pytest.mark.parametrize("l", [0, 2, 3])
 def test_hulthen_order_four_matches_closed_form(l):
     b = F(l + 1)
-    chain = solve_chain(Hulthen(l), 0, 4)
-    w4, e4 = solve_order(chain, 0, 4)
-    assert w4 == P({
+    rung = solve_chain(Hulthen(l), 0, 4).rung(0)
+    assert rung.w[4] == P({
         1: -b**3 * (b - 1) * (b + 1) / 480,
         2: -b**2 * (b - 1) / 480,
         3: b / 720,
     })
-    assert e4 == -b**3 * (b - 1) * (b + 1) * (2 * b + 1) / 480
+    assert rung.energy[4] == -b**3 * (b - 1) * (b + 1) * (2 * b + 1) / 480
 
 
 def test_anharmonic_order_two():
-    chain = solve_chain(Anharmonic(), 0, 2)
-    w2, e2 = solve_order(chain, 0, 2)
-    assert w2 == P({1: F(-21, 16), 3: F(-11, 16), 5: F(-1, 8)})
-    assert e2 == F(-21, 16)
+    rung = solve_chain(Anharmonic(), 0, 2).rung(0)
+    assert rung.w[2] == P({1: F(-21, 16), 3: F(-11, 16), 5: F(-1, 8)})
+    assert rung.energy[2] == F(-21, 16)
 
 
 def test_anharmonic_order_five_energy():
-    chain = solve_chain(Anharmonic(), 0, 5)
-    _, e5 = solve_order(chain, 0, 5)
-    assert e5 == F(916731, 4096)
+    assert solve_chain(Anharmonic(), 0, 5).rung(0).energy[5] == F(916731, 4096)
 
 
 # ------------------------------------------------- integer back-substitution -
@@ -254,7 +246,7 @@ def test_integer_back_substitution_matches_fraction_loop(lead, rhs, cancel):
     # the same right-hand side as the rung loop forms it: an unreduced integer
     # combination over a larger denominator, with zero numerators at its ends
     combined = _dense_combine([(1, _dense(rhs)), (3, _dense(cancel)), (-3, _dense(cancel))])
-    for w, eps in (solve_riccati_order(lead, rhs), _back_substitute(lead, combined)):
+    for w, eps in (_back_substitute(lead, _dense(rhs)), _back_substitute(lead, combined)):
         assert (w, eps) == expected
         # terms are inserted top exponent first, as the Fraction loop inserted them
         assert list(w._terms.items()) == list(expected[0]._terms.items())
@@ -267,13 +259,13 @@ def test_integer_back_substitution_errors():
     pole = P({-1: F(2, 3), 2: F(1)})
     for lead in (coulomb, oscillator):
         with pytest.raises(UnsolvableOrder, match="pole"):
-            solve_riccati_order(lead, pole)
+            _back_substitute(lead, _dense(pole))
         with pytest.raises(UnsolvableOrder, match="pole"):
             _back_substitute(lead, _dense_combine([(1, _dense(pole)), (-1, _dense(P.monomial(2)))]))
     no_constant = LeadingSuperpotential(-1, 0, 0, 0)
     for rhs in (P.zero(), P({0: F(1), 3: F(-2, 7)})):
         with pytest.raises(UnsolvableOrder, match="zero constant"):
-            solve_riccati_order(no_constant, rhs)
+            _back_substitute(no_constant, _dense(rhs))
 
 
 def test_solved_orders_list_terms_top_exponent_first():
@@ -461,6 +453,15 @@ def test_chain_json_roundtrip_bit_exact():
         back = ChainSolution.loads(text)
         assert back == chain
         assert back.dumps() == text
+    # a reloaded w_k holds its terms in the solved order, so it evaluates to
+    # the same floats, not only to the same rationals
+    for fam in (Hulthen(1), Anharmonic()):
+        chain = solve_chain(fam, 2, 30)
+        back = ChainSolution.loads(chain.dumps())
+        for rung, loaded in zip(chain.rungs, back.rungs):
+            for k, (w_k, w_back) in enumerate(zip(rung.w, loaded.w)):
+                for x in (0.7, 3.3, 11.0):
+                    assert float(w_back(x)).hex() == float(w_k(x)).hex(), (fam, rung.index, k, x)
 
 
 def test_golden_chain_digests():
@@ -471,6 +472,21 @@ def test_golden_chain_digests():
     assert list(expected) == list(chains)
     for label, spec in chains.items():
         assert chain_digest(*spec) == expected[label], label
+
+
+def test_chain_json_rejects_edited_coefficient():
+    doc = solve_chain(Hulthen(1), 2, 6).to_json()
+    w4 = doc["rungs"][1]["superpotential"][4]
+    e = next(iter(w4))
+    doc["rungs"][1]["superpotential"][4] = {**w4, e: str(F(w4[e]) + F(1, 1000))}
+    with pytest.raises(ResidualNonzero, match=r"rung 1 .* orders \[4"):
+        ChainSolution.from_json(doc)
+    # the other root of the order-0 identity, 1/x - 1 with eps_0 = -1, is not
+    # the family's leading term even where the residual would pass
+    doc = solve_chain(Hulthen(1), 0, 0).to_json()
+    doc["rungs"][0] = {"r": 0, "energy": ["-1"], "superpotential": [{"-1": "1", "0": "-1"}]}
+    with pytest.raises(ValueError, match="leading term"):
+        ChainSolution.from_json(doc)
 
 
 def test_chain_json_rejects_unknown_family_and_wrong_b():

@@ -104,7 +104,6 @@ def test_degree_bounds_and_canonical_form():
 def test_poly_evaluation():
     p = P({-1: F(1), 2: F(3)})
     assert p(2.0) == pytest.approx(0.5 + 12.0)
-    assert p.eval_exact(F(1, 2)) == F(2) + F(3, 4)
 
 
 coeffs = st.fractions(

@@ -9,7 +9,6 @@ from seaqm.engine import Anharmonic, GenericPerturbed, Hulthen, LeadingSuperpote
 from seaqm.errors import DomainError, InvalidLeading, NonNormalizable, RungOrderViolation
 from seaqm.exact import LambdaSeries, LaurentPoly
 from seaqm.states import (
-    QuadratureConfig,
     apply_creation,
     build_eigenstate,
     build_G,
@@ -18,6 +17,7 @@ from seaqm.states import (
     evaluate_state,
     hamiltonian_residual,
     normalize,
+    normalize_function,
     state_lambda_series,
 )
 
@@ -219,9 +219,9 @@ def test_normalize_detects_runaway_tail():
 
 
 def test_normalize_respects_domain_bound():
-    st = build_eigenstate(Hulthen(0), 0, n=1, l=0)
-    with pytest.raises(NonNormalizable):
-        normalize(st, 0.0, quadrature=QuadratureConfig(domain_bound=2.0))
+    # an evaluator that never decays reaches the end of the tail scan
+    with pytest.raises(NonNormalizable, match="at the domain bound"):
+        normalize_function(lambda x: 1.0, True)
 
 
 # -------------------------------------------------------- residual identity -
