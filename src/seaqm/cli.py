@@ -61,7 +61,8 @@ from .spectra import (
 )
 from .states import (
     build_eigenstate,
-    evaluate_state,
+    evaluate_state_grid,
+    normalize,
     normalize_function,
     state_lambda_series,
 )
@@ -260,16 +261,29 @@ def _replace_file(path: Path, text: str) -> None:
 def cmd_critical(args: argparse.Namespace) -> int:
     pair = args.pade or ((15, 14), (14, 14))
     order = args.K
+    embed = args.embed_approximants and args.format == "json"
+    # the run parameters every cell depends on, kept in the progress file so
+    # that a rerun with other parameters cannot mix tables
+    run = {"K": order, "pade": ",".join(f"{m}/{n}" for m, n in pair), "embed_approximants": embed}
     done: dict[str, dict] = {}
     resume_path = Path(args.resume) if args.resume else None
     if resume_path and resume_path.exists():
-        done = json.loads(resume_path.read_text())
+        progress = json.loads(resume_path.read_text())
+        if not (isinstance(progress, dict) and isinstance(progress.get("parameters"), dict)):
+            print(f"error: progress file {resume_path} holds no run parameters", file=sys.stderr)
+            return EXIT_USAGE
+        for key, value in run.items():
+            if progress["parameters"].get(key) != value:
+                flag, was = "--" + key.replace("_", "-"), json.dumps(progress["parameters"].get(key))
+                print(f"error: progress file {resume_path} was written with {flag} {was}, "
+                      f"this run has {flag} {json.dumps(value)}", file=sys.stderr)
+                return EXIT_USAGE
+        done = progress.get("cells", {})
     cells = [(n, l) for n in range(1, args.nmax + 1) for l in range(n)]
     pending_by_l: dict[int, list[int]] = {}
     for n, l in cells:
         if f"{n},{l}" not in done:
             pending_by_l.setdefault(l, []).append(n)
-    embed = args.embed_approximants and args.format == "json"
     tasks = [(l, ns, order, pair, embed) for l, ns in sorted(pending_by_l.items())]
     workers = min(_worker_count(), len(tasks)) if tasks else 1
 
@@ -279,7 +293,7 @@ def cmd_critical(args: argparse.Namespace) -> int:
         for rec in group:
             done[f"{rec['n']},{rec['l']}"] = rec
         if resume_path:
-            _replace_file(resume_path, json.dumps(done, indent=2))
+            _replace_file(resume_path, json.dumps({"parameters": run, "cells": done}, indent=2))
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -326,16 +340,12 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
         def psi(x: float) -> float:
             return float_pade_eval(state_lambda_series(state, x), *args.pade_single, lam)
 
+        norm = normalize_function(psi, state.radial)
+        values = map(psi, xs)
     else:
-
-        def psi(x: float) -> float:
-            return evaluate_state(state, x, lam)
-
-    norm = normalize_function(psi, state.radial)
-    rows = []
-    for x in xs:
-        v = psi(x)
-        rows.append([x, v, v * v, norm * v, (norm * v) ** 2])
+        norm = normalize(state, lam)
+        values = evaluate_state_grid(state, xs, lam)
+    rows = [[x, v, v * v, norm * v, (norm * v) ** 2] for x, v in zip(xs, values)]
     labels = {
         "family": state.family.name,
         "n": state.n,

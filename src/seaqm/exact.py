@@ -23,7 +23,7 @@ polynomial's hash, dense form and float terms, computed on first use.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import repeat
 from math import comb, gcd, lcm
 from operator import add, mul
@@ -191,14 +191,20 @@ class LaurentPoly:
 
     # -- evaluation ----------------------------------------------------------
 
-    def __call__(self, x: float) -> float:
-        """Float value at x.  The float sum runs over the terms in insertion
-        order, so two equal polynomials built in different term orders can
-        differ in the last bits."""
+    @property
+    def float_terms(self) -> tuple[tuple[int, float], ...]:
+        """(exponent, float coefficient) pairs in insertion order, converted once."""
         terms = self._floats
         if terms is None:
             terms = self._floats = tuple((e, float(c)) for e, c in self._terms.items())
-        return sum(c * x**e for e, c in terms)
+        return terms
+
+    def __call__(self, x: float) -> float:
+        """Float value at x.  The float sum runs left to right over the terms in
+        insertion order (not `sum`, which compensates from Python 3.12 on), so
+        two equal polynomials built in different term orders can differ in the
+        last bits."""
+        return reduce(add, (c * x**e for e, c in self.float_terms), 0)
 
     # -- serialization -------------------------------------------------------
 

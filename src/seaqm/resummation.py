@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import lcm
 from typing import Sequence
 
@@ -169,6 +169,14 @@ def pade_with_fallback(series: Sequence[Fraction], m: int, n: int) -> PadeApprox
     raise SingularPadeSystem(f"no solvable approximant at or below [{m}/{n}]")
 
 
+@lru_cache(maxsize=None)
+def _hankel_index(m: int, n: int) -> np.ndarray:
+    """Gather index of the [m/n] Pade system into the series with one zero put
+    in front: row i, column j (i, j = 1..n) reads c[m + i - j], zero below index 0."""
+    i, j = np.ogrid[1 : n + 1, 1 : n + 1]
+    return np.maximum(m + i - j + 1, 0)
+
+
 def float_pade(series: Sequence[float], m: int, n: int) -> tuple[list[float], list[float]]:
     """Float [m/n] approximant of a series known only as floats: the numerator
     and denominator coefficients, denominator constant term 1.
@@ -180,10 +188,9 @@ def float_pade(series: Sequence[float], m: int, n: int) -> tuple[list[float], li
     """
     _check_orders(series, m, n)
     c = np.asarray(series[: m + n + 1], dtype=float)
+    padded = np.concatenate(([0.0], c))
     for nn in range(n, 0, -1):
-        # row i, column j: c[m + i - j] for i, j = 1..nn (zero below index 0)
-        A = np.array([[c[m + i - j] if m + i >= j else 0.0 for j in range(1, nn + 1)]
-                      for i in range(1, nn + 1)])
+        A = padded[_hankel_index(m, nn)]
         try:
             q = np.linalg.solve(A, -c[m + 1 : m + nn + 1])
         except np.linalg.LinAlgError:

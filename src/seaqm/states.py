@@ -14,14 +14,29 @@ from a lower rung q rewrites the prefactor in closed form,
 
 which keeps the entire construction in exact rational arithmetic.  Only
 evaluation, node counting and normalization are floating point.
+
+Evaluation reads flat float tables of x^p R_k, G_k and D, compiled once per
+state and order (`_Tables`, kept on the `StateRep`).  The array kernel
+`evaluate_state_grid` evaluates `_BLOCK` abscissae at a time for the
+wavefunction rows, `count_nodes` and the normalization's tail scan; the scalar
+kernel (`evaluate_state`, `state_lambda_series`) serves the quadrature and the
+pointwise resummation.  Both give `LaurentPoly.__call__`'s values bit for bit:
+powers come from Python's ``**`` and exponentials from `math.exp` (libm), not
+from `np.power` or `np.exp`, whose vectorized versions differ in the last bit
+for some arguments; numpy only adds and multiplies elementwise, in the scalar
+order, which IEEE arithmetic makes exact.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial, reduce
+from itertools import repeat
+from operator import add, mul
+from typing import Iterator, Sequence
 
+import numpy as np
 from scipy import integrate
 
 from .engine import ChainSolution, ProblemFamily, solve_chain
@@ -35,6 +50,7 @@ __all__ = [
     "apply_creation",
     "build_eigenstate",
     "evaluate_state",
+    "evaluate_state_grid",
     "normalize",
     "normalize_function",
     "hamiltonian_residual",
@@ -58,6 +74,10 @@ _SCAN_POINTS = 8000
 # radial state and on [-_NODE_HALF_WIDTH, _NODE_HALF_WIDTH] on the line.
 _NODE_SAMPLES = 6000
 _NODE_HALF_WIDTH = 10.0
+
+# The array kernel and the tail scan take at most _BLOCK abscissae at a time,
+# so the scan evaluates few points past its stop and no table spans a grid.
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -87,6 +107,11 @@ class StateRep:
         """x^power * R_k for every order, built once: pole-free for every valid state."""
         xp = LaurentPoly.monomial(self.power)
         return tuple(xp * p for p in self.prefactor)
+
+    @cached_property
+    def _tables(self) -> dict[int, "_Tables"]:
+        """The float tables of each evaluated order, filled by `_tables_at`."""
+        return {}
 
 
 def build_G(chain: ChainSolution, r: int) -> LambdaSeries:
@@ -161,8 +186,39 @@ def build_eigenstate(
     return state
 
 
-def _pointwise(state: StateRep, x: float, K: int | None) -> tuple[list[float], list[float]]:
-    """(x^p R_k)(x) for k = 0..K and G_k(x) for k = 1..K; K defaults to the state's order.
+class _Tables:
+    """x^p R_0..R_K, G_1..G_K and D of a state at order K as flat float tables:
+    the terms, in that order and each polynomial's insertion order, are
+    `coeffs[i] * x**exps[slots[i]]`, and polynomial j owns `bounds[j]`."""
+
+    __slots__ = ("K", "exps", "slots", "coeffs", "bounds")
+
+    def __init__(self, state: StateRep, K: int):
+        slot: dict[int, int] = {}  # exponent -> its index in exps
+        self.K, self.slots, self.coeffs, self.bounds = K, [], [], []
+        for p in (*state._xp_prefactor[: K + 1], *state.G.coeffs[1 : K + 1], state.decay):
+            start = len(self.slots)
+            for e, c in p.float_terms:
+                self.slots.append(slot.setdefault(e, len(slot)))
+                self.coeffs.append(c)
+            self.bounds.append((start, len(self.slots)))
+        self.exps = tuple(slot)
+
+
+def _tables_at(state: StateRep, K: int | None) -> _Tables:
+    K = state.order if K is None else K
+    if K > state.order:
+        raise DomainError(f"K={K} beyond state order {state.order}")
+    tables = state._tables.get(K)
+    if tables is None:
+        tables = state._tables[K] = _Tables(state, K)
+    return tables
+
+
+def _pointwise(state: StateRep, x: float, K: int | None) -> tuple[list[float], list[float], float]:
+    """(x^p R_k)(x) for k = 0..K, G_k(x) for k = 1..K and D(x); K defaults to
+    the state's order.  The scalar kernel: each distinct power once, each
+    polynomial summed left to right in its term order, as `LaurentPoly.__call__`.
 
     A radial state is rejected at x < 0.  At the origin only the constant
     terms of x^p R survive, and every G_k is taken as zero there (the G_k are
@@ -170,67 +226,132 @@ def _pointwise(state: StateRep, x: float, K: int | None) -> tuple[list[float], l
     """
     if state.radial and x < 0:
         raise DomainError("radial states are defined for x >= 0")
-    K = state.order if K is None else K
-    if K > state.order:
-        raise DomainError(f"K={K} beyond state order {state.order}")
-    Q = state._xp_prefactor[: K + 1]
+    t = _tables_at(state, K)
+    K = t.K
     if x == 0.0:
+        Q = state._xp_prefactor[: K + 1]
         if any(p.min_exponent is not None and p.min_exponent < 0 for p in Q):
             raise DomainError("prefactor retains a pole at x = 0")
-        return [float(p.coeff(0)) for p in Q], [0.0] * K
-    return [p(x) for p in Q], [state.G[k](x) for k in range(1, K + 1)]
+        return [float(p.coeff(0)) for p in Q], [0.0] * K, state.decay(x)
+    powers = list(map(pow, repeat(x), t.exps))
+    terms = list(map(mul, t.coeffs, map(powers.__getitem__, t.slots)))
+    vals = [reduce(add, terms[a:b], 0) for a, b in t.bounds]
+    return vals[: K + 1], vals[K + 1 : -1], vals[-1]
 
 
 def evaluate_state(state: StateRep, x: float, lam: float, K: int | None = None) -> float:
     """Floating evaluation of the factored form, truncated at order K."""
-    q, g = _pointwise(state, x, K)
+    q, g, d = _pointwise(state, x, K)
     pref = horner(q, lam)
-    expo = -state.decay(x) - horner(g, lam) * lam
+    expo = -d - horner(g, lam) * lam
     if expo > _EXP_MAX:
         return math.copysign(math.inf, pref)
     return pref * math.exp(expo)
+
+
+def _psi_block(state: StateRep, t: _Tables, xs: Sequence[float], lam: float) -> list[float | None]:
+    """The array kernel: `evaluate_state` at each x of xs, bit for bit, with
+    None wherever evaluate_state raises.  The origin, a negative x on a
+    radial state and an x with an overflowing power are left to the scalar
+    kernel."""
+    n = len(xs)
+    powers = np.empty((len(t.exps), n))
+    scalar = []
+    for i, x in enumerate(xs):
+        if x == 0.0 or (state.radial and x < 0):
+            scalar.append(i)
+            continue
+        try:
+            powers[:, i] = list(map(pow, repeat(float(x)), t.exps))
+        except OverflowError:
+            scalar.append(i)
+    powers[:, scalar] = 1.0
+    with np.errstate(all="ignore"):  # overflow to inf and nan unwarned, as Python floats do
+        vals = []
+        for a, b in t.bounds:
+            acc = np.zeros(n)
+            for s, c in zip(t.slots[a:b], t.coeffs[a:b]):
+                acc = acc + c * powers[s]
+            vals.append(acc)
+        pref = np.zeros(n)
+        for a in reversed(vals[: t.K + 1]):
+            pref = pref * lam + a
+        hg = np.zeros(n)
+        for a in reversed(vals[t.K + 1 : -1]):
+            hg = hg * lam + a
+        expo = -vals[-1] - hg * lam
+    out: list[float | None] = [
+        math.copysign(math.inf, p) if e > _EXP_MAX else p * math.exp(e)
+        for p, e in zip(pref.tolist(), expo.tolist())
+    ]
+    for i in scalar:
+        try:
+            out[i] = evaluate_state(state, xs[i], lam, t.K)
+        except (DomainError, OverflowError):
+            out[i] = None
+    return out
+
+
+def evaluate_state_grid(
+    state: StateRep, xs: Sequence[float], lam: float, K: int | None = None
+) -> Iterator[float]:
+    """`evaluate_state(state, x, lam, K)` for each x of xs in turn, bit for bit,
+    computed `_BLOCK` abscissae at a time by the array kernel.  Lazy: an x
+    where evaluate_state raises raises the same error when the iteration
+    reaches it, and points past it in its block never raise."""
+    t = _tables_at(state, K)
+    for start in range(0, len(xs), _BLOCK):
+        block = xs[start : start + _BLOCK]
+        for x, v in zip(block, _psi_block(state, t, block, lam)):
+            yield evaluate_state(state, x, lam, t.K) if v is None else v
 
 
 def state_lambda_series(state: StateRep, x: float, K: int | None = None) -> list[float]:
     """Coefficients of the expansion of psi(x, .) in the coupling, as floats.
 
     Exponentiates the -sum lam^k G_k(x) series termwise and convolves with the
-    prefactor; used for pointwise resummation of wavefunctions.
+    prefactor; used for pointwise resummation of wavefunctions.  Every sum
+    runs left to right.
     """
-    q, g = _pointwise(state, x, K)
+    q, g, d = _pointwise(state, x, K)
     K = len(q) - 1
     # E = exp(-sum_{k>=1} g_k lam^k):  m E_m = -sum_{j=1..m} j g_j E_{m-j}  (g_j is g[j - 1])
-    E = [1.0] + [0.0] * K
+    jg = [j * gj for j, gj in enumerate(g, 1)]
+    E = [1.0]
     for m in range(1, K + 1):
-        E[m] = -sum(j * g[j - 1] * E[m - j] for j in range(1, m + 1)) / m
-    base = math.exp(-state.decay(x))
-    return [base * sum(q[m] * E[k - m] for m in range(k + 1)) for k in range(K + 1)]
+        E.append(-reduce(add, map(mul, jg, E[::-1]), 0) / m)
+    base = math.exp(-d)
+    return [base * reduce(add, map(mul, q, E[k::-1]), 0) for k in range(K + 1)]
 
 
-def _scan_cutoff(f, stop: float) -> float:
-    """March from 0 toward `stop`; return the abscissa where f has decayed
-    below _TAIL_RATIO times its running peak.
+def _scan_cutoff(grid, stop: float) -> float:
+    """March from 0 toward `stop`, `_BLOCK` grid points at a time; return the
+    abscissa where the density psi^2 has decayed below _TAIL_RATIO times its
+    running peak.  `grid(xs)` iterates psi over xs lazily, raising where psi
+    raises.
 
     When it never does, the truncated series has broken down before the state
-    decayed: the error names where f stopped decaying (its lowest point
-    relative to the running peak), the decay reached there, and how the scan
-    ended.
+    decayed: the error names where the density stopped decaying (its lowest
+    point relative to the running peak), the decay reached there, and how the
+    scan ended.
     """
-    xs = [stop * i / _SCAN_POINTS for i in range(_SCAN_POINTS + 1)]
     peak = 0.0
     lowest, x_turn = 1.0, 0.0
-    for x in xs:
-        try:
-            val = f(x)
-        except OverflowError:
-            raise NonNormalizable(_breakdown(x_turn, lowest, f"overflows at x = {x:.6g}"))
-        if not math.isfinite(val):
-            raise NonNormalizable(_breakdown(x_turn, lowest, f"diverges at x = {x:.6g}"))
-        peak = max(peak, val)
-        if peak > 0.0 and val < _TAIL_RATIO * peak:
-            return x
-        if val < lowest * peak:
-            lowest, x_turn = val / peak, x
+    for start in range(0, _SCAN_POINTS + 1, _BLOCK):
+        xs = [stop * i / _SCAN_POINTS for i in range(start, min(start + _BLOCK, _SCAN_POINTS + 1))]
+        psi = grid(xs)
+        for x in xs:
+            try:
+                val = next(psi) ** 2
+            except OverflowError:
+                raise NonNormalizable(_breakdown(x_turn, lowest, f"overflows at x = {x:.6g}"))
+            if not math.isfinite(val):
+                raise NonNormalizable(_breakdown(x_turn, lowest, f"diverges at x = {x:.6g}"))
+            peak = max(peak, val)
+            if peak > 0.0 and val < _TAIL_RATIO * peak:
+                return x
+            if val < lowest * peak:
+                lowest, x_turn = val / peak, x
     raise NonNormalizable(
         _breakdown(x_turn, lowest, f"is still above the cutoff at the domain bound {stop}")
     )
@@ -248,12 +369,22 @@ def _breakdown(x_turn: float, lowest: float, end: str) -> str:
     )
 
 
+def _state_psi(state: StateRep, lam: float, K: int | None):
+    """psi of one state at one coupling and order: a call evaluates one x with
+    the scalar kernel, `grid(xs)` many with the array kernel."""
+    psi = partial(evaluate_state, state, lam=lam, K=K)
+    psi.grid = partial(evaluate_state_grid, state, lam=lam, K=K)
+    return psi
+
+
 def normalize_function(f, radial: bool) -> float:
     """Normalization constant for an arbitrary evaluator f(x) (used for resummed
-    wavefunction sampling); same tail logic as `normalize`."""
+    wavefunction sampling); same tail logic as `normalize`.  When f also has a
+    `grid(xs)` method iterating f over xs, the tail scan goes through it."""
     density = lambda x: f(x) ** 2
-    hi = _scan_cutoff(density, _DOMAIN_BOUND)
-    lo = 0.0 if radial else _scan_cutoff(density, -_DOMAIN_BOUND)
+    grid = getattr(f, "grid", None) or partial(map, f)
+    hi = _scan_cutoff(grid, _DOMAIN_BOUND)
+    lo = 0.0 if radial else _scan_cutoff(grid, -_DOMAIN_BOUND)
     res = integrate.quad(density, lo, hi, epsabs=0.0, epsrel=_REL_TOL, limit=400, full_output=1)
     val, err = res[0], res[1]
     # pointwise-resummed evaluators carry per-point solve noise, so only a
@@ -265,8 +396,7 @@ def normalize_function(f, radial: bool) -> float:
 
 def normalize(state: StateRep, lam: float, K: int | None = None) -> float:
     """Normalization constant N with the square of N*psi integrating to 1."""
-    K = state.order if K is None else K
-    return normalize_function(lambda x: evaluate_state(state, x, lam, K), state.radial)
+    return normalize_function(_state_psi(state, lam, K), state.radial)
 
 
 def hamiltonian_residual(state: StateRep, chain: ChainSolution, K: int | None = None) -> list[LaurentPoly]:
@@ -314,7 +444,7 @@ def count_nodes(state: StateRep, lam: float, K: int | None = None) -> int:
     else:
         hi = _NODE_HALF_WIDTH
         xs = [-hi + 2 * hi * i / _NODE_SAMPLES for i in range(_NODE_SAMPLES + 1)]
-    vals = [evaluate_state(state, x, lam, K) for x in xs]
+    vals = list(evaluate_state_grid(state, xs, lam, K))
     start, end = 0, len(vals)
     while end - start > 2 and abs(vals[end - 1]) > abs(vals[end - 2]):
         end -= 1

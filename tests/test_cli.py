@@ -170,7 +170,8 @@ def test_critical_resume_skips_done_cells(tmp_path, monkeypatch):
     progress = tmp_path / "progress.json"
     sentinel = {"1,0": {"n": 1, "l": 0, "lambda_c": 123.0, "uncertainty": 0.0,
                         "pade_used": "sentinel", "notes": []}}
-    progress.write_text(json.dumps(sentinel))
+    parameters = {"K": 30, "pade": "15/14,14/14", "embed_approximants": False}
+    progress.write_text(json.dumps({"parameters": parameters, "cells": sentinel}))
     out = tmp_path / "t.csv"
     assert run(["critical", "--nmax", "1", "--resume", str(progress), "--out", str(out)]) == 0
     _, _, rows = read_csv(out)
@@ -194,7 +195,7 @@ def test_critical_resume_saves_each_group(tmp_path, monkeypatch):
     monkeypatch.setattr("seaqm.cli.critical_lambda", fake)
     assert run(argv) == 3
     assert calls == [(1, 0), (2, 0), (2, 1)]
-    assert sorted(json.loads(progress.read_text())) == ["1,0", "2,0"]
+    assert sorted(json.loads(progress.read_text())["cells"]) == ["1,0", "2,0"]
     assert not progress.with_name("progress.json.tmp").exists()
     calls.clear()
     fail_on.clear()
@@ -202,7 +203,34 @@ def test_critical_resume_saves_each_group(tmp_path, monkeypatch):
     assert calls == [(2, 1)]  # only the failed group is computed again
     _, _, rows = read_csv(out)
     assert [float(r[2]) for r in rows] == [10.0, 20.0, 21.0]
-    assert sorted(json.loads(progress.read_text())) == ["1,0", "2,0", "2,1"]
+    assert sorted(json.loads(progress.read_text())["cells"]) == ["1,0", "2,0", "2,1"]
+
+
+def test_critical_resume_rejects_changed_parameters(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SEA_THREADS", "1")
+    progress = tmp_path / "progress.json"
+    out = tmp_path / "t.csv"
+    monkeypatch.setattr(
+        "seaqm.cli.critical_lambda",
+        lambda n, l, order, pair: seaqm.resummation.CriticalResult(n, l, 1.0, 0.0, "fake"),
+    )
+    argv = ["critical", "--nmax", "1", "--resume", str(progress), "--out", str(out)]
+    assert run(argv + ["--K", "30"]) == 0
+    assert json.loads(progress.read_text())["parameters"] == {
+        "K": 30, "pade": "15/14,14/14", "embed_approximants": False,
+    }
+    saved = progress.read_text()
+    capsys.readouterr()
+    assert run(argv + ["--K", "20"]) == 2
+    assert "--K 30, this run has --K 20" in capsys.readouterr().err
+    assert run(argv + ["--pade", "10/9,9/9"]) == 2
+    assert '--pade "15/14,14/14", this run has --pade "10/9,9/9"' in capsys.readouterr().err
+    assert run(argv + ["--format", "json", "--embed-approximants"]) == 2
+    assert "--embed-approximants false, this run has --embed-approximants true" in capsys.readouterr().err
+    assert progress.read_text() == saved  # a rejected run leaves the file alone
+    progress.write_text(json.dumps({"1,0": {"n": 1, "l": 0}}))  # cells without parameters
+    assert run(argv) == 2
+    assert "holds no run parameters" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------ wavefunction --
@@ -417,7 +445,7 @@ def test_critical_parallel_pool(tmp_path, monkeypatch):
         ["critical", "--nmax", "2", "--format", "json", "--embed-approximants",
          "--resume", str(progress), "--out", str(out)]
     ) == 0
-    assert sorted(json.loads(progress.read_text())) == ["1,0", "2,0", "2,1"]
+    assert sorted(json.loads(progress.read_text())["cells"]) == ["1,0", "2,0", "2,1"]
     doc = json.loads(out.read_text())
     cell = {(rec["n"], rec["l"]): rec for rec in doc["data"]}
     assert abs(cell[(2, 1)]["lambda_c"] - 0.3767388) <= 5e-7

@@ -4,15 +4,28 @@ the values below (recorded with those loops, as float.hex) must come out
 bit for bit."""
 
 import math
+import struct
+from functools import lru_cache, partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import seaqm.states
 from seaqm.engine import Anharmonic, Hulthen
-from seaqm.errors import DomainError
-from seaqm.exact import LambdaSeries, LaurentPoly
+from seaqm.errors import DomainError, NonNormalizable
+from seaqm.exact import LambdaSeries, LaurentPoly, horner
 from seaqm.resummation import pade, pade_eval
 from seaqm.spectra import evaluate_truncated, hulthen_energy_series
-from seaqm.states import StateRep, build_eigenstate, evaluate_state, state_lambda_series
+from seaqm.states import (
+    StateRep,
+    _scan_cutoff,
+    _state_psi,
+    build_eigenstate,
+    evaluate_state,
+    evaluate_state_grid,
+    state_lambda_series,
+)
 
 P = LaurentPoly
 
@@ -127,3 +140,175 @@ def test_order_beyond_state_rejected_by_both_evaluators(hulthen_52):
         evaluate_state(hulthen_52, 1.0, 0.02, K=15)
     with pytest.raises(DomainError):
         state_lambda_series(hulthen_52, 1.0, K=15)
+
+
+def test_laurent_sum_runs_left_to_right():
+    # a compensated sum (Python 3.12's `sum`) would give 1.0
+    assert LaurentPoly({0: 10**16, 1: 1, 2: -10**16})(1.0) == 0.0
+
+
+# -- the array and scalar kernels against the LaurentPoly evaluation ---------------
+
+
+def _bits(v: float) -> bytes:
+    return struct.pack("<d", v)
+
+
+def _reference_pointwise(state, x, K):
+    """Per-polynomial `LaurentPoly.__call__` values, with the origin and
+    radial rules of `evaluate_state`."""
+    if state.radial and x < 0:
+        raise DomainError("radial")
+    Q = state._xp_prefactor[: K + 1]
+    if x == 0.0:
+        if any(p.min_exponent is not None and p.min_exponent < 0 for p in Q):
+            raise DomainError("pole")
+        return [float(p.coeff(0)) for p in Q], [0.0] * K
+    return [p(x) for p in Q], [state.G[k](x) for k in range(1, K + 1)]
+
+
+def _reference_psi(state, x, lam, K):
+    q, g = _reference_pointwise(state, x, K)
+    pref = horner(q, lam)
+    expo = -state.decay(x) - horner(g, lam) * lam
+    return math.copysign(math.inf, pref) if expo > 709.0 else pref * math.exp(expo)
+
+
+def _reference_series(state, x, K):
+    q, g = _reference_pointwise(state, x, K)
+    E = [1.0]
+    for m in range(1, K + 1):
+        acc = 0
+        for j in range(1, m + 1):
+            acc = acc + j * g[j - 1] * E[m - j]
+        E.append(-acc / m)
+    base = math.exp(-state.decay(x))
+    out = []
+    for k in range(K + 1):
+        acc = 0
+        for m in range(k + 1):
+            acc = acc + q[m] * E[k - m]
+        out.append(base * acc)
+    return out
+
+
+def _outcome(fn, *args):
+    """The bits of fn's value, or the name of the error it raises."""
+    try:
+        v = fn(*args)
+    except (DomainError, OverflowError) as exc:
+        return type(exc).__name__
+    return [_bits(c) for c in v] if isinstance(v, list) else _bits(v)
+
+
+# name: (family, order, labels, physical abscissae, couplings)
+STATES = {
+    "hulthen (5,2)": (Hulthen(2), 14, {"n": 5, "l": 2}, (0.0, 150.0), 0.03),
+    "hulthen (6,3)": (Hulthen(3), 14, {"n": 6, "l": 3}, (0.0, 200.0), 0.015),
+    "anharmonic r=0": (Anharmonic(), 8, {"r": 0}, (-40.0, 40.0), 0.3),
+    "anharmonic r=1": (Anharmonic(), 8, {"r": 1}, (-40.0, 40.0), 0.3),
+    "anharmonic r=2": (Anharmonic(), 8, {"r": 2}, (-40.0, 40.0), 0.3),
+}
+
+
+@lru_cache(maxsize=None)
+def _state(name):
+    family, K, labels, _, _ = STATES[name]
+    return build_eigenstate(family, K, **labels)
+
+
+# the origin, tiny and negative abscissae, and abscissae past about 1e16,
+# where a power overflows
+edge_abscissae = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e-3, 1e-3), st.floats(-1e30, 1e30))
+
+
+@given(
+    data=st.data(),
+    name=st.sampled_from(sorted(STATES)),
+    K=st.one_of(st.none(), st.integers(0, 14)),
+    block=st.sampled_from([1, 4, 7, 256]),
+)
+@settings(max_examples=150, deadline=None)
+def test_kernels_match_laurent_evaluation_bit_for_bit(data, name, K, block):
+    _, _, _, (lo, hi), lam_max = STATES[name]
+    state = _state(name)
+    K = None if K is None else min(K, state.order)
+    order = state.order if K is None else K
+    xs = data.draw(st.lists(st.floats(lo, hi), min_size=1, max_size=40))
+    xs += data.draw(st.lists(edge_abscissae, max_size=2))
+    xs = data.draw(st.permutations(xs))
+    lam = data.draw(st.floats(-lam_max, lam_max))
+    expected = []
+    for x in xs:
+        expected.append(_outcome(_reference_psi, state, x, lam, order))
+        assert _outcome(evaluate_state, state, x, lam, K) == expected[-1]
+        assert _outcome(state_lambda_series, state, x, K) == _outcome(_reference_series, state, x, order)
+        if isinstance(expected[-1], str):
+            break
+    got = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(seaqm.states, "_BLOCK", block)
+        try:
+            got.extend(_bits(v) for v in evaluate_state_grid(state, xs, lam, K))
+        except (DomainError, OverflowError) as exc:
+            got.append(type(exc).__name__)
+    assert got == expected
+
+
+def test_kernel_examples_cover_overflow_and_signed_zeros():
+    # psi^2 overflows from |x| = 31.75 on anharmonic r = 0 at K = 2,
+    # lambda = 0.01, a power (degree 6 at most) overflows at x = 1e60, and the Hulthen (5,2)
+    # state is a signed zero at the origin
+    state = build_eigenstate(Anharmonic(), 2, r=0)
+    xs = [-32.0, -6.5, 0.0, 2.0, 6.5, 32.0]
+    values = list(evaluate_state_grid(state, xs, 0.01))
+    assert [_bits(v) for v in values] == [_outcome(_reference_psi, state, x, 0.01, 2) for x in xs]
+    with pytest.raises(OverflowError):
+        values[-1] ** 2
+    with pytest.raises(OverflowError):
+        list(evaluate_state_grid(state, [1.0, 1e60], 0.01))
+    hulthen = _state("hulthen (5,2)")
+    at_origin = list(evaluate_state_grid(hulthen, [-0.0, 0.0, 3.0], -0.02))
+    assert [_bits(v) for v in at_origin] == [_outcome(_reference_psi, hulthen, x, -0.02, 14) for x in (-0.0, 0.0, 3.0)]
+    assert _bits(at_origin[0]) in (_bits(0.0), _bits(-0.0))
+
+
+def _scan_outcome(grid, stop):
+    try:
+        return _scan_cutoff(grid, stop)
+    except NonNormalizable as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("block", [1, 5, 256])
+@pytest.mark.parametrize(
+    "family, K, labels, lam, ending",
+    [
+        (Anharmonic(), 2, {"r": 0}, 0.01, None),  # the block holding the cutoff overflows past it
+        (Hulthen(2), 14, {"n": 5, "l": 2}, 0.02, None),
+        (Hulthen(1), 10, {"n": 2, "l": 1}, 0.3, "overflows at x = 43.5"),
+        (Anharmonic(), 6, {"r": 1}, 1.0, "diverges at x = "),
+    ],
+)
+def test_scan_in_blocks_matches_a_point_walk(family, K, labels, lam, ending, block, monkeypatch):
+    monkeypatch.setattr(seaqm.states, "_BLOCK", block)
+    psi = _state_psi(build_eigenstate(family, K, **labels), lam, None)
+    for stop in (2000.0,) if family.radial else (2000.0, -2000.0):
+        blocked = _scan_outcome(psi.grid, stop)
+        assert blocked == _scan_outcome(partial(map, psi), stop)
+        if ending is None:
+            assert isinstance(blocked, float)
+        else:
+            assert ending in blocked
+
+
+def test_scan_block_runs_past_overflowing_points():
+    # anharmonic r = 0 at K = 2, lambda = 0.01: the density falls below the
+    # tail cutoff at |x| = 6; further out the truncated exponent turns around
+    # and psi^2 overflows from |x| = 31.75, inside the same block of the scan
+    psi = _state_psi(build_eigenstate(Anharmonic(), 2, r=0), 0.01, None)
+    assert _scan_cutoff(psi.grid, 2000.0) == 6.0
+    assert _scan_cutoff(psi.grid, -2000.0) == -6.0
+    past = [2000.0 * i / seaqm.states._SCAN_POINTS for i in range(25, seaqm.states._BLOCK)]
+    with pytest.raises(OverflowError):
+        [psi(x) ** 2 for x in past]
