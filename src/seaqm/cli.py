@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -28,7 +29,7 @@ from pathlib import Path
 
 from . import __version__
 from .engine import Anharmonic, Hulthen, ProblemFamily, solve_chain
-from .errors import SeaError
+from .errors import DomainError, SeaError
 from .exact import rational_to_str
 from .oracle import (
     ValidationRecord,
@@ -307,20 +308,30 @@ def cmd_critical(args: argparse.Namespace) -> int:
     else:
         for task in tasks:
             record(_critical_group(task))
-    rows = []
-    for n, l in cells:
-        rec = done[f"{n},{l}"]
-        rows.append([n, l, float(rec["lambda_c"]), float(rec["uncertainty"]), rec["pade_used"]])
+    data = [done[f"{n},{l}"] for n, l in cells]  # the JSON table keeps whole records
+    rows = [[n, l, float(rec["lambda_c"]), float(rec["uncertainty"]), rec["pade_used"]]
+            for (n, l), rec in zip(cells, data)]
     meta = _metadata(args, order=order, pade_pair=[list(pair[0]), list(pair[1])])
-    if args.format == "json":
-        data = [done[f"{n},{l}"] for n, l in cells]
-        _emit(args, meta, ["n", "l", "lambda_c", "uncertainty", "pade_used"], rows, data=data)
-    else:
-        _emit(args, meta, ["n", "l", "lambda_c", "uncertainty", "pade_used"], rows)
+    _emit(args, meta, ["n", "l", "lambda_c", "uncertainty", "pade_used"], rows, data=data)
     return EXIT_OK
 
 
 # ---------------------------------------------------------- wavefunction ----
+
+
+def _wavefunction_row(x: float, v: float, norm: float) -> list[float]:
+    """One output row; DomainError once psi squared or the normalized density overflows."""
+    try:
+        row = [x, v, v * v, norm * v, (norm * v) ** 2]
+        if math.isfinite(row[2]) and math.isfinite(row[4]):
+            return row
+    except OverflowError:
+        pass
+    raise DomainError(
+        f"psi or its square is no longer finite at x = {x:.6g} (psi = {v:.6g}): the truncated "
+        "exponent turns around there and psi grows without bound; end the x range earlier or "
+        "use a smaller lambda"
+    )
 
 
 def cmd_wavefunction(args: argparse.Namespace) -> int:
@@ -345,7 +356,7 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
     else:
         norm = normalize(state, lam)
         values = evaluate_state_grid(state, xs, lam)
-    rows = [[x, v, v * v, norm * v, (norm * v) ** 2] for x, v in zip(xs, values)]
+    rows = [_wavefunction_row(x, v, norm) for x, v in zip(xs, values)]
     labels = {
         "family": state.family.name,
         "n": state.n,

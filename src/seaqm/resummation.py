@@ -1,16 +1,15 @@
 """Pade resummation of truncated coupling series.
 
-For exact series (energies, critical couplings) the linear system for the
-denominator is solved exactly (high-order Hankel systems are catastrophically
-ill-conditioned in floating point): the series is scaled to integers, the
-system solved by fraction-free Bareiss elimination, and every re-expansion
-row checked in integers.  Only the final evaluation, the vectorized root scan
-and the bisection are floating point.  Series that are only known
-as floats (a wavefunction's coupling series at one x) get a low-order float
-Pade by one LU solve, with the same fallback and pole rules.
-Critical screening strengths are located as the zero crossing of the resummed
-level and reported as the mean of two approximants with the half-difference
-as the uncertainty.
+For exact series (energies, critical couplings) `pade` finds the denominator
+exactly (high-order Hankel systems are catastrophically ill-conditioned in
+floating point), on rows scaled to integers one by one, with one Bareiss
+elimination shared by [m/n] and [m-1/n], and checks every re-expansion row in
+integers.  Only the final evaluation, the vectorized root scan and the
+bisection are floating point.  Float-only series (a wavefunction's coupling
+series at one x) get a low-order float Pade by one LU solve, with the same
+fallback and pole rules.  Critical screening strengths are the zero crossing
+of the resummed level, reported as the mean of two approximants with the
+half-difference as the uncertainty.
 """
 
 from __future__ import annotations
@@ -18,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -84,46 +84,92 @@ def _check_orders(series: Sequence, m: int, n: int) -> None:
         raise ValueError(f"[{m}/{n}] needs {m + n + 1} coefficients, got {len(series)}")
 
 
+def _row(c: list[Fraction], t: int, n: int) -> list[int]:
+    """Row t of the Pade system, sum_j c_{t-j} q_j = 0 (j = 0..n), from c padded
+    with n zeros in front, scaled to coprime integers on its own."""
+    row = c[t : t + n + 1][::-1]
+    L = lcm(*(x.denominator for x in row))
+    row = [x.numerator * (L // x.denominator) for x in row]
+    g = gcd(*row) or 1
+    return [a // g for a in row]
+
+
+def _kernel(rows: list[list[int]], width: int) -> list[list[int]]:
+    """Integer kernel basis of `rows` by fraction-free (Bareiss) echelon form with
+    column pivoting, on columns divided by their content: one Cramer vector per
+    free column, mapped back to the original columns."""
+    g = [gcd(*col) or 1 for col in zip(*rows)] or [1] * width
+    L = lcm(*g)
+    M = [[a // gj for a, gj in zip(row, g)] for row in rows]
+    pivots, det = [], 1
+    for col in range(width):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(M)) if M[i][col]), None)
+        if piv is None:
+            continue
+        M[r], M[piv] = M[piv], M[r]
+        pivot, top = M[r][col], M[r]
+        for i in range(r + 1, len(M)):
+            f, row = M[i][col], M[i]
+            M[i] = [(pivot * row[j] - f * top[j]) // det for j in range(width)]
+        det = pivot
+        pivots.append(col)
+    basis = []
+    for free in (j for j in range(width) if j not in pivots):
+        x = [0] * width
+        x[free] = det
+        for i, p in reversed(list(enumerate(pivots))):
+            x[p] = -sum(map(mul, M[i][p + 1 :], x[p + 1 :])) // M[i][p]
+        basis.append([xj * (L // gj) for xj, gj in zip(x, g)])
+    return basis
+
+
+# process-local memo of row-block kernels by n and values, each taken once; cleared when full
+_KERNELS: dict[tuple, list[list[int]]] = {}
+_KERNELS_SIZE = 8
+
+
 def pade(series: Sequence[Fraction], m: int, n: int) -> PadeApproximant:
     """Exact [m/n] approximant of a truncated series.
 
     Needs at least m + n + 1 coefficients.  Raises SingularPadeSystem when the
     Hankel system for the denominator has no unique solution (callers may
-    retry with a smaller n).
+    retry with a smaller n).  The kernel K1, K2 of the integer rows m+1..m+n
+    but one end and the row e left out give Y = (e.K2) K1 - (e.K1) K2, singular
+    exactly when Y_0 = 0.  A call takes the kernel of its rows but the top one
+    if [m+1/n] left it, else stores that of its rows but the bottom one: [m/n]
+    then [m-1/n] eliminate once.  Every row gets the integer re-expansion check.
     """
     _check_orders(series, m, n)
-    coeffs = [Fraction(c) for c in series[: m + n + 1]]
-    # a_i = D c_i are integers; rows i = 1..n of the Hankel system read
-    # sum_{j=1..n} a_{m+i-j} q_j = -a_{m+i}, solved by Bareiss elimination
+    coeffs = [c if type(c) is Fraction else Fraction(c) for c in series[: m + n + 1]]
+    Y = [1]
+    if n:
+        padded = [Fraction(0)] * n + coeffs
+        key = lambda lo, hi: (n, *(c.as_integer_ratio() for c in padded[lo : hi + n + 1]))
+        t, basis = m + 1, _KERNELS.pop(key(m + 2, m + n), None)
+        if basis is None:
+            t, basis = m + n, _kernel([_row(padded, s, n) for s in range(m + 1, m + n)], n + 1)
+            if len(_KERNELS) >= _KERNELS_SIZE:
+                _KERNELS.clear()
+            _KERNELS[key(m + 1, m + n - 1)] = basis
+        e = _row(padded, t, n)
+        K1, K2, *rank_deficient = basis  # a third vector: singular, and Y_0 = 0 then too
+        d1, d2 = sum(map(mul, e, K1)), sum(map(mul, e, K2))
+        Y = [d2 * a - d1 * b for a, b in zip(K1, K2)]
+        if rank_deficient or Y[0] == 0:
+            raise SingularPadeSystem(f"[{m}/{n}] denominator system is singular")
+        g = gcd(*Y)
+        Y = [y // g for y in Y]
     D = lcm(*(c.denominator for c in coeffs))
     a = [c.numerator * (D // c.denominator) for c in coeffs]
-    M = [[a[m + i - j] if m + i >= j else 0 for j in range(1, n + 1)] + [-a[m + i]]
-         for i in range(1, n + 1)]
-    det = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if piv is None:
-            raise SingularPadeSystem(f"[{m}/{n}] denominator system is singular")
-        M[col], M[piv] = M[piv], M[col]
-        pivot, top = M[col][col], M[col]
-        for r in range(col + 1, n):
-            f, row = M[r][col], M[r]
-            M[r] = [(pivot * row[j] - f * top[j]) // det for j in range(n + 1)]
-        det = pivot
-    # y_j = det q_j are integers (Cramer); Y = (det, y_1, ..., y_n)
-    Y = [0] * n
-    for r in range(n - 1, -1, -1):
-        row = M[r]
-        Y[r] = (det * row[n] - sum(row[j] * Y[j] for j in range(r + 1, n))) // row[r]
-    Y = [det] + Y
     conv = [sum(Y[j] * a[k - j] for j in range(min(k, n) + 1)) for k in range(m + n + 1)]
     # with q_0 = 1 the re-expansion matches the series through m + n exactly
     # when every convolution term past the numerator vanishes
     if any(conv[m + 1 :]):
         raise SingularPadeSystem(f"[{m}/{n}] re-expansion check failed")
     return PadeApproximant(
-        m, n, tuple(Fraction(c, det * D) for c in conv[: m + 1]),
-        tuple(Fraction(y, det) for y in Y),
+        m, n, tuple(Fraction(c, Y[0] * D) for c in conv[: m + 1]),
+        tuple(Fraction(y, Y[0]) for y in Y),
     )
 
 
@@ -342,18 +388,11 @@ def critical_lambda(
             return CriticalResult(
                 n, l, float(root), 0.0, "closed-form quadratic", ("series terminates at k=2",)
             )
-    roots = []
-    approximants = []
-    notes: list[str] = []
-    for (mm, nn) in pade_pair:
-        root, P, ns = _track_root(series, mm, nn)
-        roots.append(root)
-        approximants.append(P)
-        notes.extend(ns)
-    lam_c = 0.5 * (roots[0] + roots[1])
-    unc = 0.5 * abs(roots[0] - roots[1])
-    used = " ".join(f"[{P.m}/{P.n}]" for P in approximants)
-    return CriticalResult(n, l, lam_c, unc, used, tuple(notes), tuple(approximants))
+    (root0, P0, notes0), (root1, P1, notes1) = (_track_root(series, *o) for o in pade_pair)
+    return CriticalResult(
+        n, l, 0.5 * (root0 + root1), 0.5 * abs(root0 - root1), f"[{P0.m}/{P0.n}] [{P1.m}/{P1.n}]",
+        tuple(notes0 + notes1), (P0, P1),
+    )
 
 
 def pade_pair_value(

@@ -315,6 +315,22 @@ def test_wavefunction_computation_failure_exit_3(tmp_path, capsys):
     )
 
 
+def test_wavefunction_overflowing_row_exit_3(capsys):
+    # normalizable, but far out on this grid the truncated exponent turns
+    # around and psi squared overflows: a typed error naming the first such x
+    assert run(
+        ["wavefunction", "hulthen", "--n", "3", "--l", "0", "--K", "10", "--lambda", "0.05",
+         "--x-range=0:3000:301"]
+    ) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "computation failed: psi or its square is no longer finite at x = 250 "
+        "(psi = -5.14718e+170): the truncated exponent turns around there and psi grows "
+        "without bound; end the x range earlier or use a smaller lambda\n"
+    )
+
+
 def test_wavefunction_pade_rejects_negative_radial_x_exit_3(capsys):
     assert run(
         ["wavefunction", "hulthen", "--n", "2", "--l", "1", "--K", "10", "--lambda", "0.1",

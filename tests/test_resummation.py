@@ -4,12 +4,14 @@ import json
 import math
 from fractions import Fraction
 from math import factorial
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from make_pade_digests import DIGEST_FILE, golden_pade_digests
+from make_pade_digests import DIGEST_FILE, golden_pade_digests, pade_digest
+from seaqm import resummation
 from seaqm.errors import NoSignChange, PoleProximity, SingularPadeSystem
 from seaqm.resummation import (
     PadeApproximant,
@@ -23,7 +25,7 @@ from seaqm.resummation import (
     reconstruct_energy,
     reexpand,
 )
-from seaqm.spectra import hulthen_energy_series
+from seaqm.spectra import anharmonic_energy_series, hulthen_energy_series
 
 F = Fraction
 
@@ -136,6 +138,55 @@ def test_pade_matches_fraction_elimination(case):
             pade(series, m, n)
         return
     assert pade(series, m, n) == expected
+
+
+def _pade_or_singular(series, m, n, build):
+    try:
+        return build(series, m, n)
+    except SingularPadeSystem:
+        return SingularPadeSystem
+
+
+@given(_pade_case().filter(lambda case: case[1] >= 1 and case[2] >= 1))
+@example(([F(1), F(0), F(2), F(3)], 1, 2))
+@example(([F(1), F(2), F(3)] + [F(0)] * 6, 4, 4))  # shared rows lose rank
+@example(([F(1), F(0), F(-1, 6), F(0), F(5, 72), F(0), F(-7, 144), F(0)], 4, 3))  # checkerboard
+@settings(max_examples=200, deadline=None)
+def test_pade_pairs_share_one_elimination(case):
+    # [m/n] then [m-1/n] eliminates the shared rows once; the reverse order
+    # eliminates twice (once if two row blocks happen to be equal) and cold
+    # builds once each; all equal the Fraction reference
+    series, m, n = case
+    expected = {mm: _pade_or_singular(series, mm, n, _reference_pade) for mm in (m, m - 1)}
+    for order, eliminations in (((m, m - 1), {1}), ((m - 1, m), {1, 2})):
+        resummation._KERNELS.clear()
+        with mock.patch.object(resummation, "_kernel", wraps=resummation._kernel) as kernel:
+            assert {mm: _pade_or_singular(series, mm, n, pade) for mm in order} == expected
+        assert kernel.call_count in eliminations
+    for mm in (m, m - 1):
+        resummation._KERNELS.clear()
+        assert _pade_or_singular(series, mm, n, pade) == expected[mm]
+
+
+def test_kernel_memo_stays_bounded():
+    resummation._KERNELS.clear()
+    series = [F(1, k + 1) for k in range(40)]
+    for n in range(1, 4 * resummation._KERNELS_SIZE):
+        for m in (2, 1):
+            pade(series, m, n)
+            assert len(resummation._KERNELS) <= resummation._KERNELS_SIZE
+
+
+def test_anharmonic_pairs_through_shared_kernel_match_golden_digests():
+    expected = json.loads(DIGEST_FILE.read_text())
+    for r in (0, 1):
+        coeffs = anharmonic_energy_series(r, 41).coeffs
+        resummation._KERNELS.clear()
+        with mock.patch.object(resummation, "_kernel", wraps=resummation._kernel) as kernel:
+            pair = [pade(coeffs, 21, 20), pade(coeffs, 20, 20)]
+        assert kernel.call_count == 1
+        for P in pair:
+            assert pade_digest(P) == expected[f"anharmonic r={r} K=41 [{P.m}/{P.n}]"]
 
 
 def test_golden_pade_digests():
