@@ -6,13 +6,15 @@ Subcommands
 - ``energy``: energy curves over a coupling range (truncations + resummation).
 - ``critical``: the table of critical screening strengths.
 - ``wavefunction``: normalized probability-density samples.
-- ``validate``: cross-checks against reference data and the numerical oracle.
+- ``validate``: runs the suites of `seaqm.validation` and reports them.
 
-Every output embeds a metadata header (command, parameters, package version,
-series order).  The CSV and JSON variants of a run carry the same numeric
-content.  ``SEA_THREADS`` bounds the worker pool used for the critical table;
-exit codes are 2 for parameter validation problems, 3 for computation
-failures, and 1 for a validation mismatch in ``validate``.
+The frontend only parses and emits: the library computes, and the problem
+families check the ranges of the level labels.  Every output embeds a metadata
+header (command, parameters, package version, series order).  The CSV and JSON
+variants of a run carry the same numeric content.  ``SEA_THREADS`` bounds the
+worker pool used for the critical table; exit codes are 2 for parameter
+validation problems, 3 for computation failures, and 1 for a validation
+mismatch in ``validate``.
 """
 
 from __future__ import annotations
@@ -23,43 +25,15 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from fractions import Fraction
-from functools import partial
 from pathlib import Path
 
 from . import __version__
 from .engine import Anharmonic, Hulthen, ProblemFamily, solve_chain
 from .errors import DomainError, SeaError
 from .exact import rational_to_str
-from .oracle import (
-    ValidationRecord,
-    anharmonic_numeric,
-    default_anharmonic_grid,
-    default_hulthen_grid,
-    hulthen_numeric,
-)
-from .reference import (
-    ANHARMONIC_COEFFICIENT_ORDERS,
-    BENDER_WU,
-    CRITICAL_SCREENING,
-    HULTHEN_COEFFICIENT_ORDERS,
-    anharmonic_energy_coefficient,
-    critical_tolerance,
-    critical_value,
-    hulthen_energy_coefficient,
-)
-from .resummation import (
-    critical_lambda,
-    float_pade_eval,
-    pade_pair_value,
-    pade_with_fallback,
-    reconstruct_energy,
-)
-from .spectra import (
-    anharmonic_energy_series,
-    evaluate_truncated,
-    hulthen_energy_series,
-)
+from .reference import CRITICAL_SCREENING, critical_value
+from .resummation import critical_lambda, float_pade_eval, pade_pair_value, pade_with_fallback
+from .spectra import EnergySeries, anharmonic_energy_series, evaluate_truncated, hulthen_energy_series
 from .states import (
     build_eigenstate,
     evaluate_state_grid,
@@ -67,6 +41,7 @@ from .states import (
     normalize_function,
     state_lambda_series,
 )
+from .validation import coefficient_suite, oracle_suite, table1_suite
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -76,9 +51,12 @@ EXIT_COMPUTE = 3
 
 def _worker_count() -> int:
     env = os.environ.get("SEA_THREADS")
-    if env:
+    if not env:
+        return min(os.cpu_count() or 1, 8)
+    try:
         return max(1, int(env))
-    return min(os.cpu_count() or 1, 8)
+    except ValueError:
+        raise ValueError(f"SEA_THREADS must be a positive integer, got {env!r}") from None
 
 
 def _grid(a: float, b: float, steps: int) -> list[float]:
@@ -139,6 +117,18 @@ def _problem(args: argparse.Namespace) -> tuple[ProblemFamily, int]:
     return family, family.rung_of(args.n, args.l, args.r)
 
 
+def _energy_series(args: argparse.Namespace, K: int) -> EnergySeries:
+    """The exact energy series through order K of the level on the command line."""
+    if args.family == "hulthen":
+        return hulthen_energy_series(args.n, args.l, K)
+    return anharmonic_energy_series(args.r, K)
+
+
+def _tabulated_lambda_c(args: argparse.Namespace) -> float | None:
+    """The tabulated critical coupling of the command line's Hulthen level, if any."""
+    return critical_value(args.n, args.l) if (args.n, args.l) in CRITICAL_SCREENING else None
+
+
 def _metadata(args: argparse.Namespace, **extra) -> dict:
     params = {k: v for k, v in vars(args).items() if k not in ("func",) and v is not None}
     params = {k: (list(v) if isinstance(v, tuple) else v) for k, v in params.items()}
@@ -159,8 +149,13 @@ def _emit(args: argparse.Namespace, metadata: dict, header: list[str], rows: lis
         for row in rows:
             lines.append(",".join(_csv_cell(v) for v in row))
         text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
+    _write(args.out, text)
+
+
+def _write(path: str | Path | None, text: str) -> None:
+    """Write `text` to the file `path`, or to stdout when no path is given."""
+    if path:
+        Path(path).write_text(text)
     else:
         sys.stdout.write(text)
 
@@ -175,25 +170,16 @@ def _csv_cell(v) -> str:
 
 
 def cmd_coeffs(args: argparse.Namespace) -> int:
-    if args.family == "hulthen":
-        series = hulthen_energy_series(args.n, args.l, args.K)
-    else:
-        series = anharmonic_energy_series(args.r, args.K)
-    rows = [
-        [k, decimal, rational_to_str(series.coeffs[k])]
-        for k, decimal in series.to_csv_rows()
-    ]
+    series = _energy_series(args, args.K)
+    rows = [[k, decimal, rational_to_str(series.coeffs[k])] for k, decimal in series.to_csv_rows()]
     meta = _metadata(args, series=series.to_json())
     _emit(args, meta, ["k", "coefficient", "exact"], rows)
     if args.with_superpotential:
-        side = Path(args.out).with_suffix(".superpotential.json") if args.out else None
         family, rung = _problem(args)
         chain = solve_chain(family, rung, args.K)
         doc = json.dumps({"metadata": _metadata(args), "chain": chain.to_json()}, indent=2)
-        if side:
-            side.write_text(doc + "\n")
-        else:
-            sys.stdout.write(doc + "\n")
+        side = Path(args.out).with_suffix(".superpotential.json") if args.out else None
+        _write(side, doc + "\n")
     return EXIT_OK
 
 
@@ -205,18 +191,11 @@ def cmd_energy(args: argparse.Namespace) -> int:
     K_max = max(max(K_list), args.K)
     pair = args.pade or _default_pade_pair(K_max)
     K_max = max(K_max, pair[0][0] + pair[0][1], pair[1][0] + pair[1][1])
-    if args.family == "hulthen":
-        series = hulthen_energy_series(args.n, args.l, K_max)
-        bound_hint = critical_value(args.n, args.l) if (args.n, args.l) in CRITICAL_SCREENING else None
-    else:
-        series = anharmonic_energy_series(args.r, K_max)
-        bound_hint = None
+    series = _energy_series(args, K_max)
+    bound_hint = _tabulated_lambda_c(args)
     lams = args.lambda_range or [args.lam]
     if bound_hint is not None and any(l > bound_hint for l in lams):
-        print(
-            f"warning: range extends beyond the critical coupling {bound_hint:.6g}",
-            file=sys.stderr,
-        )
+        print(f"warning: range extends beyond the critical coupling {bound_hint:.6g}", file=sys.stderr)
     header = ["lambda"] + [f"K{k}" for k in K_list] + ["pade", "uncertainty"]
     first, second = (pade_with_fallback(series.coeffs, m, n) for m, n in pair)
     rows = []
@@ -338,7 +317,7 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
     family, _ = _problem(args)
     state = build_eigenstate(family, args.K, n=args.n, l=args.l, r=args.r)
     if family.radial:
-        lam_c = critical_value(args.n, args.l) if (args.n, args.l) in CRITICAL_SCREENING else None
+        lam_c = _tabulated_lambda_c(args)
         if lam_c is not None and args.lam >= lam_c:
             print(f"error: lam={args.lam} at or beyond critical {lam_c:.6g}", file=sys.stderr)
             return EXIT_USAGE
@@ -371,128 +350,30 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
     header = ["x", "psi", "psi_squared", "psi_normalized", "psi_squared_normalized"]
     _emit(args, meta, header, rows)
     if args.out and args.format == "csv":
-        sidecar = Path(args.out).with_suffix(".meta.json")
-        sidecar.write_text(json.dumps(labels, indent=2) + "\n")
+        _write(Path(args.out).with_suffix(".meta.json"), json.dumps(labels, indent=2) + "\n")
     return EXIT_OK
 
 
 # -------------------------------------------------------------- validate ----
 
 
-def _validate_coefficients(inject_error: bool) -> list[dict]:
-    failures = []
-    checks = 0
-    for n, l in [(1, 0), (2, 0), (2, 1), (3, 1), (4, 2), (5, 4)]:
-        series = hulthen_energy_series(n, l, 10)
-        n2, L2 = Fraction(n * n), Fraction(l * (l + 1))
-        for k in HULTHEN_COEFFICIENT_ORDERS:
-            expected = hulthen_energy_coefficient(k, n2, L2)
-            got = series.coeffs[k]
-            if inject_error and (n, l, k) == (2, 1, 2):
-                got += Fraction(1, 10**6)
-            checks += 1
-            if got != expected:
-                failures.append(
-                    {"check": f"hulthen eps_{k}(n={n},l={l})", "got": str(got), "expected": str(expected)}
-                )
-    for r in range(5):
-        series = anharmonic_energy_series(r, 10)
-        for k in ANHARMONIC_COEFFICIENT_ORDERS:
-            expected = anharmonic_energy_coefficient(k, r)
-            checks += 1
-            if series.coeffs[k] != expected:
-                failures.append(
-                    {"check": f"anharmonic eps_{{{r},{k}}}", "got": str(series.coeffs[k]), "expected": str(expected)}
-                )
-    ground = anharmonic_energy_series(0, 3)
-    for k, a_k in BENDER_WU.items():
-        checks += 1
-        if Fraction(2) ** (k - 1) * ground.coeffs[k] != a_k:
-            failures.append({"check": f"bridge A_{k}", "got": str(ground.coeffs[k]), "expected": str(a_k)})
-    for n in range(1, 7):
-        series = hulthen_energy_series(n, 0, 12)
-        checks += 1
-        if any(series.coeffs[k] != 0 for k in range(3, 13)):
-            failures.append({"check": f"l=0 truncation n={n}", "got": "nonzero tail", "expected": "0"})
-    return [{"suite": "coefficients", "checks": checks, "failures": failures}]
-
-
-def _validate_oracle() -> tuple[list[dict], list[ValidationRecord]]:
-    # each case: problem, level, lam, series, Pade orders for reconstruct_energy,
-    # plain truncation order, grid, oracle eigensolver (count, grid), pass rule
-    cases = [
-        (f"hulthen n={n} l={l}", n - l - 1, lam, hulthen_energy_series(n, l, 30), (15, 14, (14, 14)), 14,
-         default_hulthen_grid(n, lam, critical_value(n, l)), partial(hulthen_numeric, l, lam),
-         lambda rec, unc: rec.rel_diff <= 1e-5)
-        for (n, l, lam) in [(2, 1, 0.1), (3, 2, 0.1)]
-    ] + [
-        (f"anharmonic r={r}", r, lam, anharmonic_energy_series(r, 41), (21, 20, (20, 20)), 5,
-         default_anharmonic_grid(), partial(anharmonic_numeric, lam),
-         lambda rec, unc: rec.abs_diff <= max(unc, 1e-6))
-        for (r, lam) in [(0, 1.0), (1, 1.0)]
-    ]
-    records = []
-    failures = []
-    for problem, level, lam, series, pade_orders, K, grid, eigensolver, passes in cases:
-        value, unc = reconstruct_energy(series, lam, *pade_orders)
-        oracle = eigensolver(level + 1, grid)[level]
-        rec = ValidationRecord(
-            problem=problem,
-            lam=lam,
-            level=level,
-            series_value=evaluate_truncated(series, lam, K),
-            pade_value=value,
-            oracle_value=oracle,
-            abs_diff=abs(value - oracle),
-            rel_diff=abs(value - oracle) / abs(oracle),
-            grid=(grid.x_min, grid.x_max, grid.points),
-        )
-        records.append(rec)
-        if not passes(rec, unc):
-            failures.append({"check": problem, "got": value, "expected": oracle})
-    return [{"suite": "oracle", "checks": len(records), "failures": failures}], records
-
-
-def _validate_table1(nmax: int) -> list[dict]:
-    failures = []
-    checks = 0
-    for n in range(1, nmax + 1):
-        for l in range(n):
-            res = critical_lambda(n, l, 30, ((15, 14), (14, 14)))
-            checks += 1
-            tol = critical_tolerance(n, l)
-            expected = critical_value(n, l)
-            if abs(res.lambda_c - expected) > tol:
-                failures.append(
-                    {"check": f"lambda_c({n},{l})", "got": res.lambda_c, "expected": expected}
-                )
-    return [{"suite": "table1", "checks": checks, "failures": failures}]
-
-
 def cmd_validate(args: argparse.Namespace) -> int:
-    suites = []
-    records: list[ValidationRecord] = []
-    wanted = args.suite
-    if wanted in ("all", "coefficients"):
-        suites.extend(_validate_coefficients(args.inject_error))
-    if wanted in ("all", "oracle"):
-        block, records = _validate_oracle()
-        suites.extend(block)
-    if wanted == "table1":
-        suites.extend(_validate_table1(args.nmax))
+    suites, records = [], []
+    if args.suite in ("all", "coefficients"):
+        suites.append(coefficient_suite(args.inject_error))
+    if args.suite in ("all", "oracle"):
+        suite, records = oracle_suite()
+        suites.append(suite)
+    if args.suite == "table1":
+        suites.append(table1_suite(args.nmax))
     total_failures = sum(len(s["failures"]) for s in suites)
-    meta = _metadata(args)
     payload = {
-        "metadata": meta,
+        "metadata": _metadata(args),
         "suites": suites,
         "records": [r.to_json() for r in records],
         "status": "pass" if total_failures == 0 else "fail",
     }
-    text = json.dumps(payload, indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, json.dumps(payload, indent=2) + "\n")
     for s in suites:
         print(f"suite {s['suite']}: {s['checks']} checks, {len(s['failures'])} failures", file=sys.stderr)
     return EXIT_OK if total_failures == 0 else EXIT_MISMATCH
@@ -576,16 +457,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate_labels(args: argparse.Namespace) -> str | None:
-    if getattr(args, "family", None) == "hulthen":
-        if args.n is None or args.l is None:
-            return "hulthen commands need --n and --l"
-        if args.n < 1 or not 0 <= args.l <= args.n - 1:
-            return f"need n >= 1 and 0 <= l <= n-1, got n={args.n}, l={args.l}"
-    if getattr(args, "family", None) == "anharmonic":
-        if args.r is None:
-            return "anharmonic commands need --r"
-        if args.r < 0:
-            return "need r >= 0"
+    """Presence checks only; the problem families check the labels' ranges."""
+    family = getattr(args, "family", None)
+    if family == "hulthen" and (args.n is None or args.l is None):
+        return "hulthen commands need --n and --l"
+    if family == "anharmonic" and args.r is None:
+        return "anharmonic commands need --r"
     if getattr(args, "K", None) is not None and args.K < 0:
         return "need K >= 0"
     if any(k < 0 for k in getattr(args, "K_list", None) or ()):

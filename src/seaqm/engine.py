@@ -248,6 +248,8 @@ class GenericPerturbed:
     def rung_of(self, n: int | None = None, l: int | None = None, r: int | None = None) -> int:
         if r is None:
             raise ValueError(f"{self.name} states need the label r")
+        if r < 0:
+            raise ValueError(f"need r >= 0, got r={r}")
         return r
 
     def labels(self, r: int) -> dict[str, int]:

@@ -10,8 +10,8 @@ coupling expansion, which is what makes this solver an independent check.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -26,7 +26,6 @@ __all__ = [
     "anharmonic_numeric",
     "default_hulthen_grid",
     "default_anharmonic_grid",
-    "ValidationRecord",
 ]
 
 
@@ -137,23 +136,3 @@ def anharmonic_numeric(lam: float, count: int, grid: GridSpec | None = None) -> 
         grid = default_anharmonic_grid()
     return fd_eigenvalues(lambda x: x**2 + lam * x**4, grid, count)
 
-
-@dataclass(frozen=True)
-class ValidationRecord:
-    """One cross-validation row: series and resummed values against the oracle."""
-
-    problem: str
-    lam: float
-    level: int
-    series_value: float
-    pade_value: float
-    oracle_value: float
-    abs_diff: float
-    rel_diff: float
-    grid: Sequence[float]
-
-    def to_json(self) -> dict:
-        out = asdict(self)
-        out["lambda"] = out.pop("lam")
-        out["grid"] = list(out["grid"])
-        return out

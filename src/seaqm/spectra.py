@@ -78,9 +78,10 @@ def hulthen_energy_series(n: int, l: int, K: int) -> EnergySeries:
 
 def anharmonic_energy_series(r: int, K: int) -> EnergySeries:
     """Energy series of anharmonic level r through order K."""
-    if r < 0 or K < 0:
-        raise ValueError("r and K must be non-negative")
-    chain = solve_chain(Anharmonic(), r, K)
+    if K < 0:
+        raise ValueError("K must be non-negative")
+    family = Anharmonic()
+    chain = solve_chain(family, family.rung_of(r=r), K)
     return EnergySeries(family="anharmonic", r=r, K=K, coeffs=chain.rung(r).energy)
 
 

@@ -7,6 +7,7 @@ import pytest
 
 import seaqm.resummation
 from seaqm.cli import main
+from seaqm.validation import coefficient_suite
 from seaqm.errors import NoSignChange
 
 
@@ -444,6 +445,24 @@ def test_validate_negative_control(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["status"] == "fail"
     assert doc["suites"][0]["failures"]
+    assert doc["suites"][0]["failures"] == [
+        {"check": "hulthen eps_2(n=2,l=1)", "got": "-2499997/3000000", "expected": "-5/6"}
+    ]
+
+
+def test_validate_coefficient_suite_matches_cli(tmp_path):
+    out = tmp_path / "v.json"
+    assert run(["validate", "--suite", "coefficients", "--out", str(out)]) == 0
+    assert coefficient_suite() == json.loads(out.read_text())["suites"][0]
+
+
+@pytest.mark.parametrize("nmax", ["0", "10"])
+def test_validate_table1_nmax_outside_table_exit_2(nmax, tmp_path, capsys):
+    out = tmp_path / "v.json"
+    assert run(["validate", "--suite", "table1", "--nmax", nmax, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "1 <= nmax <= 9" in err and nmax in err
+    assert not out.exists()
 
 
 def test_validate_table1_subset(tmp_path):
@@ -452,6 +471,14 @@ def test_validate_table1_subset(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["suites"][0]["checks"] == 6
     assert doc["status"] == "pass"
+
+
+def test_critical_bad_sea_threads_exit_2(monkeypatch, capsys):
+    monkeypatch.setenv("SEA_THREADS", "abc")
+    assert run(["critical", "--nmax", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "SEA_THREADS must be a positive integer, got 'abc'" in captured.err
+    assert not captured.out
 
 
 def test_critical_parallel_pool(tmp_path, monkeypatch):

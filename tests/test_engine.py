@@ -433,6 +433,17 @@ def test_generic_rejects_pole_in_perturbation():
         GenericPerturbed(lead, P.monomial(-1))
 
 
+def test_families_reject_out_of_range_labels():
+    assert Anharmonic().rung_of(r=3) == 3
+    with pytest.raises(ValueError, match="r=-1"):
+        Anharmonic().rung_of(r=-1)
+    lead = LeadingSuperpotential(pole=F(-1), constant=F(1), linear=F(0), leading_energy=F(-1))
+    with pytest.raises(ValueError, match="r=-2"):
+        GenericPerturbed(lead, P.monomial(1)).rung_of(r=-2)
+    with pytest.raises(ValueError, match="l <= n-1"):
+        Hulthen(1).rung_of(n=1, l=1)
+
+
 def test_generic_unsolvable_without_constant_part():
     # Coulomb-type leading with zero constant: the triangular system pivots vanish
     lead = LeadingSuperpotential(pole=F(-1), constant=F(0), linear=F(0), leading_energy=F(0))
