@@ -6,7 +6,7 @@ Subcommands
 - ``energy``: energy curves over a coupling range (truncations + resummation).
 - ``critical``: the table of critical screening strengths.
 - ``wavefunction``: normalized probability-density samples.
-- ``validate``: runs the suites of `seaqm.validation` and reports them.
+- ``validate``: runs the suites of `seaqm.validation` and writes a JSON report.
 
 The frontend only parses and emits: the library computes, and the problem
 families check the ranges of the level labels.  Every output embeds a metadata
@@ -54,9 +54,12 @@ def _worker_count() -> int:
     if not env:
         return min(os.cpu_count() or 1, 8)
     try:
-        return max(1, int(env))
+        workers = int(env)
     except ValueError:
-        raise ValueError(f"SEA_THREADS must be a positive integer, got {env!r}") from None
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"SEA_THREADS must be a positive integer, got {env!r}")
+    return workers
 
 
 def _grid(a: float, b: float, steps: int) -> list[float]:
@@ -446,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_wavefunction)
 
     p = sub.add_parser("validate", help="run the cross-validation suites")
-    add_common(p, family=False)
+    p.add_argument("--out", help="JSON report path (stdout when omitted)")
     p.add_argument("--suite", choices=["all", "coefficients", "oracle", "table1"], default="all")
     p.add_argument("--nmax", type=int, default=3, help="table1 suite size")
     p.add_argument(

@@ -18,13 +18,15 @@ evaluation, node counting and normalization are floating point.
 Evaluation reads flat float tables of x^p R_k, G_k and D, compiled once per
 state and order (`_Tables`, kept on the `StateRep`).  The array kernel
 `evaluate_state_grid` evaluates `_BLOCK` abscissae at a time for the
-wavefunction rows, `count_nodes` and the normalization's tail scan; the scalar
-kernel (`evaluate_state`, `state_lambda_series`) serves the quadrature and the
-pointwise resummation.  Both give `LaurentPoly.__call__`'s values bit for bit:
-powers come from Python's ``**`` and exponentials from `math.exp` (libm), not
-from `np.power` or `np.exp`, whose vectorized versions differ in the last bit
-for some arguments; numpy only adds and multiplies elementwise, in the scalar
-order, which IEEE arithmetic makes exact.
+wavefunction rows, `count_nodes`, the normalization's tail scan and its
+quadrature (`quadrature.qags`, QUADPACK's QAGS, which asks for one 21-point
+Kronrod panel at a time); the scalar kernel (`evaluate_state`,
+`state_lambda_series`) serves the pointwise resummation.  Both give
+`LaurentPoly.__call__`'s values bit for bit: powers come from Python's ``**``
+and exponentials from `math.exp` (libm), not from `np.power` or `np.exp`,
+whose vectorized versions differ in the last bit for some arguments; numpy
+only adds and multiplies elementwise, in the scalar order, which IEEE
+arithmetic makes exact.
 """
 
 from __future__ import annotations
@@ -37,11 +39,11 @@ from operator import add, mul
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .engine import ChainSolution, ProblemFamily, solve_chain
 from .errors import DomainError, InvalidLeading, NonNormalizable, RungOrderViolation
 from .exact import LambdaSeries, LaurentPoly, horner
+from .quadrature import qags
 
 __all__ = [
     "StateRep",
@@ -380,13 +382,19 @@ def _state_psi(state: StateRep, lam: float, K: int | None):
 def normalize_function(f, radial: bool) -> float:
     """Normalization constant for an arbitrary evaluator f(x) (used for resummed
     wavefunction sampling); same tail logic as `normalize`.  When f also has a
-    `grid(xs)` method iterating f over xs, the tail scan goes through it."""
-    density = lambda x: f(x) ** 2
+    `grid(xs)` method iterating f over xs, the tail scan and the quadrature go
+    through it; otherwise f is mapped over each block of abscissae.
+
+    The window is [0 or the left cutoff, the right cutoff] of `_scan_cutoff`,
+    and the density f(x)^2 is integrated over it by `quadrature.qags`, one
+    21-point panel at a time, to relative tolerance `_REL_TOL`.
+    """
     grid = getattr(f, "grid", None) or partial(map, f)
     hi = _scan_cutoff(grid, _DOMAIN_BOUND)
     lo = 0.0 if radial else _scan_cutoff(grid, -_DOMAIN_BOUND)
-    res = integrate.quad(density, lo, hi, epsabs=0.0, epsrel=_REL_TOL, limit=400, full_output=1)
-    val, err = res[0], res[1]
+    val, err, *_ = qags(
+        lambda xs: [v**2 for v in grid(xs)], lo, hi, epsabs=0.0, epsrel=_REL_TOL, limit=400
+    )
     # pointwise-resummed evaluators carry per-point solve noise, so only a
     # genuinely non-convergent integral is rejected here
     if val <= 0.0 or not (err < 1e-3 * val):

@@ -456,6 +456,17 @@ def test_validate_coefficient_suite_matches_cli(tmp_path):
     assert coefficient_suite() == json.loads(out.read_text())["suites"][0]
 
 
+def test_validate_has_no_format_option(tmp_path, capsys):
+    # the report is always JSON: --format is refused, not silently ignored
+    with pytest.raises(SystemExit) as exc:
+        run(["validate", "--suite", "coefficients", "--format", "csv"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+    out = tmp_path / "v.json"
+    assert run(["validate", "--suite", "coefficients", "--out", str(out)]) == 0
+    assert "format" not in json.loads(out.read_text())["metadata"]["parameters"]
+
+
 @pytest.mark.parametrize("nmax", ["0", "10"])
 def test_validate_table1_nmax_outside_table_exit_2(nmax, tmp_path, capsys):
     out = tmp_path / "v.json"
@@ -478,6 +489,15 @@ def test_critical_bad_sea_threads_exit_2(monkeypatch, capsys):
     assert run(["critical", "--nmax", "1"]) == 2
     captured = capsys.readouterr()
     assert "SEA_THREADS must be a positive integer, got 'abc'" in captured.err
+    assert not captured.out
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_critical_nonpositive_sea_threads_exit_2(threads, monkeypatch, capsys):
+    monkeypatch.setenv("SEA_THREADS", threads)
+    assert run(["critical", "--nmax", "1"]) == 2
+    captured = capsys.readouterr()
+    assert f"SEA_THREADS must be a positive integer, got '{threads}'" in captured.err
     assert not captured.out
 
 
