@@ -72,6 +72,8 @@ CASES = {
     "noisy gaussian": (lambda x: math.exp(-x * x) + 1e-9 * noise(x), -6.0, 6.0, TIGHT),
     "noisy spike": (lambda x: 1 / (1e-6 + x * x) + 1e-3 * noise(x), -1.0, 2.0, TIGHT),
     "noisy x^-0.9": (lambda x: x**-0.9 * (1 + 1e-8 * noise(x)), 0.0, 1.0, TIGHT),
+    "infinite values": (lambda x: math.inf if x > 0.9 else 1.0, 0.0, 1.0, TIGHT),
+    "overflowing sums": (lambda x: 1e308 if x > 0.5 else -1e308, 0.0, 1.0, TIGHT),
 }
 
 
