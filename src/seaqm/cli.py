@@ -32,15 +32,9 @@ from .engine import Anharmonic, Hulthen, ProblemFamily, solve_chain
 from .errors import DomainError, SeaError
 from .exact import rational_to_str
 from .reference import CRITICAL_SCREENING, critical_value
-from .resummation import critical_lambda, float_pade_eval, pade_pair_value, pade_with_fallback
+from .resummation import critical_lambda, pade_pair_value, pade_with_fallback
 from .spectra import EnergySeries, anharmonic_energy_series, evaluate_truncated, hulthen_energy_series
-from .states import (
-    build_eigenstate,
-    evaluate_state_grid,
-    normalize,
-    normalize_function,
-    state_lambda_series,
-)
+from .states import build_eigenstate, evaluate_state_grid, normalize
 from .validation import coefficient_suite, oracle_suite, table1_suite
 
 EXIT_OK = 0
@@ -192,7 +186,7 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
 def cmd_energy(args: argparse.Namespace) -> int:
     K_list = sorted(set(args.K_list or [args.K]))
     K_max = max(max(K_list), args.K)
-    pair = args.pade or _default_pade_pair(K_max)
+    pair = args.pade or _default_pade_pair(max(K_max, 1))
     K_max = max(K_max, pair[0][0] + pair[0][1], pair[1][0] + pair[1][1])
     series = _energy_series(args, K_max)
     bound_hint = _tabulated_lambda_c(args)
@@ -241,27 +235,40 @@ def _replace_file(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _resumed_cells(path: Path, run: dict) -> dict[str, dict]:
+    """The finished cells of the progress file `path`, written by a run with
+    the parameters `run`; a ValueError (exit 2) naming the file otherwise."""
+    try:
+        progress = json.loads(path.read_text())
+    except ValueError as exc:
+        raise ValueError(f"progress file {path} is not JSON: {exc}") from exc
+    if not (isinstance(progress, dict) and isinstance(progress.get("parameters"), dict)):
+        raise ValueError(f"progress file {path} holds no run parameters")
+    for key, value in run.items():
+        if progress["parameters"].get(key) != value:
+            flag, was = "--" + key.replace("_", "-"), json.dumps(progress["parameters"].get(key))
+            raise ValueError(f"progress file {path} was written with {flag} {was}, "
+                             f"this run has {flag} {json.dumps(value)}")
+    cells = progress.get("cells", {})
+    fields = {"lambda_c", "uncertainty", "pade_used"}
+    if not (isinstance(cells, dict)
+            and all(isinstance(rec, dict) and fields <= rec.keys() for rec in cells.values())):
+        raise ValueError(f"progress file {path} holds malformed cells: expected an object "
+                         f"mapping \"n,l\" to records with {', '.join(sorted(fields))}")
+    return cells
+
+
 def cmd_critical(args: argparse.Namespace) -> int:
+    if args.nmax < 1:
+        raise ValueError(f"need --nmax >= 1, got {args.nmax}")
     pair = args.pade or ((15, 14), (14, 14))
     order = args.K
     embed = args.embed_approximants and args.format == "json"
     # the run parameters every cell depends on, kept in the progress file so
     # that a rerun with other parameters cannot mix tables
     run = {"K": order, "pade": ",".join(f"{m}/{n}" for m, n in pair), "embed_approximants": embed}
-    done: dict[str, dict] = {}
     resume_path = Path(args.resume) if args.resume else None
-    if resume_path and resume_path.exists():
-        progress = json.loads(resume_path.read_text())
-        if not (isinstance(progress, dict) and isinstance(progress.get("parameters"), dict)):
-            print(f"error: progress file {resume_path} holds no run parameters", file=sys.stderr)
-            return EXIT_USAGE
-        for key, value in run.items():
-            if progress["parameters"].get(key) != value:
-                flag, was = "--" + key.replace("_", "-"), json.dumps(progress["parameters"].get(key))
-                print(f"error: progress file {resume_path} was written with {flag} {was}, "
-                      f"this run has {flag} {json.dumps(value)}", file=sys.stderr)
-                return EXIT_USAGE
-        done = progress.get("cells", {})
+    done = _resumed_cells(resume_path, run) if resume_path and resume_path.exists() else {}
     cells = [(n, l) for n in range(1, args.nmax + 1) for l in range(n)]
     pending_by_l: dict[int, list[int]] = {}
     for n, l in cells:
@@ -327,17 +334,9 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
         xs = args.x_range or _grid(0.0, max(40.0, 10.0 * args.n**2), 400)
     else:
         xs = args.x_range or _grid(-8.0, 8.0, 401)
-    lam = args.lam
-    if args.pade_single:
-
-        def psi(x: float) -> float:
-            return float_pade_eval(state_lambda_series(state, x), *args.pade_single, lam)
-
-        norm = normalize_function(psi, state.radial)
-        values = map(psi, xs)
-    else:
-        norm = normalize(state, lam)
-        values = evaluate_state_grid(state, xs, lam)
+    lam, pade = args.lam, args.pade_single
+    norm = normalize(state, lam, pade=pade)
+    values = evaluate_state_grid(state, xs, lam, pade=pade)
     rows = [_wavefunction_row(x, v, norm) for x, v in zip(xs, values)]
     labels = {
         "family": state.family.name,
@@ -346,7 +345,7 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
         "r": state.r,
         "lambda": lam,
         "K": state.order,
-        "pade": f"{args.pade_single[0]}/{args.pade_single[1]}" if args.pade_single else None,
+        "pade": f"{pade[0]}/{pade[1]}" if pade else None,
         "norm": norm,
     }
     meta = _metadata(args, **labels)

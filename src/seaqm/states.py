@@ -16,12 +16,16 @@ which keeps the entire construction in exact rational arithmetic.  Only
 evaluation, node counting and normalization are floating point.
 
 Evaluation reads flat float tables of x^p R_k, G_k and D, compiled once per
-state and order (`_Tables`, kept on the `StateRep`).  The array kernel
-`evaluate_state_grid` evaluates `_BLOCK` abscissae at a time for the
+state and order (`_Tables`, kept on the `StateRep`).  One block kernel,
+`_table_values`, turns `_BLOCK` abscissae at a time into those values, a
+column per x, with the origin, radial and overflow rules applied column by
+column; psi is a Horner pass over them, and the coupling series of psi (the
+input of the pointwise resummation, `pade=(m, n)`) is the exponential's
+recursion and the prefactor convolution, done elementwise on them.  The
 wavefunction rows, `count_nodes`, the normalization's tail scan and its
 quadrature (`quadrature.qags`, QUADPACK's QAGS, which asks for one 21-point
-Kronrod panel at a time); the scalar kernel (`evaluate_state`,
-`state_lambda_series`) serves the pointwise resummation.  Both give
+Kronrod panel at a time) all go through it, and `evaluate_state` and
+`state_lambda_series` are its one-abscissa calls.  It gives
 `LaurentPoly.__call__`'s values bit for bit: powers come from Python's ``**``
 and exponentials from `math.exp` (libm), not from `np.power` or `np.exp`,
 whose vectorized versions differ in the last bit for some arguments; numpy
@@ -35,15 +39,16 @@ import math
 from dataclasses import dataclass, replace
 from functools import cached_property, partial, reduce
 from itertools import repeat
-from operator import add, mul
+from operator import add
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .engine import ChainSolution, ProblemFamily, solve_chain
 from .errors import DomainError, InvalidLeading, NonNormalizable, RungOrderViolation
-from .exact import LambdaSeries, LaurentPoly, horner
+from .exact import LambdaSeries, LaurentPoly
 from .quadrature import qags
+from .resummation import float_pade_eval
 
 __all__ = [
     "StateRep",
@@ -191,7 +196,7 @@ def build_eigenstate(
 class _Tables:
     """x^p R_0..R_K, G_1..G_K and D of a state at order K as flat float tables:
     the terms, in that order and each polynomial's insertion order, are
-    `coeffs[i] * x**exps[slots[i]]`, and polynomial j owns `bounds[j]`."""
+    `coeffs[i] * x**exps[slots[i]]` (a float column), and polynomial j owns `bounds[j]`."""
 
     __slots__ = ("K", "exps", "slots", "coeffs", "bounds")
 
@@ -204,7 +209,7 @@ class _Tables:
                 self.slots.append(slot.setdefault(e, len(slot)))
                 self.coeffs.append(c)
             self.bounds.append((start, len(self.slots)))
-        self.exps = tuple(slot)
+        self.exps, self.coeffs = tuple(slot), np.array(self.coeffs)[:, None]
 
 
 def _tables_at(state: StateRep, K: int | None) -> _Tables:
@@ -217,113 +222,115 @@ def _tables_at(state: StateRep, K: int | None) -> _Tables:
     return tables
 
 
-def _pointwise(state: StateRep, x: float, K: int | None) -> tuple[list[float], list[float], float]:
-    """(x^p R_k)(x) for k = 0..K, G_k(x) for k = 1..K and D(x); K defaults to
-    the state's order.  The scalar kernel: each distinct power once, each
-    polynomial summed left to right in its term order, as `LaurentPoly.__call__`.
-
-    A radial state is rejected at x < 0.  At the origin only the constant
-    terms of x^p R survive, and every G_k is taken as zero there (the G_k are
-    antiderivatives with zero constant term).
+def _table_values(state: StateRep, t: _Tables, xs: Sequence[float]) -> tuple[np.ndarray, list]:
+    """The block kernel: polynomial j of the tables (x^p R_0..R_K, G_1..G_K,
+    D) at each x of xs as row j, a column per x, and per x the error it
+    raises or None.  Each distinct power is taken once by Python's ``**`` and
+    each polynomial summed left to right in its term order, as
+    `LaurentPoly.__call__`.  A radial state is rejected at x < 0; at the
+    origin only the constant terms of x^p R survive, and every G_k is taken as
+    zero there (the G_k are antiderivatives with zero constant term).
     """
-    if state.radial and x < 0:
-        raise DomainError("radial states are defined for x >= 0")
-    t = _tables_at(state, K)
-    K = t.K
-    if x == 0.0:
-        Q = state._xp_prefactor[: K + 1]
-        if any(p.min_exponent is not None and p.min_exponent < 0 for p in Q):
-            raise DomainError("prefactor retains a pole at x = 0")
-        return [float(p.coeff(0)) for p in Q], [0.0] * K, state.decay(x)
-    powers = list(map(pow, repeat(x), t.exps))
-    terms = list(map(mul, t.coeffs, map(powers.__getitem__, t.slots)))
-    vals = [reduce(add, terms[a:b], 0) for a, b in t.bounds]
-    return vals[: K + 1], vals[K + 1 : -1], vals[-1]
-
-
-def evaluate_state(state: StateRep, x: float, lam: float, K: int | None = None) -> float:
-    """Floating evaluation of the factored form, truncated at order K."""
-    q, g, d = _pointwise(state, x, K)
-    pref = horner(q, lam)
-    expo = -d - horner(g, lam) * lam
-    if expo > _EXP_MAX:
-        return math.copysign(math.inf, pref)
-    return pref * math.exp(expo)
-
-
-def _psi_block(state: StateRep, t: _Tables, xs: Sequence[float], lam: float) -> list[float | None]:
-    """The array kernel: `evaluate_state` at each x of xs, bit for bit, with
-    None wherever evaluate_state raises.  The origin, a negative x on a
-    radial state and an x with an overflowing power are left to the scalar
-    kernel."""
-    n = len(xs)
-    powers = np.empty((len(t.exps), n))
-    scalar = []
-    for i, x in enumerate(xs):
-        if x == 0.0 or (state.radial and x < 0):
-            scalar.append(i)
-            continue
-        try:
-            powers[:, i] = list(map(pow, repeat(float(x)), t.exps))
-        except OverflowError:
-            scalar.append(i)
-    powers[:, scalar] = 1.0
+    powers = np.ones((len(t.exps), len(xs)))
+    errors: list[Exception | None] = [None] * len(xs)
+    origin = []
+    for i, x in enumerate(map(float, xs)):
+        if state.radial and x < 0:
+            errors[i] = DomainError("radial states are defined for x >= 0")
+        elif x == 0.0:
+            origin.append(i)
+        else:
+            try:
+                powers[:, i] = list(map(pow, repeat(x), t.exps))
+            except OverflowError as exc:
+                errors[i] = exc
     with np.errstate(all="ignore"):  # overflow to inf and nan unwarned, as Python floats do
-        vals = []
-        for a, b in t.bounds:
-            acc = np.zeros(n)
-            for s, c in zip(t.slots[a:b], t.coeffs[a:b]):
-                acc = acc + c * powers[s]
-            vals.append(acc)
-        pref = np.zeros(n)
-        for a in reversed(vals[: t.K + 1]):
-            pref = pref * lam + a
-        hg = np.zeros(n)
-        for a in reversed(vals[t.K + 1 : -1]):
-            hg = hg * lam + a
-        expo = -vals[-1] - hg * lam
-    out: list[float | None] = [
+        # the terms of one polynomial at a time, so no (terms x block) array is held
+        vals = np.array([
+            reduce(add, t.coeffs[a:b] * powers[t.slots[a:b]], np.zeros(len(xs))) for a, b in t.bounds
+        ])
+    Q = state._xp_prefactor[: t.K + 1]
+    for i in origin:
+        if any(p.min_exponent is not None and p.min_exponent < 0 for p in Q):
+            errors[i] = DomainError("prefactor retains a pole at x = 0")
+        else:
+            vals[:, i] = [float(p.coeff(0)) for p in Q] + [0.0] * t.K + [state.decay(float(xs[i]))]
+    return vals, errors
+
+
+def _psi(t: _Tables, vals: np.ndarray, errors: list, lam: float) -> list[float]:
+    """psi at lam from a block's table values: `exact.horner`'s order in lam
+    over x^p R_k and G_k, and an infinite value past `_EXP_MAX`."""
+    def step(acc, a):
+        return acc * lam + a
+
+    with np.errstate(all="ignore"):
+        pref = reduce(step, vals[t.K :: -1], 0.0)
+        expo = -vals[-1] - reduce(step, vals[2 * t.K : t.K : -1], 0.0) * lam
+    return [
         math.copysign(math.inf, p) if e > _EXP_MAX else p * math.exp(e)
         for p, e in zip(pref.tolist(), expo.tolist())
     ]
-    for i in scalar:
+
+
+def _series(t: _Tables, vals: np.ndarray, errors: list) -> np.ndarray:
+    """The coupling series of psi from a block's table values, a row per x:
+    exp(-sum_{k>=1} lam^k G_k) expanded termwise and convolved with the
+    prefactor series, each sum left to right.  An x where exp(-D) overflows
+    gets the OverflowError in `errors`."""
+    K = t.K
+    q, g = vals[: K + 1], vals[K + 1 : -1]
+    base = np.full(len(errors), math.nan)
+    for i, d in enumerate(vals[-1].tolist()):
         try:
-            out[i] = evaluate_state(state, xs[i], lam, t.K)
-        except (DomainError, OverflowError):
-            out[i] = None
-    return out
+            base[i] = math.exp(-d)
+        except OverflowError as exc:
+            errors[i] = errors[i] or exc
+    with np.errstate(all="ignore"):
+        # E = exp(-sum_{k>=1} g_k lam^k):  m E_m = -sum_{j=1..m} j g_j E_{m-j}  (g_j is g[j - 1])
+        jg = np.arange(1, K + 1)[:, None] * g
+        E = np.ones_like(q)
+        for m in range(1, K + 1):
+            E[m] = -reduce(add, jg[:m] * E[m - 1 :: -1], 0) / m
+        out = [base * reduce(add, q[: k + 1] * E[k::-1], 0) for k in range(K + 1)]
+    return np.array(out).T
+
+
+def _columns(state: StateRep, xs: Sequence[float], K: int | None, kernel) -> Iterator:
+    """`kernel(tables, values, errors)` of `_table_values`, `_BLOCK` abscissae
+    at a time, yielded per x.  Lazy: an x with an error raises it when the
+    iteration reaches it, and points past it in its block never raise."""
+    t = _tables_at(state, K)
+    for start in range(0, len(xs), _BLOCK):
+        vals, errors = _table_values(state, t, xs[start : start + _BLOCK])
+        for value, error in zip(kernel(t, vals, errors), errors):
+            if error is not None:
+                raise error
+            yield value
 
 
 def evaluate_state_grid(
-    state: StateRep, xs: Sequence[float], lam: float, K: int | None = None
+    state: StateRep, xs: Sequence[float], lam: float, K: int | None = None,
+    pade: tuple[int, int] | None = None,
 ) -> Iterator[float]:
-    """`evaluate_state(state, x, lam, K)` for each x of xs in turn, bit for bit,
-    computed `_BLOCK` abscissae at a time by the array kernel.  Lazy: an x
-    where evaluate_state raises raises the same error when the iteration
-    reaches it, and points past it in its block never raise."""
-    t = _tables_at(state, K)
-    for start in range(0, len(xs), _BLOCK):
-        block = xs[start : start + _BLOCK]
-        for x, v in zip(block, _psi_block(state, t, block, lam)):
-            yield evaluate_state(state, x, lam, t.K) if v is None else v
+    """psi(x, lam) truncated at order K (the state's order by default) for
+    each x of xs in turn, lazily, with `_columns`.  With ``pade=(m, n)``, psi
+    is instead resummed at each x: `resummation.float_pade_eval` of the
+    coupling series `state_lambda_series(state, x, K)` at lam."""
+    if pade is None:
+        return _columns(state, xs, K, partial(_psi, lam=lam))
+    return (float_pade_eval(c, *pade, lam) for c in _columns(state, xs, K, _series))
+
+
+def evaluate_state(state: StateRep, x: float, lam: float, K: int | None = None) -> float:
+    """Floating evaluation of the factored form at one x, truncated at order K."""
+    return next(evaluate_state_grid(state, [x], lam, K))
 
 
 def state_lambda_series(state: StateRep, x: float, K: int | None = None) -> list[float]:
-    """Coefficients of the expansion of psi(x, .) in the coupling, as floats.
-
-    Exponentiates the -sum lam^k G_k(x) series termwise and convolves with the
-    prefactor; used for pointwise resummation of wavefunctions.  Every sum
-    runs left to right.
-    """
-    q, g, d = _pointwise(state, x, K)
-    K = len(q) - 1
-    # E = exp(-sum_{k>=1} g_k lam^k):  m E_m = -sum_{j=1..m} j g_j E_{m-j}  (g_j is g[j - 1])
-    jg = [j * gj for j, gj in enumerate(g, 1)]
-    E = [1.0]
-    for m in range(1, K + 1):
-        E.append(-reduce(add, map(mul, jg, E[::-1]), 0) / m)
-    base = math.exp(-d)
-    return [base * reduce(add, map(mul, q, E[k::-1]), 0) for k in range(K + 1)]
+    """Coefficients of the expansion of psi(x, .) in the coupling, as floats:
+    the series that `evaluate_state_grid(..., pade=(m, n))` resums."""
+    return next(_columns(state, [x], K, _series)).tolist()
 
 
 def _scan_cutoff(grid, stop: float) -> float:
@@ -371,25 +378,14 @@ def _breakdown(x_turn: float, lowest: float, end: str) -> str:
     )
 
 
-def _state_psi(state: StateRep, lam: float, K: int | None):
-    """psi of one state at one coupling and order: a call evaluates one x with
-    the scalar kernel, `grid(xs)` many with the array kernel."""
-    psi = partial(evaluate_state, state, lam=lam, K=K)
-    psi.grid = partial(evaluate_state_grid, state, lam=lam, K=K)
-    return psi
-
-
-def normalize_function(f, radial: bool) -> float:
-    """Normalization constant for an arbitrary evaluator f(x) (used for resummed
-    wavefunction sampling); same tail logic as `normalize`.  When f also has a
-    `grid(xs)` method iterating f over xs, the tail scan and the quadrature go
-    through it; otherwise f is mapped over each block of abscissae.
+def normalize_function(grid, radial: bool) -> float:
+    """Normalization constant of the function that `grid(xs)` iterates over
+    xs, lazily and raising where it raises; same tail logic as `normalize`.
 
     The window is [0 or the left cutoff, the right cutoff] of `_scan_cutoff`,
     and the density f(x)^2 is integrated over it by `quadrature.qags`, one
     21-point panel at a time, to relative tolerance `_REL_TOL`.
     """
-    grid = getattr(f, "grid", None) or partial(map, f)
     hi = _scan_cutoff(grid, _DOMAIN_BOUND)
     lo = 0.0 if radial else _scan_cutoff(grid, -_DOMAIN_BOUND)
     val, err, *_ = qags(
@@ -402,9 +398,13 @@ def normalize_function(f, radial: bool) -> float:
     return 1.0 / math.sqrt(val)
 
 
-def normalize(state: StateRep, lam: float, K: int | None = None) -> float:
-    """Normalization constant N with the square of N*psi integrating to 1."""
-    return normalize_function(_state_psi(state, lam, K), state.radial)
+def normalize(
+    state: StateRep, lam: float, K: int | None = None, pade: tuple[int, int] | None = None
+) -> float:
+    """Normalization constant N with the square of N*psi integrating to 1;
+    psi is resummed at each x when `pade` is given, as in `evaluate_state_grid`."""
+    grid = partial(evaluate_state_grid, state, lam=lam, K=K, pade=pade)
+    return normalize_function(grid, state.radial)
 
 
 def hamiltonian_residual(state: StateRep, chain: ChainSolution, K: int | None = None) -> list[LaurentPoly]:

@@ -121,6 +121,20 @@ def test_energy_warns_beyond_critical(tmp_path, capsys):
     assert "critical" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "level", [["hulthen", "--n", "1", "--l", "0"], ["anharmonic", "--r", "0"]]
+)
+def test_energy_order_zero_uses_pair_1_0(level, tmp_path):
+    # the default pair at K = 0 is [1/0], [0/0], as if given explicitly
+    out, explicit = tmp_path / "e.csv", tmp_path / "explicit.csv"
+    args = ["energy", *level, "--K", "0", "--lambda", "0.1"]
+    assert run(args + ["--out", str(out)]) == 0
+    assert run(args + ["--pade", "1/0,0/0", "--out", str(explicit)]) == 0
+    meta, _, rows = read_csv(out)
+    assert meta["pade_pair"] == [[1, 0], [0, 0]] and meta["order"] == 1
+    assert rows == read_csv(explicit)[2]
+
+
 @pytest.fixture
 def pade_builds(monkeypatch):
     """The (m, n) of every exact Pade approximant built while the test runs."""
@@ -232,6 +246,32 @@ def test_critical_resume_rejects_changed_parameters(tmp_path, monkeypatch, capsy
     progress.write_text(json.dumps({"1,0": {"n": 1, "l": 0}}))  # cells without parameters
     assert run(argv) == 2
     assert "holds no run parameters" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ("not json", "is not JSON"),
+        ('{"parameters": %s, "cells": []}', "holds malformed cells"),
+        ('{"parameters": %s, "cells": {"1,0": 5}}', "holds malformed cells"),
+    ],
+    ids=["not json", "cells a list", "cell not a record"],
+)
+def test_critical_resume_rejects_malformed_file(text, problem, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SEA_THREADS", "1")
+    progress = tmp_path / "progress.json"
+    parameters = json.dumps({"K": 30, "pade": "15/14,14/14", "embed_approximants": False})
+    progress.write_text(text.replace("%s", parameters))
+    assert run(["critical", "--nmax", "1", "--resume", str(progress)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and problem in err and str(progress) in err
+
+
+@pytest.mark.parametrize("nmax", ["0", "-1"])
+def test_critical_nmax_below_one_exit_2(nmax, capsys):
+    assert run(["critical", "--nmax", nmax]) == 2
+    captured = capsys.readouterr()
+    assert "--nmax >= 1" in captured.err and not captured.out
 
 
 # ------------------------------------------------------------ wavefunction --

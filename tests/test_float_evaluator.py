@@ -15,12 +15,13 @@ import seaqm.states
 from seaqm.engine import Anharmonic, Hulthen
 from seaqm.errors import DomainError, NonNormalizable
 from seaqm.exact import LambdaSeries, LaurentPoly, horner
-from seaqm.resummation import pade, pade_eval
+from seaqm.resummation import float_pade_eval, pade, pade_eval
 from seaqm.spectra import evaluate_truncated, hulthen_energy_series
 from seaqm.states import (
     StateRep,
+    _columns,
     _scan_cutoff,
-    _state_psi,
+    _series,
     build_eigenstate,
     evaluate_state,
     evaluate_state_grid,
@@ -201,6 +202,18 @@ def _outcome(fn, *args):
     return [_bits(c) for c in v] if isinstance(v, list) else _bits(v)
 
 
+def _walk(values):
+    """The bits of each value (or list of values) an iterator yields, ending
+    with the name of the first error it raises."""
+    out = []
+    try:
+        for v in values:
+            out.append([_bits(c) for c in v] if isinstance(v, list) else _bits(v))
+    except (DomainError, OverflowError) as exc:
+        out.append(type(exc).__name__)
+    return out
+
+
 # name: (family, order, labels, physical abscissae, couplings)
 STATES = {
     "hulthen (5,2)": (Hulthen(2), 14, {"n": 5, "l": 2}, (0.0, 150.0), 0.03),
@@ -238,21 +251,14 @@ def test_kernels_match_laurent_evaluation_bit_for_bit(data, name, K, block):
     xs += data.draw(st.lists(edge_abscissae, max_size=2))
     xs = data.draw(st.permutations(xs))
     lam = data.draw(st.floats(-lam_max, lam_max))
-    expected = []
-    for x in xs:
-        expected.append(_outcome(_reference_psi, state, x, lam, order))
-        assert _outcome(evaluate_state, state, x, lam, K) == expected[-1]
-        assert _outcome(state_lambda_series, state, x, K) == _outcome(_reference_series, state, x, order)
-        if isinstance(expected[-1], str):
-            break
-    got = []
+    expected = _walk(_reference_psi(state, x, lam, order) for x in xs)
+    expected_series = _walk(_reference_series(state, x, order) for x in xs)
+    assert _walk(evaluate_state(state, x, lam, K) for x in xs) == expected
+    assert _walk(state_lambda_series(state, x, K) for x in xs) == expected_series
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(seaqm.states, "_BLOCK", block)
-        try:
-            got.extend(_bits(v) for v in evaluate_state_grid(state, xs, lam, K))
-        except (DomainError, OverflowError) as exc:
-            got.append(type(exc).__name__)
-    assert got == expected
+        assert _walk(evaluate_state_grid(state, xs, lam, K)) == expected
+        assert _walk(c.tolist() for c in _columns(state, xs, K, _series)) == expected_series
 
 
 def test_kernel_examples_cover_overflow_and_signed_zeros():
@@ -288,13 +294,21 @@ def _scan_outcome(grid, stop):
         (Hulthen(2), 14, {"n": 5, "l": 2}, 0.02, None),
         (Hulthen(1), 10, {"n": 2, "l": 1}, 0.3, "overflows at x = 43.5"),
         (Anharmonic(), 6, {"r": 1}, 1.0, "diverges at x = "),
+        # the README `--pade 5/5` state: labels may carry a resummation order
+        (Anharmonic(), 12, {"r": 0, "pade": (5, 5)}, 3.0, None),
     ],
 )
 def test_scan_in_blocks_matches_a_point_walk(family, K, labels, lam, ending, block, monkeypatch):
     monkeypatch.setattr(seaqm.states, "_BLOCK", block)
-    psi = _state_psi(build_eigenstate(family, K, **labels), lam, None)
+    labels = dict(labels)
+    pade = labels.pop("pade", None)
+    state = build_eigenstate(family, K, **labels)
+    if pade is None:
+        psi = partial(evaluate_state, state, lam=lam)
+    else:
+        psi = lambda x: float_pade_eval(state_lambda_series(state, x), *pade, lam)
     for stop in (2000.0,) if family.radial else (2000.0, -2000.0):
-        blocked = _scan_outcome(psi.grid, stop)
+        blocked = _scan_outcome(partial(evaluate_state_grid, state, lam=lam, pade=pade), stop)
         assert blocked == _scan_outcome(partial(map, psi), stop)
         if ending is None:
             assert isinstance(blocked, float)
@@ -306,9 +320,10 @@ def test_scan_block_runs_past_overflowing_points():
     # anharmonic r = 0 at K = 2, lambda = 0.01: the density falls below the
     # tail cutoff at |x| = 6; further out the truncated exponent turns around
     # and psi^2 overflows from |x| = 31.75, inside the same block of the scan
-    psi = _state_psi(build_eigenstate(Anharmonic(), 2, r=0), 0.01, None)
-    assert _scan_cutoff(psi.grid, 2000.0) == 6.0
-    assert _scan_cutoff(psi.grid, -2000.0) == -6.0
+    state = build_eigenstate(Anharmonic(), 2, r=0)
+    grid = partial(evaluate_state_grid, state, lam=0.01)
+    assert _scan_cutoff(grid, 2000.0) == 6.0
+    assert _scan_cutoff(grid, -2000.0) == -6.0
     past = [2000.0 * i / seaqm.states._SCAN_POINTS for i in range(25, seaqm.states._BLOCK)]
     with pytest.raises(OverflowError):
-        [psi(x) ** 2 for x in past]
+        [evaluate_state(state, x, 0.01) ** 2 for x in past]

@@ -19,7 +19,6 @@ from seaqm import states
 from seaqm.engine import Anharmonic, Hulthen
 from seaqm.errors import NonNormalizable
 from seaqm.quadrature import qags
-from seaqm.resummation import float_pade_eval
 
 
 def quadpack(f, a, b, **kw):
@@ -136,9 +135,7 @@ def test_smooth_noisy_integrands_match_quadpack(coeffs, freq, a, width, amplitud
 
 
 def _anharmonic_pade(r, K, lam, m, n):
-    state = states.build_eigenstate(Anharmonic(), K, r=r)
-    psi = lambda x: float_pade_eval(states.state_lambda_series(state, x), m, n, lam)
-    return states.normalize_function(psi, radial=False)
+    return states.normalize(states.build_eigenstate(Anharmonic(), K, r=r), lam, pade=(m, n))
 
 
 def _hulthen(n, l, K, lam):
@@ -189,3 +186,21 @@ def test_readme_pade_norm_pinned(monkeypatch):
     value, abserr, neval, ier, last = qags(panel, a, b, **kw)
     assert (value, neval, ier, last) == (1.2834536225601654, 2583, 4, 62)
     assert 4e-5 < abserr < 6e-5
+
+
+# (value, neval, ier, last) of the other `--pade` densities, recorded with the
+# per-abscissa lambda-series that the block kernel replaced
+PADE_NORMS = {
+    "anharmonic r=0 K=12 pade 6/6": (1.2724757748447477, 1911, 5, 46),
+    "anharmonic r=2 K=20 pade 9/9": (27.035575451376793, 3339, 2, 80),
+    "anharmonic r=2 K=20 pade 10/10": (27.0536276644952, 2499, 4, 60),
+}
+
+
+@pytest.mark.parametrize("name", PADE_NORMS)
+def test_pade_norms_pinned(name, monkeypatch):
+    # the parity test above sees only the port; these pins also see a change
+    # in the bits of the resummed psi
+    panel, a, b, kw = _normalization_quadrature(monkeypatch, name)
+    value, abserr, neval, ier, last = qags(panel, a, b, **kw)
+    assert (value, neval, ier, last) == PADE_NORMS[name]

@@ -221,7 +221,7 @@ def test_normalize_detects_runaway_tail():
 def test_normalize_respects_domain_bound():
     # an evaluator that never decays reaches the end of the tail scan
     with pytest.raises(NonNormalizable, match="at the domain bound"):
-        normalize_function(lambda x: 1.0, True)
+        normalize_function(lambda xs: (1.0 for x in xs), True)
 
 
 # -------------------------------------------------------- residual identity -
