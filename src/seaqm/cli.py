@@ -62,15 +62,26 @@ def _grid(a: float, b: float, steps: int) -> list[float]:
     return [a + (b - a) * i / (steps - 1) for i in range(steps)]
 
 
+def _finite_float(text: str) -> float:
+    """A float option value or range end; nan and inf are rejected."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from exc
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_range(text: str) -> list[float]:
     try:
         a, b, steps = text.split(":")
-        a, b, steps = float(a), float(b), int(steps)
+        steps = int(steps)
     except ValueError as exc:
         raise argparse.ArgumentTypeError("expected a:b:steps") from exc
     if steps < 1:
         raise argparse.ArgumentTypeError("steps must be >= 1")
-    return _grid(a, b, steps)
+    return _grid(_finite_float(a), _finite_float(b), steps)
 
 
 def _parse_pade_order(text: str) -> tuple[int, int]:
@@ -337,7 +348,13 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
     lam, pade = args.lam, args.pade_single
     norm = normalize(state, lam, pade=pade)
     values = evaluate_state_grid(state, xs, lam, pade=pade)
-    rows = [_wavefunction_row(x, v, norm) for x, v in zip(xs, values)]
+    rows = []
+    for x in xs:
+        try:
+            v = next(values)
+        except OverflowError:  # a power or exponential at x left double range
+            v = math.inf
+        rows.append(_wavefunction_row(x, v, norm))
     labels = {
         "family": state.family.name,
         "n": state.n,
@@ -416,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--K", type=int, default=14)
     p.add_argument("--K-list", dest="K_list", type=lambda s: [int(x) for x in s.split(",")])
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0)
+    p.add_argument("--lambda", dest="lam", type=_finite_float, default=0.0)
     p.add_argument("--lambda-range", dest="lambda_range", type=_parse_range)
     p.add_argument("--pade", type=_parse_pade_pair, help="m/n or m1/n1,m2/n2")
     p.set_defaults(func=cmd_energy)
@@ -437,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("wavefunction", help="normalized wavefunction samples")
     add_common(p)
     p.add_argument("--K", type=int, default=8)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
+    p.add_argument("--lambda", dest="lam", type=_finite_float, required=True)
     p.add_argument(
         "--pade",
         dest="pade_single",

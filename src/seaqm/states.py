@@ -15,16 +15,18 @@ from a lower rung q rewrites the prefactor in closed form,
 which keeps the entire construction in exact rational arithmetic.  Only
 evaluation, node counting and normalization are floating point.
 
-Evaluation reads flat float tables of x^p R_k, G_k and D, compiled once per
-state and order (`_Tables`, kept on the `StateRep`).  One block kernel,
-`_table_values`, turns `_BLOCK` abscissae at a time into those values, a
-column per x, with the origin, radial and overflow rules applied column by
-column; psi is a Horner pass over them, and the coupling series of psi (the
-input of the pointwise resummation, `pade=(m, n)`) is the exponential's
-recursion and the prefactor convolution, done elementwise on them.  The
-wavefunction rows, `count_nodes`, the normalization's tail scan and its
-quadrature (`quadrature.qags`, QUADPACK's QAGS, which asks for one 21-point
-Kronrod panel at a time) all go through it, and `evaluate_state` and
+A state is evaluated at the order it was built to.  Evaluation reads flat
+float tables of x^p R_k, G_k and D, compiled once per state at that order
+(`_Tables`, kept on the `StateRep`).  One block kernel, `_table_values`,
+turns `_BLOCK` abscissae at a time into those values, a column per x, with
+the radial and overflow rules applied column by column; the origin takes the
+general power rule, and a pole left there is a `DomainError`.  psi is a
+Horner pass over the values, and the coupling series of psi (the input of the
+pointwise resummation, `pade=(m, n)`) is the exponential's recursion and the
+prefactor convolution, done elementwise on them.  The wavefunction rows,
+`count_nodes`, the normalization's tail scan and its quadrature
+(`quadrature.qags`, QUADPACK's QAGS, which asks for one 21-point Kronrod
+panel at a time) all go through it, and `evaluate_state` and
 `state_lambda_series` are its one-abscissa calls.  It gives
 `LaurentPoly.__call__`'s values bit for bit: powers come from Python's ``**``
 and exponentials from `math.exp` (libm), not from `np.power` or `np.exp`,
@@ -110,15 +112,9 @@ class StateRep:
         return self.family.radial
 
     @cached_property
-    def _xp_prefactor(self) -> tuple[LaurentPoly, ...]:
-        """x^power * R_k for every order, built once: pole-free for every valid state."""
-        xp = LaurentPoly.monomial(self.power)
-        return tuple(xp * p for p in self.prefactor)
-
-    @cached_property
-    def _tables(self) -> dict[int, "_Tables"]:
-        """The float tables of each evaluated order, filled by `_tables_at`."""
-        return {}
+    def _tables(self) -> _Tables:
+        """The float tables of the state at its own order, compiled on first use."""
+        return _Tables(self)
 
 
 def build_G(chain: ChainSolution, r: int) -> LambdaSeries:
@@ -194,16 +190,18 @@ def build_eigenstate(
 
 
 class _Tables:
-    """x^p R_0..R_K, G_1..G_K and D of a state at order K as flat float tables:
-    the terms, in that order and each polynomial's insertion order, are
-    `coeffs[i] * x**exps[slots[i]]` (a float column), and polynomial j owns `bounds[j]`."""
+    """x^p R_0..R_K, G_1..G_K and D of a state at its order K as flat float
+    tables: the terms, in that order and each polynomial's insertion order, are
+    `coeffs[i] * x**exps[slots[i]]` (a float column), and polynomial j owns
+    `bounds[j]`.  x^p R_k is pole-free for every valid state."""
 
     __slots__ = ("K", "exps", "slots", "coeffs", "bounds")
 
-    def __init__(self, state: StateRep, K: int):
+    def __init__(self, state: StateRep):
+        xp = LaurentPoly.monomial(state.power)
         slot: dict[int, int] = {}  # exponent -> its index in exps
-        self.K, self.slots, self.coeffs, self.bounds = K, [], [], []
-        for p in (*state._xp_prefactor[: K + 1], *state.G.coeffs[1 : K + 1], state.decay):
+        self.K, self.slots, self.coeffs, self.bounds = state.order, [], [], []
+        for p in (*(xp * q for q in state.prefactor), *state.G.coeffs[1 : self.K + 1], state.decay):
             start = len(self.slots)
             for e, c in p.float_terms:
                 self.slots.append(slot.setdefault(e, len(slot)))
@@ -212,49 +210,33 @@ class _Tables:
         self.exps, self.coeffs = tuple(slot), np.array(self.coeffs)[:, None]
 
 
-def _tables_at(state: StateRep, K: int | None) -> _Tables:
-    K = state.order if K is None else K
-    if K > state.order:
-        raise DomainError(f"K={K} beyond state order {state.order}")
-    tables = state._tables.get(K)
-    if tables is None:
-        tables = state._tables[K] = _Tables(state, K)
-    return tables
-
-
 def _table_values(state: StateRep, t: _Tables, xs: Sequence[float]) -> tuple[np.ndarray, list]:
     """The block kernel: polynomial j of the tables (x^p R_0..R_K, G_1..G_K,
     D) at each x of xs as row j, a column per x, and per x the error it
     raises or None.  Each distinct power is taken once by Python's ``**`` and
     each polynomial summed left to right in its term order, as
-    `LaurentPoly.__call__`.  A radial state is rejected at x < 0; at the
-    origin only the constant terms of x^p R survive, and every G_k is taken as
-    zero there (the G_k are antiderivatives with zero constant term).
+    `LaurentPoly.__call__`.  A radial state is rejected at x < 0.  The origin
+    takes the same rule as any x: a valid state's x^p R_k has no negative
+    exponent and each G_k starts at x^1, so the sums there are the constant
+    terms or +0.0, and a negative power is reported as a pole.
     """
     powers = np.ones((len(t.exps), len(xs)))
     errors: list[Exception | None] = [None] * len(xs)
-    origin = []
     for i, x in enumerate(map(float, xs)):
         if state.radial and x < 0:
             errors[i] = DomainError("radial states are defined for x >= 0")
-        elif x == 0.0:
-            origin.append(i)
-        else:
-            try:
-                powers[:, i] = list(map(pow, repeat(x), t.exps))
-            except OverflowError as exc:
-                errors[i] = exc
+            continue
+        try:
+            powers[:, i] = list(map(pow, repeat(x), t.exps))
+        except OverflowError as exc:
+            errors[i] = exc
+        except ZeroDivisionError:
+            errors[i] = DomainError("prefactor retains a pole at x = 0")
     with np.errstate(all="ignore"):  # overflow to inf and nan unwarned, as Python floats do
         # the terms of one polynomial at a time, so no (terms x block) array is held
         vals = np.array([
             reduce(add, t.coeffs[a:b] * powers[t.slots[a:b]], np.zeros(len(xs))) for a, b in t.bounds
         ])
-    Q = state._xp_prefactor[: t.K + 1]
-    for i in origin:
-        if any(p.min_exponent is not None and p.min_exponent < 0 for p in Q):
-            errors[i] = DomainError("prefactor retains a pole at x = 0")
-        else:
-            vals[:, i] = [float(p.coeff(0)) for p in Q] + [0.0] * t.K + [state.decay(float(xs[i]))]
     return vals, errors
 
 
@@ -296,11 +278,11 @@ def _series(t: _Tables, vals: np.ndarray, errors: list) -> np.ndarray:
     return np.array(out).T
 
 
-def _columns(state: StateRep, xs: Sequence[float], K: int | None, kernel) -> Iterator:
+def _columns(state: StateRep, xs: Sequence[float], kernel) -> Iterator:
     """`kernel(tables, values, errors)` of `_table_values`, `_BLOCK` abscissae
     at a time, yielded per x.  Lazy: an x with an error raises it when the
     iteration reaches it, and points past it in its block never raise."""
-    t = _tables_at(state, K)
+    t = state._tables
     for start in range(0, len(xs), _BLOCK):
         vals, errors = _table_values(state, t, xs[start : start + _BLOCK])
         for value, error in zip(kernel(t, vals, errors), errors):
@@ -310,27 +292,26 @@ def _columns(state: StateRep, xs: Sequence[float], K: int | None, kernel) -> Ite
 
 
 def evaluate_state_grid(
-    state: StateRep, xs: Sequence[float], lam: float, K: int | None = None,
-    pade: tuple[int, int] | None = None,
+    state: StateRep, xs: Sequence[float], lam: float, pade: tuple[int, int] | None = None
 ) -> Iterator[float]:
-    """psi(x, lam) truncated at order K (the state's order by default) for
-    each x of xs in turn, lazily, with `_columns`.  With ``pade=(m, n)``, psi
-    is instead resummed at each x: `resummation.float_pade_eval` of the
-    coupling series `state_lambda_series(state, x, K)` at lam."""
+    """psi(x, lam) truncated at the state's order for each x of xs in turn,
+    lazily, with `_columns`.  With ``pade=(m, n)``, psi is instead resummed at
+    each x: `resummation.float_pade_eval` of the coupling series
+    `state_lambda_series(state, x)` at lam."""
     if pade is None:
-        return _columns(state, xs, K, partial(_psi, lam=lam))
-    return (float_pade_eval(c, *pade, lam) for c in _columns(state, xs, K, _series))
+        return _columns(state, xs, partial(_psi, lam=lam))
+    return (float_pade_eval(c, *pade, lam) for c in _columns(state, xs, _series))
 
 
-def evaluate_state(state: StateRep, x: float, lam: float, K: int | None = None) -> float:
-    """Floating evaluation of the factored form at one x, truncated at order K."""
-    return next(evaluate_state_grid(state, [x], lam, K))
+def evaluate_state(state: StateRep, x: float, lam: float) -> float:
+    """Floating evaluation of the factored form at one x, truncated at the state's order."""
+    return next(evaluate_state_grid(state, [x], lam))
 
 
-def state_lambda_series(state: StateRep, x: float, K: int | None = None) -> list[float]:
+def state_lambda_series(state: StateRep, x: float) -> list[float]:
     """Coefficients of the expansion of psi(x, .) in the coupling, as floats:
     the series that `evaluate_state_grid(..., pade=(m, n))` resums."""
-    return next(_columns(state, [x], K, _series)).tolist()
+    return next(_columns(state, [x], _series)).tolist()
 
 
 def _scan_cutoff(grid, stop: float) -> float:
@@ -398,16 +379,14 @@ def normalize_function(grid, radial: bool) -> float:
     return 1.0 / math.sqrt(val)
 
 
-def normalize(
-    state: StateRep, lam: float, K: int | None = None, pade: tuple[int, int] | None = None
-) -> float:
+def normalize(state: StateRep, lam: float, pade: tuple[int, int] | None = None) -> float:
     """Normalization constant N with the square of N*psi integrating to 1;
     psi is resummed at each x when `pade` is given, as in `evaluate_state_grid`."""
-    grid = partial(evaluate_state_grid, state, lam=lam, K=K, pade=pade)
+    grid = partial(evaluate_state_grid, state, lam=lam, pade=pade)
     return normalize_function(grid, state.radial)
 
 
-def hamiltonian_residual(state: StateRep, chain: ChainSolution, K: int | None = None) -> list[LaurentPoly]:
+def hamiltonian_residual(state: StateRep, chain: ChainSolution) -> list[LaurentPoly]:
     """Apply the base Hamiltonian minus the state's energy, order by order.
 
     Computes ``(-d^2/dx^2 + v_0 - eps) psi`` divided by the base exponential
@@ -417,12 +396,12 @@ def hamiltonian_residual(state: StateRep, chain: ChainSolution, K: int | None = 
 
     Every order must vanish identically for a genuine eigenstate.
     """
-    K = state.order if K is None else K
+    K = state.order
     r = state.base_rung
     W = chain.rung(r).superpotential_series().truncated(K)
     v0 = chain.rung(0).potential_series().truncated(K)
     eps = chain.rung(r).energy
-    R = state.prefactor.truncated(K)
+    R = state.prefactor
     Rp = R.derivative()
     Rpp = Rp.derivative()
     # A = W' - W^2 + v0 - eps, assembled once so the residual is a single
@@ -437,7 +416,7 @@ def hamiltonian_residual(state: StateRep, chain: ChainSolution, K: int | None = 
     return [-Rpp[k] + 2 * WRp[k] + AR[k] for k in range(K + 1)]
 
 
-def count_nodes(state: StateRep, lam: float, K: int | None = None) -> int:
+def count_nodes(state: StateRep, lam: float) -> int:
     """Count interior sign changes on a grid (radial: (0, max(40, 12 p^2));
     line: symmetric about 0).
 
@@ -445,14 +424,13 @@ def count_nodes(state: StateRep, lam: float, K: int | None = None) -> int:
     physical region; any strictly growing window edge is stripped before
     counting so only the decaying, physical part of the state is inspected.
     """
-    K = state.order if K is None else K
     if state.radial:
         hi = max(40.0, 12.0 * state.power**2)
         xs = [hi * (i + 1) / (_NODE_SAMPLES + 1) for i in range(_NODE_SAMPLES)]
     else:
         hi = _NODE_HALF_WIDTH
         xs = [-hi + 2 * hi * i / _NODE_SAMPLES for i in range(_NODE_SAMPLES + 1)]
-    vals = list(evaluate_state_grid(state, xs, lam, K))
+    vals = list(evaluate_state_grid(state, xs, lam))
     start, end = 0, len(vals)
     while end - start > 2 and abs(vals[end - 1]) > abs(vals[end - 2]):
         end -= 1

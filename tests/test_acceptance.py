@@ -269,12 +269,12 @@ def test_criterion_7_property_suite(critical_table):
             state = build_eigenstate(Hulthen(l), 14, n=n, l=l)
             chain = solve_chain(Hulthen(l), r, 14)
             assert all(p.is_zero for p in hamiltonian_residual(state, chain)), (n, l)
-            assert count_nodes(state, 0.0, K=0) == r, (n, l)
+            assert count_nodes(build_eigenstate(Hulthen(l), 0, n=n, l=l), 0.0) == r, (n, l)
     chain = solve_chain(Anharmonic(), 4, 14)
     for r in range(5):
         state = build_eigenstate(Anharmonic(), 14, r=r)
         assert all(p.is_zero for p in hamiltonian_residual(state, chain)), r
-        assert count_nodes(state, 0.0, K=0) == r
+        assert count_nodes(build_eigenstate(Anharmonic(), 0, r=r), 0.0) == r
     # re-expansion identity for every approximant used in criteria 4 and 6
     checked = 0
     for res in critical_table.values():

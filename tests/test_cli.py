@@ -372,6 +372,47 @@ def test_wavefunction_overflowing_row_exit_3(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "args, x",
+    [
+        # x^2 already leaves double range at the middle sample, 5e199
+        (["hulthen", "--n", "2", "--l", "1", "--K", "6", "--lambda", "0.05",
+          "--x-range=0:1e200:3"], "5e+199"),
+        (["anharmonic", "--r", "0", "--K", "4", "--lambda", "0.2", "--pade", "2/2",
+          "--x-range=-1e200:1e200:3"], "-1e+200"),
+    ],
+)
+def test_wavefunction_overflowing_sample_exit_3(args, x, capsys):
+    # the state normalizes, then a power at a far sample overflows
+    assert run(["wavefunction", *args]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"computation failed: psi or its square is no longer finite at x = {x} ")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "args, option",
+    [
+        (["energy", "hulthen", "--n", "2", "--l", "1", "--K", "4", "--lambda-range", "0:nan:3"],
+         "--lambda-range"),
+        (["wavefunction", "hulthen", "--n", "2", "--l", "1", "--K", "6", "--lambda", "0.05",
+          "--x-range=nan:1:3"], "--x-range"),
+        (["wavefunction", "hulthen", "--n", "2", "--l", "1", "--K", "6", "--lambda", "nan"],
+         "--lambda"),
+        (["energy", "hulthen", "--n", "2", "--l", "1", "--K", "4", "--lambda", "inf"],
+         "--lambda"),
+        (["wavefunction", "anharmonic", "--r", "0", "--K", "4", "--lambda", "0",
+          "--x-range=-inf:1:3"], "--x-range"),
+    ],
+)
+def test_non_finite_number_exit_2(args, option, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(args)
+    assert exc.value.code == 2
+    assert f"argument {option}: expected a finite number" in capsys.readouterr().err
+
+
 def test_wavefunction_pade_rejects_negative_radial_x_exit_3(capsys):
     assert run(
         ["wavefunction", "hulthen", "--n", "2", "--l", "1", "--K", "10", "--lambda", "0.1",

@@ -106,7 +106,6 @@ def test_prefactor_built_once(hulthen_52, monkeypatch):
     monkeypatch.setattr(LaurentPoly, "__mul__", counting)
     for x in (0.0, 0.25, 2.0, 9.0):
         evaluate_state(hulthen_52, x, 0.02)
-        evaluate_state(hulthen_52, x, 0.01, K=6)
     state_lambda_series(hulthen_52, 2.0)
     assert calls == []
 
@@ -136,13 +135,6 @@ def test_negative_x_rejected_by_both_evaluators_for_radial_states(hulthen_52, an
     assert len(state_lambda_series(anharmonic_2, -2.0)) == anharmonic_2.order + 1
 
 
-def test_order_beyond_state_rejected_by_both_evaluators(hulthen_52):
-    with pytest.raises(DomainError):
-        evaluate_state(hulthen_52, 1.0, 0.02, K=15)
-    with pytest.raises(DomainError):
-        state_lambda_series(hulthen_52, 1.0, K=15)
-
-
 def test_laurent_sum_runs_left_to_right():
     # a compensated sum (Python 3.12's `sum`) would give 1.0
     assert LaurentPoly({0: 10**16, 1: 1, 2: -10**16})(1.0) == 0.0
@@ -155,12 +147,14 @@ def _bits(v: float) -> bytes:
     return struct.pack("<d", v)
 
 
-def _reference_pointwise(state, x, K):
-    """Per-polynomial `LaurentPoly.__call__` values, with the origin and
-    radial rules of `evaluate_state`."""
+def _reference_pointwise(state, x):
+    """Per-polynomial `LaurentPoly.__call__` values of x^p R_k and G_k, with
+    the radial rule of `evaluate_state` and an explicit origin rule: the
+    constant terms of x^p R_k, a pole rejected, and every G_k zero."""
     if state.radial and x < 0:
         raise DomainError("radial")
-    Q = state._xp_prefactor[: K + 1]
+    K = state.order
+    Q = [P.monomial(state.power) * p for p in state.prefactor]
     if x == 0.0:
         if any(p.min_exponent is not None and p.min_exponent < 0 for p in Q):
             raise DomainError("pole")
@@ -168,15 +162,16 @@ def _reference_pointwise(state, x, K):
     return [p(x) for p in Q], [state.G[k](x) for k in range(1, K + 1)]
 
 
-def _reference_psi(state, x, lam, K):
-    q, g = _reference_pointwise(state, x, K)
+def _reference_psi(state, x, lam):
+    q, g = _reference_pointwise(state, x)
     pref = horner(q, lam)
     expo = -state.decay(x) - horner(g, lam) * lam
     return math.copysign(math.inf, pref) if expo > 709.0 else pref * math.exp(expo)
 
 
-def _reference_series(state, x, K):
-    q, g = _reference_pointwise(state, x, K)
+def _reference_series(state, x):
+    q, g = _reference_pointwise(state, x)
+    K = state.order
     E = [1.0]
     for m in range(1, K + 1):
         acc = 0
@@ -225,9 +220,10 @@ STATES = {
 
 
 @lru_cache(maxsize=None)
-def _state(name):
-    family, K, labels, _, _ = STATES[name]
-    return build_eigenstate(family, K, **labels)
+def _state(name, K=None):
+    """The state `name`, built at order K (its listed order by default)."""
+    family, order, labels, _, _ = STATES[name]
+    return build_eigenstate(family, order if K is None else K, **labels)
 
 
 # the origin, tiny and negative abscissae, and abscissae past about 1e16,
@@ -238,27 +234,25 @@ edge_abscissae = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e-3, 1e-3),
 @given(
     data=st.data(),
     name=st.sampled_from(sorted(STATES)),
-    K=st.one_of(st.none(), st.integers(0, 14)),
+    K=st.integers(0, 14),
     block=st.sampled_from([1, 4, 7, 256]),
 )
 @settings(max_examples=150, deadline=None)
 def test_kernels_match_laurent_evaluation_bit_for_bit(data, name, K, block):
-    _, _, _, (lo, hi), lam_max = STATES[name]
-    state = _state(name)
-    K = None if K is None else min(K, state.order)
-    order = state.order if K is None else K
+    _, order, _, (lo, hi), lam_max = STATES[name]
+    state = _state(name, min(K, order))
     xs = data.draw(st.lists(st.floats(lo, hi), min_size=1, max_size=40))
     xs += data.draw(st.lists(edge_abscissae, max_size=2))
     xs = data.draw(st.permutations(xs))
     lam = data.draw(st.floats(-lam_max, lam_max))
-    expected = _walk(_reference_psi(state, x, lam, order) for x in xs)
-    expected_series = _walk(_reference_series(state, x, order) for x in xs)
-    assert _walk(evaluate_state(state, x, lam, K) for x in xs) == expected
-    assert _walk(state_lambda_series(state, x, K) for x in xs) == expected_series
+    expected = _walk(_reference_psi(state, x, lam) for x in xs)
+    expected_series = _walk(_reference_series(state, x) for x in xs)
+    assert _walk(evaluate_state(state, x, lam) for x in xs) == expected
+    assert _walk(state_lambda_series(state, x) for x in xs) == expected_series
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(seaqm.states, "_BLOCK", block)
-        assert _walk(evaluate_state_grid(state, xs, lam, K)) == expected
-        assert _walk(c.tolist() for c in _columns(state, xs, K, _series)) == expected_series
+        assert _walk(evaluate_state_grid(state, xs, lam)) == expected
+        assert _walk(c.tolist() for c in _columns(state, xs, _series)) == expected_series
 
 
 def test_kernel_examples_cover_overflow_and_signed_zeros():
@@ -268,14 +262,14 @@ def test_kernel_examples_cover_overflow_and_signed_zeros():
     state = build_eigenstate(Anharmonic(), 2, r=0)
     xs = [-32.0, -6.5, 0.0, 2.0, 6.5, 32.0]
     values = list(evaluate_state_grid(state, xs, 0.01))
-    assert [_bits(v) for v in values] == [_outcome(_reference_psi, state, x, 0.01, 2) for x in xs]
+    assert [_bits(v) for v in values] == [_outcome(_reference_psi, state, x, 0.01) for x in xs]
     with pytest.raises(OverflowError):
         values[-1] ** 2
     with pytest.raises(OverflowError):
         list(evaluate_state_grid(state, [1.0, 1e60], 0.01))
     hulthen = _state("hulthen (5,2)")
     at_origin = list(evaluate_state_grid(hulthen, [-0.0, 0.0, 3.0], -0.02))
-    assert [_bits(v) for v in at_origin] == [_outcome(_reference_psi, hulthen, x, -0.02, 14) for x in (-0.0, 0.0, 3.0)]
+    assert [_bits(v) for v in at_origin] == [_outcome(_reference_psi, hulthen, x, -0.02) for x in (-0.0, 0.0, 3.0)]
     assert _bits(at_origin[0]) in (_bits(0.0), _bits(-0.0))
 
 
