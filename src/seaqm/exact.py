@@ -17,7 +17,7 @@ back into a canonical ``LaurentPoly`` once.
 
 Values are immutable after construction and safe to share across threads; the
 internal caches are the Bernoulli table (a ``functools.lru_cache``) and each
-polynomial's hash, dense form and float terms, computed on first use.
+polynomial's dense form, built on first use.
 """
 
 from __future__ import annotations
@@ -52,12 +52,14 @@ def rational_to_str(q: Rational) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def horner(coeffs: Sequence[float | Fraction], t: float) -> float:
+def horner(coeffs: Sequence, t):
     """Float value of sum_k coeffs[k] * t**k by Horner's rule, top coefficient
-    first: the one float evaluator of coupling series (and of the l = 0 eta)."""
+    first: the one float evaluator.  `t` and each coefficient may be NumPy
+    arrays, stepped elementwise in the same order (no fused multiply-add), so
+    bit for bit with floats; a `Fraction` enters as ``float(c)``."""
     val = 0.0
     for c in reversed(coeffs):
-        val = val * t + float(c)
+        val = val * t + (float(c) if isinstance(c, Fraction) else c)
     return val
 
 
@@ -69,7 +71,7 @@ class LaurentPoly:
     Instances are immutable and hashable.
     """
 
-    __slots__ = ("_terms", "_hash", "_dense", "_floats")
+    __slots__ = ("_terms", "_dense")
 
     def __init__(self, terms: Mapping[int, RationalLike] | Iterable[tuple[int, RationalLike]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -79,9 +81,7 @@ class LaurentPoly:
             if c:
                 clean[int(exp)] = c
         self._terms = clean
-        self._hash: int | None = None
         self._dense: _Dense | None = None
-        self._floats: tuple[tuple[int, float], ...] | None = None
 
     # -- constructors -------------------------------------------------------
 
@@ -133,9 +133,7 @@ class LaurentPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
-        return self._hash
+        return hash(frozenset(self._terms.items()))
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
@@ -193,11 +191,9 @@ class LaurentPoly:
 
     @property
     def float_terms(self) -> tuple[tuple[int, float], ...]:
-        """(exponent, float coefficient) pairs in insertion order, converted once."""
-        terms = self._floats
-        if terms is None:
-            terms = self._floats = tuple((e, float(c)) for e, c in self._terms.items())
-        return terms
+        """(exponent, float coefficient) pairs in insertion order, converted on
+        each read: a state's tables read them once per polynomial."""
+        return tuple((e, float(c)) for e, c in self._terms.items())
 
     def __call__(self, x: float) -> float:
         """Float value at x.  The float sum runs left to right over the terms in
@@ -226,9 +222,7 @@ class LaurentPoly:
 def _wrap(terms: dict[int, Fraction]) -> LaurentPoly:
     p = LaurentPoly.__new__(LaurentPoly)
     p._terms = terms
-    p._hash = None
     p._dense = None
-    p._floats = None
     return p
 
 

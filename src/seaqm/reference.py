@@ -198,8 +198,8 @@ def critical_value(n: int, l: int) -> float:
     return float(Fraction(CRITICAL_SCREENING[(n, l)][0]))
 
 
-def critical_tolerance(n: int, l: int, units: int = 5) -> float:
-    """Acceptance window: `units` times the last tabulated digit of lambda_c.
+def critical_tolerance(n: int, l: int) -> float:
+    """Acceptance window: 5 times the last tabulated digit of lambda_c.
 
     Terminating (l = 0) entries are exact; a tight absolute window is returned
     for them so comparisons stay strict.
@@ -208,4 +208,4 @@ def critical_tolerance(n: int, l: int, units: int = 5) -> float:
     if l == 0:
         return 1e-12
     decimals = len(value.split(".")[1])
-    return units * 10.0 ** (-decimals)
+    return 5 * 10.0 ** (-decimals)

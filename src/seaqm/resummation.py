@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from math import gcd, lcm
 from operator import mul
 from typing import Sequence
@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NoSignChange, PoleProximity, SingularPadeSystem
-from .exact import horner
+from .exact import horner, rational_to_str
 from .spectra import EnergySeries, hulthen_energy_series
 
 __all__ = [
@@ -67,8 +67,6 @@ class PadeApproximant:
         return tuple(map(float, self.numerator)), tuple(map(float, self.denominator))
 
     def to_json(self) -> dict:
-        from .exact import rational_to_str
-
         return {
             "m": self.m,
             "n": self.n,
@@ -185,12 +183,17 @@ def reexpand(P: PadeApproximant, order: int) -> list[Fraction]:
     return out
 
 
+def _near_pole(num, den):
+    """The pole rule |den| < 1e-12 max(1, |num|), on floats or elementwise on
+    arrays; a NaN numerator counts as 1, as in Python's max."""
+    return (abs(den) < 1e-12) | (abs(den) < 1e-12 * abs(num))
+
+
 def _ratio(numerator: Sequence[float], denominator: Sequence[float], lam: float) -> float:
     """Horner value of numerator / denominator at lam; raises PoleProximity
     near a denominator zero."""
-    num = horner(numerator, lam)
-    den = horner(denominator, lam)
-    if abs(den) < 1e-12 * max(1.0, abs(num)):
+    num, den = horner(numerator, lam), horner(denominator, lam)
+    if _near_pole(num, den):
         raise PoleProximity(f"denominator {den:.3e} too small at lam={lam}")
     return num / den
 
@@ -265,33 +268,18 @@ class CriticalResult:
     notes: tuple[str, ...] = ()
     approximants: tuple[PadeApproximant, ...] = ()
 
-    def __iter__(self):
-        return iter((self.lambda_c, self.uncertainty))
 
-
-def _real_denominator_roots(P: PadeApproximant, hi: float) -> list[float]:
-    coeffs = P.float_coefficients[1]
-    if len(coeffs) < 2:
-        return []
-    roots = np.roots(coeffs[::-1])
-    return [
-        float(z.real)
-        for z in roots
-        if abs(z.imag) < 1e-9 * max(1.0, abs(z.real)) and 0.0 < z.real <= hi
-    ]
-
-
-def spurious_pole_near_root(P: PadeApproximant, root: float, window: float = 1e-3) -> float | None:
-    """First real denominator zero inside (0, root] within `window` of the root.
+def spurious_pole_near_root(P: PadeApproximant, root: float) -> float | None:
+    """First real denominator zero inside (0, root] within 1e-3 of the root.
 
     Such a zero marks a defect (pole-zero) pair sitting on the physical
     interval; callers retry with the denominator order reduced by one.
     Denominator zeros *above* the root are expected (the resummed level is
     singular beyond the critical coupling) and are not flagged.
     """
-    for pole in _real_denominator_roots(P, root):
-        if root - pole < window:
-            return pole
+    for z in np.roots(P.float_coefficients[1][::-1]):  # none for a constant
+        if abs(z.imag) < 1e-9 * max(1.0, abs(z.real)) and 0.0 < z.real <= root and root - z.real < 1e-3:
+            return float(z.real)
     return None
 
 
@@ -309,7 +297,7 @@ def _first_crossing(values: list[float | None], grid: list[float]) -> tuple[floa
     raise NoSignChange("no sign change of the resummed level on the scan grid")
 
 
-def _bisect_root(f, lo: float, hi: float, tol: float = 1e-12) -> float:
+def _bisect_root(f, lo: float, hi: float) -> float:
     flo = f(lo)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -318,48 +306,42 @@ def _bisect_root(f, lo: float, hi: float, tol: float = 1e-12) -> float:
             lo, flo = mid, fm
         else:
             hi = mid
-        if hi - lo < tol:
+        if hi - lo < 1e-12:
             break
     return 0.5 * (lo + hi)
 
 
 def _scan_values(P: PadeApproximant, grid: Sequence[float]) -> list[float | None]:
-    """`pade_eval` at every grid point, None where it raises PoleProximity.
-
-    np.polyval does the Horner steps of `exact.horner` in the same order (no
-    fused multiply-add), so every value is bit-identical to the scalar one;
-    np.fmax, like Python's max, ignores a NaN against 1.0.
-    """
-    numerator, denominator = P.float_coefficients
+    """`pade_eval` at every grid point, None where it raises PoleProximity:
+    one `exact.horner` pass over the grid array and the same pole rule, so
+    every value is bit-identical to the scalar one."""
     x = np.asarray(grid, dtype=float)
     with np.errstate(all="ignore"):
-        num = np.polyval(numerator[::-1], x)
-        den = np.polyval(denominator[::-1], x)
-        keep = ~(np.abs(den) < 1e-12 * np.fmax(1.0, np.abs(num)))
+        num, den = (horner(coeffs, x) for coeffs in P.float_coefficients)
+        keep = ~_near_pole(num, den)
         vals = num / den
     return [v if k else None for v, k in zip(vals.tolist(), keep.tolist())]
 
 
-def _track_root(
-    series: Sequence[Fraction], m: int, n: int, scan_hi: float = 2.0, grid_points: int = 1000
-) -> tuple[float, PadeApproximant, list[str]]:
-    """Root of one approximant on (0, scan_hi], applying the spurious-pole policy:
-    a denominator zero within 1e-3 of the tracked root triggers a retry at n-1."""
+# the root scan: 1000 equal steps on (0, 2]
+_SCAN_GRID = [2.0 * (i + 1) / 1000 for i in range(1000)]
+
+
+def _track_root(series: Sequence[Fraction], m: int, n: int) -> tuple[float, PadeApproximant, list[str]]:
+    """Root of one approximant on the scan grid, applying the spurious-pole
+    policy: a denominator zero within 1e-3 of the tracked root triggers a
+    retry at n-1."""
     notes: list[str] = []
     nn = n
     while True:
         P = pade_with_fallback(series, m, nn)
-        grid = [scan_hi * (i + 1) / grid_points for i in range(grid_points)]
-        lo, hi = _first_crossing(_scan_values(P, grid), grid)
-        root = _bisect_root(lambda x: pade_eval(P, x), lo, hi)
+        lo, hi = _first_crossing(_scan_values(P, _SCAN_GRID), _SCAN_GRID)
+        root = _bisect_root(partial(pade_eval, P), lo, hi)
         pole = spurious_pole_near_root(P, root)
-        if pole is not None and P.n > 0:
-            notes.append(
-                f"[{P.m}/{P.n}] denominator zero at {pole:.6g} near root; reduced n"
-            )
-            nn = P.n - 1
-            continue
-        return root, P, notes
+        if pole is None or P.n == 0:
+            return root, P, notes
+        notes.append(f"[{P.m}/{P.n}] denominator zero at {pole:.6g} near root; reduced n")
+        nn = P.n - 1
 
 
 def critical_lambda(

@@ -56,9 +56,9 @@ class EnergySeries:
             "coeffs": [rational_to_str(c) for c in self.coeffs],
         }
 
-    def to_csv_rows(self, digits: int = 30) -> list[tuple[int, str]]:
-        """(k, coefficient) rows with decimal coefficients at `digits` significant digits."""
-        ctx = decimal.Context(prec=digits)
+    def to_csv_rows(self) -> list[tuple[int, str]]:
+        """(k, coefficient) rows with decimal coefficients at 30 significant digits."""
+        ctx = decimal.Context(prec=30)
         rows = []
         for k, c in enumerate(self.coeffs):
             val = ctx.divide(decimal.Decimal(c.numerator), decimal.Decimal(c.denominator))

@@ -48,7 +48,7 @@ import numpy as np
 
 from .engine import ChainSolution, ProblemFamily, solve_chain
 from .errors import DomainError, InvalidLeading, NonNormalizable, RungOrderViolation
-from .exact import LambdaSeries, LaurentPoly
+from .exact import LambdaSeries, LaurentPoly, horner
 from .quadrature import qags
 from .resummation import float_pade_eval
 
@@ -241,14 +241,11 @@ def _table_values(state: StateRep, t: _Tables, xs: Sequence[float]) -> tuple[np.
 
 
 def _psi(t: _Tables, vals: np.ndarray, errors: list, lam: float) -> list[float]:
-    """psi at lam from a block's table values: `exact.horner`'s order in lam
-    over x^p R_k and G_k, and an infinite value past `_EXP_MAX`."""
-    def step(acc, a):
-        return acc * lam + a
-
+    """psi at lam from a block's table values: `exact.horner` in lam over the
+    rows x^p R_k and G_k, and an infinite value past `_EXP_MAX`."""
     with np.errstate(all="ignore"):
-        pref = reduce(step, vals[t.K :: -1], 0.0)
-        expo = -vals[-1] - reduce(step, vals[2 * t.K : t.K : -1], 0.0) * lam
+        pref = horner(vals[: t.K + 1], lam)
+        expo = -vals[-1] - horner(vals[t.K + 1 : -1], lam) * lam
     return [
         math.copysign(math.inf, p) if e > _EXP_MAX else p * math.exp(e)
         for p, e in zip(pref.tolist(), expo.tolist())
@@ -315,10 +312,10 @@ def state_lambda_series(state: StateRep, x: float) -> list[float]:
 
 
 def _scan_cutoff(grid, stop: float) -> float:
-    """March from 0 toward `stop`, `_BLOCK` grid points at a time; return the
-    abscissa where the density psi^2 has decayed below _TAIL_RATIO times its
-    running peak.  `grid(xs)` iterates psi over xs lazily, raising where psi
-    raises.
+    """March from 0 toward `stop` over _SCAN_POINTS steps; return the abscissa
+    where the density psi^2 has decayed below _TAIL_RATIO times its running
+    peak.  `grid(xs)` iterates psi over all the steps lazily (`_columns`
+    evaluates `_BLOCK` of them at a time), raising where psi raises.
 
     When it never does, the truncated series has broken down before the state
     decayed: the error names where the density stopped decaying (its lowest
@@ -327,21 +324,20 @@ def _scan_cutoff(grid, stop: float) -> float:
     """
     peak = 0.0
     lowest, x_turn = 1.0, 0.0
-    for start in range(0, _SCAN_POINTS + 1, _BLOCK):
-        xs = [stop * i / _SCAN_POINTS for i in range(start, min(start + _BLOCK, _SCAN_POINTS + 1))]
-        psi = grid(xs)
-        for x in xs:
-            try:
-                val = next(psi) ** 2
-            except OverflowError:
-                raise NonNormalizable(_breakdown(x_turn, lowest, f"overflows at x = {x:.6g}"))
-            if not math.isfinite(val):
-                raise NonNormalizable(_breakdown(x_turn, lowest, f"diverges at x = {x:.6g}"))
-            peak = max(peak, val)
-            if peak > 0.0 and val < _TAIL_RATIO * peak:
-                return x
-            if val < lowest * peak:
-                lowest, x_turn = val / peak, x
+    xs = [stop * i / _SCAN_POINTS for i in range(_SCAN_POINTS + 1)]
+    psi = grid(xs)
+    for x in xs:
+        try:
+            val = next(psi) ** 2
+        except OverflowError:
+            raise NonNormalizable(_breakdown(x_turn, lowest, f"overflows at x = {x:.6g}"))
+        if not math.isfinite(val):
+            raise NonNormalizable(_breakdown(x_turn, lowest, f"diverges at x = {x:.6g}"))
+        peak = max(peak, val)
+        if peak > 0.0 and val < _TAIL_RATIO * peak:
+            return x
+        if val < lowest * peak:
+            lowest, x_turn = val / peak, x
     raise NonNormalizable(
         _breakdown(x_turn, lowest, f"is still above the cutoff at the domain bound {stop}")
     )
