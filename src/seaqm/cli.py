@@ -13,8 +13,9 @@ families check the ranges of the level labels.  Every output embeds a metadata
 header (command, parameters, package version, series order).  The CSV and JSON
 variants of a run carry the same numeric content.  ``SEA_THREADS`` bounds the
 worker pool used for the critical table; exit codes are 2 for parameter
-validation problems, 3 for computation failures, and 1 for a validation
-mismatch in ``validate``.
+validation problems and for a path on the command line that cannot be read or
+written, 3 for computation failures, and 1 for a validation mismatch in
+``validate``.
 """
 
 from __future__ import annotations
@@ -352,8 +353,11 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
     for x in xs:
         try:
             v = next(values)
-        except OverflowError:  # a power or exponential at x left double range
-            v = math.inf
+        except OverflowError:
+            raise DomainError(
+                f"psi or its square is no longer finite at x = {x:.6g} as evaluated: a "
+                "power of x or exp(-D) leaves double range at that x; end the x range earlier"
+            ) from None
         rows.append(_wavefunction_row(x, v, norm))
     labels = {
         "family": state.family.name,
@@ -503,6 +507,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_COMPUTE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        if exc.filename is None:  # not a path of this run
+            raise
+        print(f"error: cannot use {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
 
 

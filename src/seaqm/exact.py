@@ -59,7 +59,7 @@ def horner(coeffs: Sequence, t):
     bit for bit with floats; a `Fraction` enters as ``float(c)``."""
     val = 0.0
     for c in reversed(coeffs):
-        val = val * t + (float(c) if isinstance(c, Fraction) else c)
+        val = val * t + (float(c) if type(c) is Fraction else c)
     return val
 
 

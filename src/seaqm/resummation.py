@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import mul
 from typing import Sequence
@@ -329,18 +329,25 @@ _SCAN_GRID = [2.0 * (i + 1) / 1000 for i in range(1000)]
 
 def _track_root(series: Sequence[Fraction], m: int, n: int) -> tuple[float, PadeApproximant, list[str]]:
     """Root of one approximant on the scan grid, applying the spurious-pole
-    policy: a denominator zero within 1e-3 of the tracked root triggers a
-    retry at n-1."""
+    policy: a denominator zero within 1e-3 of the tracked root, or inside the
+    bracket of the first sign change, triggers a retry at n-1."""
     notes: list[str] = []
     nn = n
     while True:
         P = pade_with_fallback(series, m, nn)
         lo, hi = _first_crossing(_scan_values(P, _SCAN_GRID), _SCAN_GRID)
-        root = _bisect_root(partial(pade_eval, P), lo, hi)
-        pole = spurious_pole_near_root(P, root)
-        if pole is None or P.n == 0:
-            return root, P, notes
-        notes.append(f"[{P.m}/{P.n}] denominator zero at {pole:.6g} near root; reduced n")
+        try:
+            root = _bisect_root(lambda x: pade_eval(P, x), lo, hi)
+        except PoleProximity:
+            if P.n == 0:
+                raise
+            where = f"in the bracket ({lo:.6g}, {hi:.6g}) of the first sign change"
+        else:
+            pole = spurious_pole_near_root(P, root)
+            if pole is None or P.n == 0:
+                return root, P, notes
+            where = f"at {pole:.6g} near root"
+        notes.append(f"[{P.m}/{P.n}] denominator zero {where}; reduced n")
         nn = P.n - 1
 
 

@@ -20,13 +20,13 @@ float tables of x^p R_k, G_k and D, compiled once per state at that order
 (`_Tables`, kept on the `StateRep`).  One block kernel, `_table_values`,
 turns `_BLOCK` abscissae at a time into those values, a column per x, with
 the radial and overflow rules applied column by column; the origin takes the
-general power rule, and a pole left there is a `DomainError`.  psi is a
-Horner pass over the values, and the coupling series of psi (the input of the
-pointwise resummation, `pade=(m, n)`) is the exponential's recursion and the
-prefactor convolution, done elementwise on them.  The wavefunction rows,
-`count_nodes`, the normalization's tail scan and its quadrature
-(`quadrature.qags`, QUADPACK's QAGS, which asks for one 21-point Kronrod
-panel at a time) all go through it, and `evaluate_state` and
+general power rule, and a pole left there is a `DomainError`.  psi is an
+`exact.horner` pass over the values, and the coupling series of psi (the
+input of the pointwise resummation, `pade=(m, n)`) is the exponential's
+recursion and the prefactor convolution, done elementwise on them.  The
+wavefunction rows, `count_nodes`, the normalization's tail scan and its
+quadrature (`quadrature.qags`, QUADPACK's QAGS, which asks for one 21-point
+Kronrod panel at a time) all go through it, and `evaluate_state` and
 `state_lambda_series` are its one-abscissa calls.  It gives
 `LaurentPoly.__call__`'s values bit for bit: powers come from Python's ``**``
 and exponentials from `math.exp` (libm), not from `np.power` or `np.exp`,
@@ -419,6 +419,8 @@ def count_nodes(state: StateRep, lam: float) -> int:
     A truncated exponent series can turn around and grow far outside the
     physical region; any strictly growing window edge is stripped before
     counting so only the decaying, physical part of the state is inspected.
+    Where psi is no longer finite inside the window the state has no such
+    part to count, and NonNormalizable names the first such x.
     """
     if state.radial:
         hi = max(40.0, 12.0 * state.power**2)
@@ -427,6 +429,12 @@ def count_nodes(state: StateRep, lam: float) -> int:
         hi = _NODE_HALF_WIDTH
         xs = [-hi + 2 * hi * i / _NODE_SAMPLES for i in range(_NODE_SAMPLES + 1)]
     vals = list(evaluate_state_grid(state, xs, lam))
+    for x, v in zip(xs, vals):
+        if not math.isfinite(v):
+            raise NonNormalizable(
+                f"psi is not finite at x = {x:.6g} inside the node-count window: the truncated "
+                "series breaks down before the state decays; use a smaller lambda"
+            )
     start, end = 0, len(vals)
     while end - start > 2 and abs(vals[end - 1]) > abs(vals[end - 2]):
         end -= 1

@@ -69,6 +69,21 @@ def test_coeffs_with_superpotential_sidecar(tmp_path):
     assert side["chain"]["b"] == 2 and side["chain"]["rMax"] == 0
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["coeffs", "hulthen", "--n", "2", "--l", "1"],
+        ["validate", "--suite", "coefficients"],
+    ],
+)
+def test_unwritable_out_exit_2(args, tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert run([*args, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.endswith(f"error: cannot use {out}: No such file or directory\n")
+    assert "Traceback" not in captured.err
+
+
 def test_coeffs_bad_labels_exit_2(capsys):
     assert run(["coeffs", "hulthen", "--n", "2", "--l", "2"]) == 2
     assert "l <= n-1" in capsys.readouterr().err
@@ -388,6 +403,10 @@ def test_wavefunction_overflowing_sample_exit_3(args, x, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"computation failed: psi or its square is no longer finite at x = {x} ")
+    # the overflow is in an intermediate, not in psi: no advice on lambda
+    assert captured.err.endswith(
+        ": a power of x or exp(-D) leaves double range at that x; end the x range earlier\n"
+    )
     assert "Traceback" not in captured.err
 
 

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -165,6 +166,18 @@ def test_horner_operation_order():
     assert horner([1, -2.5, F(1, 7)], t) == expected
     assert horner((), t) == 0.0
     assert horner([F(3, 4)], 123.0) == 0.75
+
+
+def test_horner_on_arrays_is_the_scalar_horner():
+    # a grid array for t, or array coefficients (a state's table rows), give
+    # each element's scalar value bit for bit; Fractions still enter as floats
+    coeffs = [1, -2.5, F(1, 7), 3e-17, F(-10**30, 3)]
+    ts = [0.3, -1.7, 0.0, -0.0, 1e5, float("inf")]
+    with np.errstate(all="ignore"):
+        grid = horner(coeffs, np.array(ts))
+        rows = horner([np.array([float(c)] * 2) for c in coeffs], 0.3)
+    assert [v.hex() for v in grid.tolist()] == [horner(coeffs, t).hex() for t in ts]
+    assert rows.tolist() == [horner(coeffs, 0.3)] * 2
 
 
 # ------------------------------------------------------------ LambdaSeries -

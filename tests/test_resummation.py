@@ -405,3 +405,18 @@ def test_table_cells_need_no_pole_retry():
         res = critical_lambda(n, l, 30, ((15, 14), (14, 14)))
         assert res.notes == ()
         assert res.pade_used == "[15/14] [14/14]"
+
+
+def test_pole_in_first_bracket_retries_at_lower_n():
+    # [15/14] of (10,7) first changes sign across a denominator zero at
+    # 0.0160017, not across the root: the bisection meets the pole, and the
+    # policy steps n down as for a pole near the root
+    res = critical_lambda(10, 7)
+    assert res.notes == (
+        "[15/14] denominator zero in the bracket (0.016, 0.018) of the first sign change; reduced n",
+    )
+    assert res.pade_used == "[15/12] [14/14]"
+    assert res.lambda_c == pytest.approx(0.0145734680, abs=1e-10)
+    assert res.uncertainty == pytest.approx(9.0e-9, abs=1e-10)
+    # between its neighbours in l, as the table is monotone in l
+    assert critical_lambda(10, 8).lambda_c < res.lambda_c < critical_lambda(10, 6).lambda_c

@@ -279,6 +279,33 @@ def test_edge_states_nodeless_in_bound_regime():
         assert count_nodes(st, lam) == 0
 
 
+@pytest.mark.parametrize(
+    "family, K, labels, lam, nodes",
+    [
+        # the truncated exponent turns psi around inside the window: 429
+        # growing samples are stripped from each end before counting
+        (Anharmonic(), 8, {"r": 2}, 0.02, 2),
+        (Hulthen(1), 10, {"n": 3, "l": 1}, 0.1, 1),  # 1,682 stripped at the far end
+    ],
+)
+def test_node_count_strips_growing_edges(family, K, labels, lam, nodes):
+    assert count_nodes(build_eigenstate(family, K, **labels), lam) == nodes
+
+
+@pytest.mark.parametrize(
+    "family, K, labels, lam, x",
+    [
+        # psi is inf from the window's left end on: no decaying part to count
+        *((Anharmonic(), 8, {"r": 2}, lam, "-10") for lam in (0.03, 0.05, 0.1, 0.3)),
+        (Anharmonic(), 20, {"r": 2}, 0.05, "-10"),
+        (Hulthen(1), 10, {"n": 3, "l": 1}, 0.15, "88.0953"),
+    ],
+)
+def test_node_count_of_runaway_state_raises(family, K, labels, lam, x):
+    with pytest.raises(NonNormalizable, match=f"^psi is not finite at x = {x} inside the node-count window"):
+        count_nodes(build_eigenstate(family, K, **labels), lam)
+
+
 def test_creation_pole_bound():
     chain = solve_chain(Hulthen(0), 3, 2)
     st = edge_state(chain, 3)
