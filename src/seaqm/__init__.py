@@ -4,7 +4,7 @@ The package solves the logarithmic (Riccati) form of the eigenvalue problem
 order by order in the coupling with exact rational arithmetic, assembles
 excited states through ladders of factorization operators, resums the
 truncated series with Pade approximants, and cross-validates everything
-against an independent finite-difference eigensolver.
+against an independent Lagrange-mesh eigensolver.
 """
 
 __version__ = "0.1.0"
@@ -20,7 +20,7 @@ from .engine import (
     solve_chain,
 )
 from .exact import LambdaSeries, LaurentPoly, Rational, bernoulli_minus
-from .oracle import GridSpec, anharmonic_numeric, fd_eigenvalues, hulthen_numeric
+from .oracle import MeshSpec, anharmonic_numeric, hulthen_numeric, mesh_eigenvalues
 from .resummation import (
     CriticalResult,
     PadeApproximant,
@@ -58,11 +58,11 @@ __all__ = [
     "CriticalResult",
     "EnergySeries",
     "GenericPerturbed",
-    "GridSpec",
     "Hulthen",
     "LambdaSeries",
     "LaurentPoly",
     "LeadingSuperpotential",
+    "MeshSpec",
     "PadeApproximant",
     "Rational",
     "Rung",
@@ -78,12 +78,12 @@ __all__ = [
     "edge_state",
     "evaluate_state",
     "evaluate_truncated",
-    "fd_eigenvalues",
     "hamiltonian_residual",
     "hulthen_energy_closed_l0",
     "hulthen_energy_series",
     "hulthen_l0_state",
     "hulthen_numeric",
+    "mesh_eigenvalues",
     "normalize",
     "pade",
     "pade_eval",

@@ -21,6 +21,7 @@ written, 3 for computation failures, and 1 for a validation mismatch in
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -493,10 +494,24 @@ def _validate_labels(args: argparse.Namespace) -> str | None:
     return None
 
 
+def _path_problem(args: argparse.Namespace) -> str | None:
+    """An --out or --resume path that cannot be written, found before any work
+    starts: its folder is missing or not writable, or the path is a folder."""
+    for text in filter(None, (getattr(args, "out", None), getattr(args, "resume", None))):
+        path = Path(text)
+        code = (errno.ENOENT if not path.parent.is_dir()
+                else errno.EISDIR if path.is_dir()
+                else errno.EACCES if not os.access(path.parent, os.W_OK)
+                else 0)
+        if code:
+            return f"cannot use {text}: {os.strerror(code)}"
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    problem = _validate_labels(args)
+    problem = _validate_labels(args) or _path_problem(args)
     if problem:
         print(f"error: {problem}", file=sys.stderr)
         return EXIT_USAGE

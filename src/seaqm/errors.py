@@ -60,4 +60,4 @@ class NoSignChange(SeaError):
 
 
 class GridTooCoarse(SeaError):
-    """Finite-difference eigenvalues did not converge on the supplied grid."""
+    """Oracle eigenvalues still moved by more than 1e-6 relative under mesh doubling."""

@@ -1,138 +1,119 @@
-"""Independent finite-difference eigensolver used to validate series results.
+"""Independent Lagrange-mesh eigensolver used to validate series results.
 
-The Hamiltonian ``-d^2/dx^2 + v(x)`` is discretized with the standard
-three-point stencil and Dirichlet ends; eigenvalues come from Sturm-sequence
-bisection on the tridiagonal matrix (LAPACK ``stebz``), followed by Richardson
-extrapolation over grids N and 2N under the h^2 error model.  The screened
-Coulomb potential is used in its exact transcendental form here, not its
-coupling expansion, which is what makes this solver an independent check.
+The Hamiltonian ``-d^2/dx^2 + v(x)`` is taken on a Lagrange mesh (D. Baye,
+"The Lagrange-mesh method", Phys. Rep. 565 (2015) 1-107): the regularized
+Laguerre mesh for radial problems, the Hermite mesh on the full line.  The
+mesh points x_i are scaled to h*x_i so that the outermost one sits at the
+domain edge, and numpy's ``eigvalsh`` diagonalizes ``T/h^2 + diag(v(h*x_i))``.
+The change of each eigenvalue from N to 2N points is its error estimate.  The
+screened Coulomb potential is used in its exact transcendental form here, not
+its coupling expansion, which is what makes this solver an independent check.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import GridTooCoarse
 
-__all__ = [
-    "GridSpec",
-    "fd_eigenvalues",
-    "fd_eigenvalues_with_error",
-    "hulthen_numeric",
-    "anharmonic_numeric",
-    "default_hulthen_grid",
-    "default_anharmonic_grid",
-]
+__all__ = ["MeshSpec", "mesh_eigenvalues", "hulthen_numeric", "anharmonic_numeric",
+           "default_hulthen_mesh", "default_anharmonic_mesh"]
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    """Uniform Dirichlet grid for the finite-difference Hamiltonian."""
+class MeshSpec:
+    """A Lagrange mesh of `size` points over [0, x_max] (radial) or
+    [-x_max, x_max] (full line); it is solved at `size` and 2*`size` points."""
 
-    x_min: float
     x_max: float
-    points: int
+    radial: bool
+    size: int = 60
 
     def __post_init__(self):
-        if self.points < 3:
-            raise ValueError("need at least 3 grid points")
-        if not self.x_min < self.x_max:
-            raise ValueError("x_min must be below x_max")
+        if self.size < 2 or not (math.isfinite(self.x_max) and self.x_max > 0):
+            raise ValueError(f"need size >= 2 and a positive finite x_max, got {self.size} and {self.x_max}")
 
 
-def _tridiagonal_eigenvalues(
-    potential: Callable[[np.ndarray], np.ndarray], grid: GridSpec, count: int
-) -> np.ndarray:
-    x, h = np.linspace(grid.x_min, grid.x_max, grid.points + 1, retstep=True)
-    interior = x[1:-1]
+def _kinetic(size: int, radial: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Mesh points x_i, the zeros of L_N (radial) or H_N taken as eigenvalues
+    of the polynomials' Jacobi matrix, and -d^2/dx^2 on them at unit scale."""
+    k = np.arange(size)
+    diag, off = (2.0 * k + 1, k[1:].astype(float)) if radial else (np.zeros(size), np.sqrt(k[1:] / 2.0))
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    sign = 1.0 - 2.0 * ((k[:, None] + k) % 2)
+    gap = x[:, None] - x + np.eye(size)  # the diagonal is overwritten below
+    if radial:
+        t = sign * (x[:, None] + x) / (np.sqrt(np.outer(x, x)) * gap**2)
+        t[k, k] = -(x**2 - 2.0 * (2 * size + 1) * x - 4.0) / (12.0 * x**2)
+    else:
+        t = sign * (2.0 / gap**2 - 0.5)
+        t[k, k] = (4.0 * size - 1.0 - 2.0 * x**2) / 6.0
+    return x, t
+
+
+def _lowest(potential: Callable[[np.ndarray], np.ndarray], mesh: MeshSpec, size: int, count: int):
+    x, t = _kinetic(size, mesh.radial)
+    h = mesh.x_max / x[-1]
     with np.errstate(over="ignore", divide="ignore"):
-        v = np.asarray(potential(interior), dtype=float)
+        v = np.asarray(potential(h * x), dtype=float)
     if not np.all(np.isfinite(v)):
-        raise ValueError("potential must be finite on the interior grid nodes")
-    d = 2.0 / h**2 + v
-    e = np.full(len(interior) - 1, -1.0 / h**2)
-    return eigh_tridiagonal(
-        d, e, eigvals_only=True, select="i", select_range=(0, count - 1), lapack_driver="stebz"
-    )
+        raise ValueError("potential must be finite on every mesh point")
+    return np.linalg.eigvalsh(t / h**2 + np.diag(v))[:count]
 
 
-def fd_eigenvalues_with_error(
-    potential: Callable[[np.ndarray], np.ndarray], grid: GridSpec, count: int
-) -> tuple[list[float], list[float]]:
-    """Richardson-extrapolated eigenvalues plus a residual-error estimate.
+def mesh_eigenvalues(potential: Callable[[np.ndarray], np.ndarray], mesh: MeshSpec,
+                     count: int) -> tuple[list[float], list[float]]:
+    """Lowest `count` eigenvalues of -d^2/dx^2 + v at 2N mesh points, and
+    each one's change from N points as its error estimate.
 
-    The estimate is the change of the extrapolated value when the grid pair
-    is doubled from (N/2, N) to (N, 2N), i.e. the size of the h^4 tail the
-    h^2 model does not remove.
+    Raises GridTooCoarse when an eigenvalue still moves by more than 1e-6
+    relative under mesh doubling.
     """
-    half = _tridiagonal_eigenvalues(
-        potential, GridSpec(grid.x_min, grid.x_max, max(grid.points // 2, 3)), count
-    )
-    base = _tridiagonal_eigenvalues(potential, grid, count)
-    fine = _tridiagonal_eigenvalues(
-        potential, GridSpec(grid.x_min, grid.x_max, 2 * grid.points), count
-    )
-    coarse_pair = (4.0 * base - half) / 3.0
-    fine_pair = (4.0 * fine - base) / 3.0
-    return list(fine_pair), list(np.abs(fine_pair - coarse_pair))
-
-
-def fd_eigenvalues(
-    potential: Callable[[np.ndarray], np.ndarray], grid: GridSpec, count: int
-) -> list[float]:
-    """Lowest `count` eigenvalues of -d^2/dx^2 + v with Dirichlet ends.
-
-    Raises GridTooCoarse when the extrapolated value still moves by more than
-    1e-6 relative under grid doubling.
-    """
-    values, changes = fd_eigenvalues_with_error(potential, grid, count)
-    for val, chg in zip(values, changes):
+    if not 1 <= count <= mesh.size:
+        raise ValueError(f"count must be between 1 and the mesh size {mesh.size}, got {count}")
+    base, fine = (_lowest(potential, mesh, size, count) for size in (mesh.size, 2 * mesh.size))
+    changes = np.abs(fine - base)
+    for val, chg in zip(fine, changes):
         if chg > 1e-6 * max(abs(val), 1e-12):
             raise GridTooCoarse(
-                f"extrapolated change {chg:.2e} exceeds 1e-6 relative at eigenvalue {val:.6g}"
-            )
-    return values
+                f"mesh-doubling change {chg:.2e} exceeds 1e-6 relative at eigenvalue {val:.6g}")
+    return list(fine), list(changes)
 
 
-def default_hulthen_grid(n: int, lam: float, lam_c_estimate: float | None = None) -> GridSpec:
+def default_hulthen_mesh(n: int, lam: float, lam_c_estimate: float | None = None) -> MeshSpec:
     """Radial domain sized to hold near-critical, delocalizing states."""
     est = lam_c_estimate if lam_c_estimate is not None else 2.0 / n**2
     stretch = 1.0 / max(1.0 - lam / est, 0.05)
-    x_max = max(200.0, 40.0 * n**2 * stretch)
-    return GridSpec(0.0, x_max, 8000)
+    return MeshSpec(max(200.0, 40.0 * n**2 * stretch), radial=True)
 
 
-def default_anharmonic_grid() -> GridSpec:
-    return GridSpec(-15.0, 15.0, 8000)
+def default_anharmonic_mesh() -> MeshSpec:
+    return MeshSpec(8.0, radial=False)
 
 
-def hulthen_numeric(
-    l: int, lam: float, count: int, grid: GridSpec | None = None
-) -> list[float]:
+def hulthen_numeric(l: int, lam: float, count: int, mesh: MeshSpec | None = None) -> list[float]:
     """Eigenvalues of the full screened Coulomb radial Hamiltonian,
     ``l(l+1)/x^2 - 2*lam/(e^(lam*x) - 1)``, sorted ascending."""
-    if lam <= 0:
-        raise ValueError("lam must be positive (use the Coulomb limit separately)")
-    if grid is None:
-        grid = default_hulthen_grid(l + count, lam)
-    if grid.x_min != 0.0:
-        raise ValueError("radial problems start at x = 0")
-
-    def v(x: np.ndarray) -> np.ndarray:
-        return l * (l + 1) / x**2 - 2.0 * lam / np.expm1(lam * x)
-
-    return fd_eigenvalues(v, grid, count)
+    for name, value, low in (("l", l, 0), ("count", count, 1)):
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"lam must be positive and finite (use the Coulomb limit separately), got {lam}")
+    mesh = mesh or default_hulthen_mesh(l + count, lam)
+    if not mesh.radial:
+        raise ValueError("radial problems need a radial mesh")
+    return mesh_eigenvalues(lambda x: l * (l + 1) / x**2 - 2.0 * lam / np.expm1(lam * x), mesh, count)[0]
 
 
-def anharmonic_numeric(lam: float, count: int, grid: GridSpec | None = None) -> list[float]:
-    """Eigenvalues of ``x^2 + lam*x^4`` on a symmetric Dirichlet domain."""
-    if lam < 0:
-        raise ValueError("lam must be non-negative")
-    if grid is None:
-        grid = default_anharmonic_grid()
-    return fd_eigenvalues(lambda x: x**2 + lam * x**4, grid, count)
-
+def anharmonic_numeric(lam: float, count: int, mesh: MeshSpec | None = None) -> list[float]:
+    """Eigenvalues of ``x^2 + lam*x^4`` on the full line."""
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError(f"lam must be non-negative and finite, got {lam}")
+    mesh = mesh or default_anharmonic_mesh()
+    if mesh.radial:
+        raise ValueError("the anharmonic oscillator needs a full-line mesh")
+    return mesh_eigenvalues(lambda x: x**2 + lam * x**4, mesh, count)[0]

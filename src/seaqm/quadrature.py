@@ -8,8 +8,8 @@ Kahaner, *QUADPACK*, Springer 1983.
 
 The port keeps QUADPACK's decimal constants, its 1-based interval lists and
 the operation order of every floating-point expression, so on the same
-integrand values it returns the same bits as the Fortran routine that
-`scipy.integrate.quad` calls for a finite interval.  Python floats raise
+integrand values it returns the same bits as the Fortran `dqagse` on a
+finite interval (the tests compare the two).  Python floats raise
 where C would not only on division by zero and on an overflowing ``**``; the
 one unguarded QUADPACK division goes through `_quotient`, and no ``**`` here
 can overflow.

@@ -1,6 +1,6 @@
 """Cross-validation suites behind ``seaqm validate``: exact coefficients
 against the closed forms of `reference`, resummed energies against the
-finite-difference eigensolver of `oracle`, and critical couplings against the
+Lagrange-mesh eigensolver of `oracle`, and critical couplings against the
 table.  Each suite is a dict ``{"suite", "checks", "failures"}``; a failure
 keeps the check's name, the value got and the value expected.
 """
@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Iterable, Sequence
 
-from .oracle import anharmonic_numeric, default_anharmonic_grid, default_hulthen_grid, hulthen_numeric
+from .oracle import anharmonic_numeric, default_anharmonic_mesh, default_hulthen_mesh, hulthen_numeric
 from .reference import (
     ANHARMONIC_COEFFICIENT_ORDERS,
     BENDER_WU,
@@ -89,24 +89,24 @@ def coefficient_suite(inject_error: bool = False) -> dict:
 
 
 def oracle_suite() -> tuple[dict, list[ValidationRecord]]:
-    """Resummed energies against the finite-difference eigensolver."""
+    """Resummed energies against the Lagrange-mesh eigensolver."""
     # each case: problem, level, lam, series, Pade orders for reconstruct_energy,
-    # plain truncation order, grid, oracle eigensolver (count, grid), pass rule
+    # plain truncation order, mesh, oracle eigensolver (count, mesh), pass rule
     cases = [
         (f"hulthen n={n} l={l}", n - l - 1, lam, hulthen_energy_series(n, l, 30), (15, 14, (14, 14)), 14,
-         default_hulthen_grid(n, lam, critical_value(n, l)), partial(hulthen_numeric, l, lam),
+         default_hulthen_mesh(n, lam, critical_value(n, l)), partial(hulthen_numeric, l, lam),
          lambda rec, unc: rec.rel_diff <= 1e-5)
         for (n, l, lam) in [(2, 1, 0.1), (3, 2, 0.1)]
     ] + [
         (f"anharmonic r={r}", r, lam, anharmonic_energy_series(r, 41), (21, 20, (20, 20)), 5,
-         default_anharmonic_grid(), partial(anharmonic_numeric, lam),
+         default_anharmonic_mesh(), partial(anharmonic_numeric, lam),
          lambda rec, unc: rec.abs_diff <= max(unc, 1e-6))
         for (r, lam) in [(0, 1.0), (1, 1.0)]
     ]
     records, results = [], []
-    for problem, level, lam, series, pade_orders, K, grid, eigensolver, passes in cases:
+    for problem, level, lam, series, pade_orders, K, mesh, eigensolver, passes in cases:
         value, unc = reconstruct_energy(series, lam, *pade_orders)
-        oracle = eigensolver(level + 1, grid)[level]
+        oracle = eigensolver(level + 1, mesh)[level]
         rec = ValidationRecord(
             problem=problem,
             lam=lam,
@@ -116,7 +116,7 @@ def oracle_suite() -> tuple[dict, list[ValidationRecord]]:
             oracle_value=oracle,
             abs_diff=abs(value - oracle),
             rel_diff=abs(value - oracle) / abs(oracle),
-            grid=(grid.x_min, grid.x_max, grid.points),
+            grid=(0.0 if mesh.radial else -mesh.x_max, mesh.x_max, mesh.size),
         )
         records.append(rec)
         results.append((problem, value, oracle, passes(rec, unc)))

@@ -12,11 +12,7 @@ from fractions import Fraction
 import pytest
 
 from seaqm.engine import Anharmonic, Hulthen, riccati_residual, solve_chain
-from seaqm.oracle import (
-    GridSpec,
-    fd_eigenvalues_with_error,
-    hulthen_numeric,
-)
+from seaqm.oracle import MeshSpec, default_anharmonic_mesh, hulthen_numeric, mesh_eigenvalues
 from seaqm.reference import (
     anharmonic_energy_coefficient,
     critical_tolerance,
@@ -56,7 +52,7 @@ def test_criterion_1_hulthen_coefficient_polynomials():
     for (n, l, lam) in [(2, 1, 0.1), (3, 1, 0.05)]:
         series = hulthen_energy_series(n, l, 10)
         truncated = evaluate_truncated(series, lam, 10)
-        oracle = hulthen_numeric(l, lam, n - l, GridSpec(0.0, 300.0, 12000))[n - l - 1]
+        oracle = hulthen_numeric(l, lam, n - l, MeshSpec(300.0, radial=True))[n - l - 1]
         assert abs(truncated - oracle) <= 1e-5 * abs(oracle), (n, l)
     _report("1", "PASS", "exact k<=8 polynomials at 5 levels; k=10 via oracle")
 
@@ -196,7 +192,7 @@ def test_criterion_6_oracle_agreement():
         series = hulthen_energy_series(n, l, 30)
         first = pade(series.coeffs, 15, 14)
         value = pade_eval(first, lam)
-        grid = GridSpec(0.0, 300.0, 12000)
+        mesh = MeshSpec(300.0, radial=True)
         level = n - l - 1
 
         def v(x, l=l, lam=lam):
@@ -204,14 +200,14 @@ def test_criterion_6_oracle_agreement():
 
             return l * (l + 1) / x**2 - 2.0 * lam / np.expm1(lam * x)
 
-        oracle_vals, _ = fd_eigenvalues_with_error(v, grid, level + 1)
+        oracle_vals, _ = mesh_eigenvalues(v, mesh, level + 1)
         oracle = oracle_vals[level]
         assert abs(value - oracle) <= 1e-5 * abs(oracle), (n, l)
     for r in (0, 1):
         for lam in (0.1, 1.0, 3.0):
             v1, _v2, unc = _anharmonic_pade_pair(r, lam)
-            oracle_vals, errs = fd_eigenvalues_with_error(
-                lambda x: x**2 + lam * x**4, GridSpec(-12.0, 12.0, 8000), r + 1
+            oracle_vals, errs = mesh_eigenvalues(
+                lambda x: x**2 + lam * x**4, default_anharmonic_mesh(), r + 1
             )
             oracle, floor = oracle_vals[r], errs[r]
             assert abs(v1 - oracle) <= unc + 10.0 * floor, (r, lam, v1, oracle, unc)

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import seaqm.cli
 import seaqm.resummation
 from seaqm.cli import main
 from seaqm.validation import coefficient_suite
@@ -82,6 +83,28 @@ def test_unwritable_out_exit_2(args, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.endswith(f"error: cannot use {out}: No such file or directory\n")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["validate"], "--out"),
+        (["critical", "--nmax", "2"], "--resume"),
+        (["critical", "--nmax", "2"], "--out"),
+    ],
+)
+@pytest.mark.parametrize("where", ["missing folder", "folder"])
+def test_unusable_path_exit_2_before_any_work(args, flag, where, tmp_path, capsys, monkeypatch):
+    def forbidden(*_):
+        raise AssertionError("work started before the path was checked")
+
+    monkeypatch.setattr(seaqm.cli, "oracle_suite", forbidden)
+    monkeypatch.setattr(seaqm.cli, "_critical_group", forbidden)
+    monkeypatch.setenv("SEA_THREADS", "1")
+    path = str(tmp_path / "missing" / "p.json") if where == "missing folder" else str(tmp_path)
+    assert run([*args, flag, path]) == 2
+    reason = "No such file or directory" if where == "missing folder" else "Is a directory"
+    assert capsys.readouterr().err == f"error: cannot use {path}: {reason}\n"
 
 
 def test_coeffs_bad_labels_exit_2(capsys):

@@ -1,5 +1,6 @@
 """Every name a seaqm module exports through `__all__` must resolve, and
-`import seaqm.cli` stays free of the heavy scipy subpackages."""
+seaqm runs without scipy: `import seaqm.cli` loads none of it, and the oracle
+suite of `validate` passes with scipy blocked."""
 
 import importlib
 import os
@@ -15,6 +16,18 @@ import seaqm
 MODULES = ["seaqm"] + [f"seaqm.{m.name}" for m in pkgutil.iter_modules(seaqm.__path__)]
 
 
+def _probe(code: str) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter that imports this checkout's seaqm."""
+    src = str(Path(seaqm.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_all_names_resolve(name):
     module = importlib.import_module(name)
@@ -25,17 +38,28 @@ def test_all_names_resolve(name):
 def test_cli_import_loads_no_scipy_integrate():
     # scipy.integrate pulls in scipy.optimize, scipy.special and scipy.sparse;
     # seaqm's own QUADPACK port normalizes states, so a cold start skips them
-    src = str(Path(seaqm.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = (
+    probe = _probe(
         "import sys, seaqm.cli; "
         "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        check=True,
-    ).stdout
-    assert out.strip() == "[]"
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_scipy():
+    # the oracle diagonalizes with numpy, so no module of scipy is loaded at all
+    probe = _probe(
+        "import sys, seaqm.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == "[]"
+
+
+def test_oracle_suite_runs_without_scipy():
+    # a None entry in sys.modules makes every `import scipy` raise ImportError
+    probe = _probe(
+        "import sys; sys.modules['scipy'] = None; from seaqm.cli import main; "
+        "sys.exit(main(['validate', '--suite', 'oracle']))"
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert '"status": "pass"' in probe.stdout

@@ -1,59 +1,65 @@
-"""Finite-difference oracle tests against exactly known spectra."""
+"""Lagrange-mesh oracle tests against exactly known spectra."""
+
+import math
 
 import numpy as np
 import pytest
 
 from seaqm.engine import Hulthen, solve_chain
 from seaqm.errors import GridTooCoarse
-from seaqm.oracle import (
-    GridSpec,
-    anharmonic_numeric,
-    fd_eigenvalues,
-    fd_eigenvalues_with_error,
-    hulthen_numeric,
-)
+from seaqm.oracle import MeshSpec, anharmonic_numeric, hulthen_numeric, mesh_eigenvalues
+from seaqm.resummation import pade, pade_eval
 from seaqm.spectra import evaluate_truncated, hulthen_energy_closed_l0, hulthen_energy_series
 
 
 def test_harmonic_spectrum():
-    vals = fd_eigenvalues(lambda x: x * x, GridSpec(-12.0, 12.0, 8000), 3)
+    vals, _ = mesh_eigenvalues(lambda x: x * x, MeshSpec(12.0, radial=False), 3)
     assert vals == pytest.approx([1.0, 3.0, 5.0], abs=5e-8)
 
 
 def test_hydrogen_levels():
-    vals = fd_eigenvalues(lambda x: -2.0 / x, GridSpec(0.0, 200.0, 12000), 3)
+    vals, _ = mesh_eigenvalues(lambda x: -2.0 / x, MeshSpec(200.0, radial=True), 3)
     assert vals == pytest.approx([-1.0, -0.25, -1.0 / 9.0], abs=2e-6)
 
 
 def test_hulthen_l0_closed_form():
-    vals = hulthen_numeric(0, 0.5, 1, GridSpec(0.0, 200.0, 16000))
+    vals = hulthen_numeric(0, 0.5, 1, MeshSpec(200.0, radial=True))
     assert vals[0] == pytest.approx(-0.5625, abs=1e-8)
     assert vals[0] == pytest.approx(hulthen_energy_closed_l0(1, 0.5), abs=1e-8)
 
 
 def test_hulthen_coulomb_limit_l1():
-    vals = hulthen_numeric(1, 0.01, 1, GridSpec(0.0, 400.0, 12000))
+    vals = hulthen_numeric(1, 0.01, 1, MeshSpec(400.0, radial=True))
     series = hulthen_energy_series(2, 1, 6)
     assert vals[0] == pytest.approx(evaluate_truncated(series, 0.01, 6), abs=1e-8)
     assert vals[0] == pytest.approx(-0.25, abs=1e-2)
 
 
 def test_anharmonic_harmonic_limit():
-    vals = anharmonic_numeric(0.0, 5, GridSpec(-12.0, 12.0, 12000))
+    vals = anharmonic_numeric(0.0, 5, MeshSpec(12.0, radial=False))
     assert vals == pytest.approx([1.0, 3.0, 5.0, 7.0, 9.0], abs=1e-6)
+
+
+def test_hulthen_near_critical_matches_pade():
+    # (4,1) at lam = 0.08, lam/lam_c = 0.72: the default domain stretches to
+    # x = 1778 and the mesh still agrees with the exact [15/14] Pade
+    lam = 0.08
+    exact = pade_eval(pade(hulthen_energy_series(4, 1, 30).coeffs, 15, 14), lam)
+    oracle = hulthen_numeric(1, lam, 3)[2]
+    assert abs(oracle - exact) <= 1e-9 * abs(exact)
 
 
 def test_grid_too_coarse():
     with pytest.raises(GridTooCoarse):
-        fd_eigenvalues(lambda x: x * x, GridSpec(-12.0, 12.0, 150), 3)
+        mesh_eigenvalues(lambda x: x * x, MeshSpec(12.0, radial=False, size=8), 3)
 
 
 def test_self_consistency_under_doubling():
-    grid = GridSpec(-12.0, 12.0, 8000)
-    v1, _ = fd_eigenvalues_with_error(lambda x: x * x + 0.5 * x**4, grid, 2)
-    v2, _ = fd_eigenvalues_with_error(
-        lambda x: x * x + 0.5 * x**4, GridSpec(-12.0, 12.0, 16000), 2
-    )
+    def v(x):
+        return x * x + 0.5 * x**4
+
+    v1, _ = mesh_eigenvalues(v, MeshSpec(8.0, radial=False), 2)
+    v2, _ = mesh_eigenvalues(v, MeshSpec(8.0, radial=False, size=120), 2)
     for a, b in zip(v1, v2):
         assert abs(a - b) / abs(b) < 1e-8
 
@@ -76,16 +82,37 @@ def test_susy_degeneracy_witness():
             out = out * lam + term
         return out
 
-    grid = GridSpec(0.0, 100.0, 12000)
-    lowest_partner = fd_eigenvalues(partner, grid, 1)[0]
-    second_base = hulthen_numeric(0, lam, 2, grid)[1]
+    mesh = MeshSpec(100.0, radial=True)
+    lowest_partner = mesh_eigenvalues(partner, mesh, 1)[0][0]
+    second_base = hulthen_numeric(0, lam, 2, mesh)[1]
     assert lowest_partner == pytest.approx(second_base, abs=1e-5)
 
 
 def test_grid_validation():
     with pytest.raises(ValueError):
-        GridSpec(0.0, -1.0, 100)
+        MeshSpec(-1.0, radial=True)
     with pytest.raises(ValueError):
-        GridSpec(0.0, 1.0, 2)
+        MeshSpec(1.0, radial=True, size=1)
     with pytest.raises(ValueError):
         hulthen_numeric(0, 0.0, 1)
+    with pytest.raises(ValueError, match="radial mesh"):
+        hulthen_numeric(0, 0.1, 1, MeshSpec(8.0, radial=False))
+    with pytest.raises(ValueError, match="full-line mesh"):
+        anharmonic_numeric(1.0, 1, MeshSpec(8.0, radial=True))
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: hulthen_numeric(-1, 0.1, 1), "l"),
+        (lambda: hulthen_numeric(0, 0.1, 0), "count"),
+        (lambda: hulthen_numeric(0, math.nan, 1), "lam"),
+        (lambda: hulthen_numeric(0, math.inf, 1), "lam"),
+        (lambda: anharmonic_numeric(1.0, 0), "count"),
+        (lambda: anharmonic_numeric(math.nan, 1), "lam"),
+        (lambda: anharmonic_numeric(-math.inf, 1), "lam"),
+    ],
+)
+def test_bad_input_names_the_parameter(call, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be"):
+        call()
