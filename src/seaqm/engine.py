@@ -28,13 +28,16 @@ whole order lies over one denominator, and one gcd reduces it to the canonical
 residual check stays independent of this path: it recomputes every ``C_k``
 from all of ``w_0..w_k``.
 
-A problem family (``Hulthen``, ``GenericPerturbed`` and its quartic case
-``Anharmonic``) supplies only what differs between problems: its ``name``,
-whether it is ``radial`` (x > 0), the pole parameter ``b`` a chain records;
-``rung_leading(r)``, the closed-form order-0 term of rung r;
-``base_potential(k)``, the order-k coefficient of the rung-0 potential;
-``rung_of(n, l, r)`` and ``labels(r)``, which check a level's labels and map
-them to the ladder depth and back; and ``to_json()`` / ``from_json()``.
+Every problem family (``Hulthen``, ``GenericPerturbed`` and its quartic case
+``Anharmonic``) is a ``ProblemFamily``, which owns the ladder: ``radial``
+(x > 0) for a Coulomb-type leading term, ``base_potential(k)`` with its order 0
+taken from the leading term, and ``rung_leading(r)``, the closed-form order-0
+term of rung r.  A family supplies only what differs between problems: its
+``name``, the pole parameter ``b`` a chain records, its ``leading`` term,
+``potential_term(k)``, the order-k coefficient (k >= 1) of the rung-0
+potential; ``rung_of(n, l, r)`` and ``labels(r)``, which check a level's labels
+and map them to the ladder depth and back; and ``to_json()`` /
+``from_json()``.
 
 The public surface is those families (with ``LeadingSuperpotential``), the
 solved ``Rung`` and ``ChainSolution``, ``solve_chain`` and
@@ -46,11 +49,11 @@ solved one.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Sequence, Union
+from typing import Sequence
 
 from .errors import (
     ChainIncomplete,
@@ -100,10 +103,8 @@ class LeadingSuperpotential:
     leading_energy: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "pole", Fraction(self.pole))
-        object.__setattr__(self, "constant", Fraction(self.constant))
-        object.__setattr__(self, "linear", Fraction(self.linear))
-        object.__setattr__(self, "leading_energy", Fraction(self.leading_energy))
+        for name, value in vars(self).items():
+            object.__setattr__(self, name, Fraction(value))
         coulomb = self.pole != 0 and self.linear == 0
         oscillator = self.pole == 0 and self.linear != 0
         if not (coulomb or oscillator):
@@ -125,39 +126,82 @@ class LeadingSuperpotential:
         return w * w - w.derivative() + LaurentPoly.constant(self.leading_energy)
 
 
+_LEADING_KEYS = ("pole", "constant", "linear", "leadingEnergy")  # JSON names of its fields, in order
+
+
+def _field(obj: object, key: str, convert=lambda v: v):
+    """`convert(obj[key])` of a chain document; a ValueError that names `key` when
+    `obj` is not a JSON object, lacks `key`, or holds what `convert` cannot parse."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object with the field {key!r}, got {type(obj).__name__}")
+    if key not in obj:
+        raise ValueError(f"missing field {key!r}")
+    try:
+        return convert(obj[key])
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"field {key!r}: {exc}") from None
+
+
+class ProblemFamily:
+    """The partner ladder every problem family shares, built on its `leading`
+    term and its coupling terms `potential_term(k)` (see the module notes)."""
+
+    name: str
+    b: int
+    leading: LeadingSuperpotential
+
+    @property
+    def radial(self) -> bool:
+        return self.leading.is_coulomb
+
+    def potential_term(self, k: int) -> LaurentPoly:
+        """Order k >= 1 of the rung-0 potential."""
+        raise NotImplementedError
+
+    def base_potential(self, k: int) -> LaurentPoly:
+        """Order k of the rung-0 potential."""
+        return self.leading.order_zero_potential() if k == 0 else self.potential_term(k)
+
+    def rung_leading(self, r: int) -> LeadingSuperpotential:
+        """The order-0 term of rung r in closed form; `_checked` verifies it as
+        the order-0 row of the Riccati identity.  The partner rule at order 0
+        moves a Coulomb-type pole p down by 1 per rung and keeps pole*constant:
+        pole p - r, constant c_r = c*p/(p - r), energy E + c^2 - c_r^2.  An
+        oscillator-type term keeps its shape; its energy climbs by 2*linear per rung."""
+        if r < 0:
+            raise InvalidLeading("rung index must be non-negative")
+        lead = self.leading
+        if not lead.is_coulomb:
+            return replace(lead, leading_energy=lead.leading_energy + 2 * r * lead.linear)
+        p = lead.pole
+        if p.denominator == 1 and 1 <= p <= r:
+            raise InvalidLeading(f"pole reaches 0 at rung {p}; ladder terminates")
+        c_r = lead.constant * p / (p - r)
+        return LeadingSuperpotential(p - r, c_r, 0, lead.leading_energy + lead.constant**2 - c_r**2)
+
+
 @dataclass(frozen=True)
-class Hulthen:
+class Hulthen(ProblemFamily):
     """Screened Coulomb problem at angular momentum l (radial, x > 0)."""
 
     l: int
+    leading: LeadingSuperpotential = field(init=False, repr=False, compare=False)
 
     name = "hulthen"
-    radial = True
 
     def __post_init__(self):
         if self.l < 0:
             raise ValueError("angular momentum must be non-negative")
+        b = self.b
+        lead = LeadingSuperpotential(-b, Fraction(1, b), linear=0, leading_energy=Fraction(-1, b * b))
+        object.__setattr__(self, "leading", lead)
 
     @property
     def b(self) -> int:
         return self.l + 1
 
-    def rung_leading(self, r: int) -> LeadingSuperpotential:
-        br = self.b + r
-        if br < 1:
-            raise InvalidLeading(f"need b + r >= 1, got b={self.b}, r={r}")
-        return LeadingSuperpotential(
-            pole=Fraction(-br),
-            constant=Fraction(1, br),
-            linear=Fraction(0),
-            leading_energy=Fraction(-1, br * br),
-        )
-
-    def base_potential(self, k: int) -> LaurentPoly:
-        if k == 0:
-            return LaurentPoly({-2: Fraction(self.l * (self.l + 1)), -1: Fraction(-2)})
-        h_k = -2 * bernoulli_minus(k)
-        return LaurentPoly({k - 1: Fraction(h_k, factorial(k))})
+    def potential_term(self, k: int) -> LaurentPoly:
+        return LaurentPoly({k - 1: Fraction(-2 * bernoulli_minus(k), factorial(k))})
 
     def rung_of(self, n: int | None = None, l: int | None = None, r: int | None = None) -> int:
         if n is None:
@@ -177,11 +221,11 @@ class Hulthen:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Hulthen":
-        return cls(int(obj["l"]))
+        return cls(_field(obj, "l", int))
 
 
 @dataclass(frozen=True)
-class GenericPerturbed:
+class GenericPerturbed(ProblemFamily):
     """A solvable leading problem plus a polynomial perturbation at order lam.
 
     ``v_0(x, lam) = (w00^2 - w00' + eps00) + lam * perturbation(x)``.  Levels
@@ -200,50 +244,8 @@ class GenericPerturbed:
         if mn is not None and mn < 0:
             raise ValueError("perturbation must be a pure polynomial (min exponent >= 0)")
 
-    @property
-    def radial(self) -> bool:
-        return self.leading.is_coulomb
-
-    def rung_leading(self, r: int) -> LeadingSuperpotential:
-        # Partner rule at order 0: v_{r,0} = v_{r-1,0} + 2 w_{r-1,0}'.  For a
-        # Coulomb-type leading this shifts the pole by -1 per rung (keeping
-        # pole*constant invariant); an oscillator-type leading is unchanged and
-        # the energy climbs by 2*linear per rung.  Each shifted term is verified
-        # against the order-0 Riccati identity for the shifted potential.
-        if r < 0:
-            raise InvalidLeading("rung index must be non-negative")
-        lead = self.leading
-        v0 = lead.order_zero_potential()
-        for step in range(1, r + 1):
-            v0 = v0 + 2 * lead.as_poly().derivative()
-            if lead.is_coulomb:
-                new_pole = lead.pole - 1
-                if new_pole == 0:
-                    raise InvalidLeading(f"pole reaches 0 at rung {step}; ladder terminates")
-                new_const = lead.constant * lead.pole / new_pole
-                lead = LeadingSuperpotential(
-                    pole=new_pole,
-                    constant=new_const,
-                    linear=Fraction(0),
-                    leading_energy=lead.leading_energy + lead.constant**2 - new_const**2,
-                )
-            else:
-                lead = LeadingSuperpotential(
-                    pole=Fraction(0),
-                    constant=lead.constant,
-                    linear=lead.linear,
-                    leading_energy=lead.leading_energy + 2 * lead.linear,
-                )
-            if lead.order_zero_potential() != v0:
-                raise InvalidLeading(f"rung {step} leading term fails the order-0 Riccati identity")
-        return lead
-
-    def base_potential(self, k: int) -> LaurentPoly:
-        if k == 0:
-            return self.leading.order_zero_potential()
-        if k == 1:
-            return self.perturbation
-        return LaurentPoly.zero()
+    def potential_term(self, k: int) -> LaurentPoly:
+        return self.perturbation if k == 1 else LaurentPoly.zero()
 
     def rung_of(self, n: int | None = None, l: int | None = None, r: int | None = None) -> int:
         if r is None:
@@ -258,22 +260,17 @@ class GenericPerturbed:
     def to_json(self) -> dict:
         return {
             "name": self.name,
-            "leading": {
-                "pole": rational_to_str(self.leading.pole),
-                "constant": rational_to_str(self.leading.constant),
-                "linear": rational_to_str(self.leading.linear),
-                "leadingEnergy": rational_to_str(self.leading.leading_energy),
-            },
+            "leading": dict(zip(_LEADING_KEYS, map(rational_to_str, astuple(self.leading)))),
             "perturbation": self.perturbation.to_json(),
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "GenericPerturbed":
-        lead = obj["leading"]
+        lead = _field(obj, "leading")
         leading = LeadingSuperpotential(
-            lead["pole"], lead["constant"], lead["linear"], lead["leadingEnergy"]
+            *(_field(lead, key, Fraction) for key in _LEADING_KEYS)
         )
-        return cls(leading, LaurentPoly.from_json(obj["perturbation"]))
+        return cls(leading, _field(obj, "perturbation", LaurentPoly.from_json))
 
 
 @dataclass(frozen=True)
@@ -295,7 +292,6 @@ class Anharmonic(GenericPerturbed):
         return cls()
 
 
-ProblemFamily = Union[Hulthen, Anharmonic, GenericPerturbed]
 _FAMILIES = {cls.name: cls for cls in (Hulthen, Anharmonic, GenericPerturbed)}
 
 
@@ -359,27 +355,30 @@ class ChainSolution:
     def from_json(cls, obj: dict) -> "ChainSolution":
         """The chain `obj` describes, verified: ValueError for a malformed or
         incomplete ladder, ResidualNonzero for a rung that is not a solution."""
-        name = obj["family"]["name"]
+        family_obj = _field(obj, "family")
+        name = _field(family_obj, "name", str)
         if name not in _FAMILIES:
             raise ValueError(f"unknown family name {name!r}")
-        family = _FAMILIES[name].from_json(obj["family"])
-        if int(obj["b"]) != family.b:
-            raise ValueError(f"chain b={obj['b']} disagrees with the family's b={family.b}")
-        K, r_max = int(obj["K"]), int(obj["rMax"])
-        found = [int(entry["r"]) for entry in obj["rungs"]]
+        family = _FAMILIES[name].from_json(family_obj)
+        b, K, r_max = (_field(obj, key, int) for key in ("b", "K", "rMax"))
+        if b != family.b:
+            raise ValueError(f"chain b={b} disagrees with the family's b={family.b}")
+        entries = _field(obj, "rungs", list)
+        found = [_field(entry, "r", int) for entry in entries]
         if K < 0 or r_max < 0 or found != list(range(r_max + 1)):
             raise ValueError(f"need K >= 0 and rungs 0..rMax in order; got K={K}, rungs {found}")
         rungs: list[Rung] = []
-        for r, entry in enumerate(obj["rungs"]):
-            if not len(entry["superpotential"]) == len(entry["energy"]) == K + 1:
-                raise ValueError(f"rung {r} must hold orders 0..{K}")
+        for r, entry in enumerate(entries):
             # each w_k takes the route of a solved order, so it evaluates bit
             # for bit like the solved w_k
-            w = tuple(_dense_poly(_dense(LaurentPoly.from_json(p))) for p in entry["superpotential"])
+            polys = _field(entry, "superpotential", lambda ps: [LaurentPoly.from_json(p) for p in ps])
+            w = tuple(_dense_poly(_dense(p)) for p in polys)
+            energy = _field(entry, "energy", lambda es: tuple(map(Fraction, es)))
+            if not len(w) == len(energy) == K + 1:
+                raise ValueError(f"rung {r} must hold orders 0..{K}")
             lead = family.rung_leading(r)
             if w[0] != lead.as_poly():
                 raise ValueError(f"rung {r} order-0 superpotential is not the family's leading term")
-            energy = tuple(Fraction(e) for e in entry["energy"])
             v = _rung_potentials(family, r, K, rungs)
             rungs.append(_checked(Rung(r, lead, w, energy, v)))
         return cls(family, r_max, K, tuple(rungs))

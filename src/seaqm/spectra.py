@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .engine import Anharmonic, Hulthen, solve_chain
+from .engine import Anharmonic, Hulthen, ProblemFamily, solve_chain
 from .errors import OrderExceeded, OutOfBoundDomain
 from .exact import LaurentPoly, horner, rational_to_str
 
@@ -66,23 +66,22 @@ class EnergySeries:
         return rows
 
 
-def hulthen_energy_series(n: int, l: int, K: int) -> EnergySeries:
-    """Energy series of the screened Coulomb level (n, l) through order K."""
+def _level_series(family: ProblemFamily, K: int, **labels: int) -> EnergySeries:
+    """Energy series through order K of the family's level with these labels."""
     if K < 0:
         raise ValueError("K must be non-negative")
-    family = Hulthen(l)
-    r = family.rung_of(n, l)
-    chain = solve_chain(family, r, K)
-    return EnergySeries(family="hulthen", n=n, l=l, K=K, coeffs=chain.rung(r).energy)
+    r = family.rung_of(**labels)
+    return EnergySeries(family=family.name, K=K, coeffs=solve_chain(family, r, K).rung(r).energy, **labels)
+
+
+def hulthen_energy_series(n: int, l: int, K: int) -> EnergySeries:
+    """Energy series of the screened Coulomb level (n, l) through order K."""
+    return _level_series(Hulthen(l), K, n=n, l=l)
 
 
 def anharmonic_energy_series(r: int, K: int) -> EnergySeries:
     """Energy series of anharmonic level r through order K."""
-    if K < 0:
-        raise ValueError("K must be non-negative")
-    family = Anharmonic()
-    chain = solve_chain(family, family.rung_of(r=r), K)
-    return EnergySeries(family="anharmonic", r=r, K=K, coeffs=chain.rung(r).energy)
+    return _level_series(Anharmonic(), K, r=r)
 
 
 def hulthen_energy_closed_l0(n: int, lam: float) -> float:

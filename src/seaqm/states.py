@@ -222,8 +222,9 @@ def _table_values(state: StateRep, t: _Tables, xs: Sequence[float]) -> tuple[np.
     """
     powers = np.ones((len(t.exps), len(xs)))
     errors: list[Exception | None] = [None] * len(xs)
+    radial = state.radial
     for i, x in enumerate(map(float, xs)):
-        if state.radial and x < 0:
+        if radial and x < 0:
             errors[i] = DomainError("radial states are defined for x >= 0")
             continue
         try:

@@ -31,6 +31,10 @@ def golden_chains() -> dict[str, tuple]:
     chains = {f"hulthen l={l} r<=4 K=30": (Hulthen(l), 4, 30) for l in range(5)}
     chains["anharmonic r<=4 K=41"] = (Anharmonic(), 4, 41)
     chains["generic coulomb x-x^2/3 r<=2 K=12"] = (generic, 2, 12)
+    oscillator = LeadingSuperpotential(pole=0, constant=Fraction(1, 2), linear=1, leading_energy=Fraction(3, 4))
+    chains["generic oscillator c=1/2 x^3 r<=2 K=12"] = (GenericPerturbed(oscillator, LaurentPoly.monomial(3)), 2, 12)
+    half_pole = LeadingSuperpotential(pole=Fraction(-3, 2), constant=1, linear=0, leading_energy=-1)
+    chains["generic coulomb p=-3/2 x r<=2 K=12"] = (GenericPerturbed(half_pole, LaurentPoly.monomial(1)), 2, 12)
     return chains
 
 

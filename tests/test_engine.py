@@ -1,6 +1,7 @@
 """Chain solver tests: leading terms, triangular orders, partner ladders."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from seaqm.engine import (
     GenericPerturbed,
     Hulthen,
     LeadingSuperpotential,
+    ProblemFamily,
     riccati_residual,
     solve_chain,
 )
@@ -79,6 +81,11 @@ def test_hulthen_leading_examples():
     assert lead.as_poly() == P({0: F(1), -1: F(-1)}) and lead.leading_energy == -1
     lead = Hulthen(1).rung_leading(3)
     assert lead.as_poly() == P({0: F(1, 5), -1: F(-5)}) and lead.leading_energy == F(-1, 25)
+    # rung r of Hulthen(l) is the Coulomb term of n = l + 1 + r
+    for l in range(4):
+        for r in range(7):
+            b = l + 1 + r
+            assert Hulthen(l).rung_leading(r) == LeadingSuperpotential(-b, F(1, b), 0, F(-1, b * b))
 
 
 def test_anharmonic_leading_examples():
@@ -86,6 +93,58 @@ def test_anharmonic_leading_examples():
     assert lead.as_poly() == P.monomial(1) and lead.leading_energy == 7
     lead = Anharmonic().rung_leading(0)
     assert lead.leading_energy == 1
+
+
+def stepwise_rung_leading(lead: LeadingSuperpotential, r: int) -> LeadingSuperpotential:
+    """The partner rule one rung at a time: each new order-0 term must solve
+    ``v_{s+1,0} = v_{s,0} + 2 w_{s,0}'``, checked at every step."""
+    v0 = lead.order_zero_potential()
+    for _ in range(r):
+        v0 = v0 + 2 * lead.as_poly().derivative()
+        if lead.is_coulomb:
+            pole = lead.pole - 1
+            const = lead.constant * lead.pole / pole
+            lead = LeadingSuperpotential(pole, const, 0, lead.leading_energy + lead.constant**2 - const**2)
+        else:
+            lead = LeadingSuperpotential(0, lead.constant, lead.linear, lead.leading_energy + 2 * lead.linear)
+        assert lead.order_zero_potential() == v0
+    return lead
+
+
+@pytest.mark.parametrize("lead", [
+    LeadingSuperpotential(-2, F(1, 2), 0, F(-1, 4)),
+    LeadingSuperpotential(F(-3, 2), 1, 0, -1),
+    LeadingSuperpotential(0, F(1, 2), 1, F(3, 4)),
+])
+def test_closed_form_rung_leading_matches_stepwise_partner_rule(lead):
+    family = GenericPerturbed(lead, P.monomial(1))
+    for r in range(7):
+        assert family.rung_leading(r) == stepwise_rung_leading(lead, r), r
+
+
+def test_positive_integer_pole_terminates_the_ladder():
+    family = GenericPerturbed(LeadingSuperpotential(2, 1, 0, -1), P.monomial(1))
+    assert family.rung_leading(1).pole == 1
+    for r in (2, 3):
+        with pytest.raises(InvalidLeading, match="ladder terminates"):
+            family.rung_leading(r)
+    with pytest.raises(InvalidLeading, match="non-negative"):
+        family.rung_leading(-1)
+
+
+def test_wrong_order_zero_term_fails_the_residual_check(monkeypatch):
+    # the closed form is not checked on its own: the order-0 row of the exact
+    # Riccati check that every solved rung passes must catch a wrong term
+    closed_form = ProblemFamily.rung_leading
+
+    def shifted(family, r):
+        lead = closed_form(family, r)
+        return replace(lead, leading_energy=lead.leading_energy + F(1, 7)) if r == 1 else lead
+
+    monkeypatch.setattr(ProblemFamily, "rung_leading", shifted)
+    lead = LeadingSuperpotential(-2, F(1, 3), 0, F(-1, 9))  # a family no other test solves
+    with pytest.raises(ResidualNonzero, match=r"rung 1 .* orders \[0\]$"):
+        solve_chain(GenericPerturbed(lead, P.monomial(5)), 1, 3)
 
 
 def test_leading_shape_validation():
@@ -498,6 +557,20 @@ def test_chain_json_rejects_edited_coefficient():
     doc["rungs"][0] = {"r": 0, "energy": ["-1"], "superpotential": [{"-1": "1", "0": "-1"}]}
     with pytest.raises(ValueError, match="leading term"):
         ChainSolution.from_json(doc)
+
+
+def test_chain_json_malformed_documents_raise_value_error():
+    with pytest.raises(ValueError, match="missing field 'family'"):
+        ChainSolution.loads("{}")
+    with pytest.raises(ValueError, match="'family'.* got list"):
+        ChainSolution.loads("[]")
+    doc = solve_chain(Hulthen(1), 1, 2).to_json()
+    with pytest.raises(ValueError, match="missing field 'l'"):
+        ChainSolution.from_json({**doc, "family": {"name": "hulthen"}})
+    with pytest.raises(ValueError, match="field 'l'"):
+        ChainSolution.from_json({**doc, "family": {"name": "hulthen", "l": "one"}})
+    with pytest.raises(ValueError, match="field 'energy'"):
+        ChainSolution.from_json({**doc, "rungs": [{**doc["rungs"][0], "energy": ["x"] * 3}, doc["rungs"][1]]})
 
 
 def test_chain_json_rejects_unknown_family_and_wrong_b():
