@@ -34,7 +34,7 @@ from .engine import Anharmonic, Hulthen, ProblemFamily, solve_chain
 from .errors import DomainError, SeaError
 from .exact import rational_to_str
 from .reference import CRITICAL_SCREENING, critical_value
-from .resummation import critical_lambda, pade_pair_value, pade_with_fallback
+from .resummation import _check_orders, critical_lambda, pade_pair_value, pade_with_fallback
 from .spectra import EnergySeries, anharmonic_energy_series, evaluate_truncated, hulthen_energy_series
 from .states import build_eigenstate, evaluate_state_grid, normalize
 from .validation import coefficient_suite, oracle_suite, table1_suite
@@ -338,6 +338,8 @@ def _wavefunction_row(x: float, v: float, norm: float) -> list[float]:
 
 def cmd_wavefunction(args: argparse.Namespace) -> int:
     family, _ = _problem(args)
+    if args.pade_single:  # the state's coupling series has K + 1 coefficients
+        _check_orders(args.K + 1, *args.pade_single)
     state = build_eigenstate(family, args.K, n=args.n, l=args.l, r=args.r)
     if family.radial:
         lam_c = _tabulated_lambda_c(args)

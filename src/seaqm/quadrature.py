@@ -14,11 +14,13 @@ where C would not only on division by zero and on an overflowing ``**``; the
 one unguarded QUADPACK division goes through `_quotient`, and no ``**`` here
 can overflow.
 
-The integrand is a panel function: ``panel(xs)`` returns the integrand at the
-21 abscissae of one Kronrod rule, listed in the order `dqk21` evaluates them
-(the centre, then the pairs ``centre -/+ h*xgk(j)`` for j = 2, 4, ..., 10, then
-for j = 1, 3, ..., 9).  An evaluator that fills the values in that order
-raises the same first error as a pointwise integrand would.
+The integrand is a panel function: ``panel(xs)`` returns the integrand at
+xs, first the 21 abscissae of one Kronrod rule, then per bisection the 42 of
+both halves, left first (`dqagse` evaluates both before it decides anything),
+each rule's in the order `dqk21` evaluates them (the centre, then the pairs
+``centre -/+ h*xgk(j)`` for j = 2, 4, ..., 10, then for j = 1, 3, ..., 9).  An
+evaluator that fills the values in that order raises the same first error as
+a pointwise integrand would.
 """
 
 from __future__ import annotations
@@ -79,16 +81,21 @@ _PAIRS = (1, 3, 5, 7, 9, 0, 2, 4, 6, 8)
 _SLOT = tuple(2 * _PAIRS.index(j) + 1 for j in range(10))
 
 
-def _dqk21(panel: Callable[[list[float]], Sequence[float]], a: float, b: float):
-    """(result, abserr, resabs, resasc) of the 21-point rule on [a, b]."""
+def _nodes(a: float, b: float) -> list[float]:
+    """The 21 abscissae of the Kronrod rule on [a, b], in dqk21's order."""
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
-    dhlgth = abs(hlgth)
     xs = [centr]
     for j in _PAIRS:
         absc = hlgth * _XGK[j]
         xs += (centr - absc, centr + absc)
-    f = panel(xs)
+    return xs
+
+
+def _dqk21(f: Sequence[float], a: float, b: float):
+    """(result, abserr, resabs, resasc) of the 21-point rule on [a, b] from f at `_nodes(a, b)`."""
+    hlgth = 0.5 * (b - a)
+    dhlgth = abs(hlgth)
     fc = f[0]
     resg = 0.0
     resk = _WGK[10] * fc
@@ -259,8 +266,8 @@ def qags(
     limit: int = 50,
 ) -> tuple[float, float, int, int, int]:
     """Integrate over [a, b] to max(epsabs, epsrel * |integral|) with QUADPACK
-    `dqagse`; `panel(xs)` gives the integrand at one Kronrod rule's 21
-    abscissae (see the module docstring).
+    `dqagse`; `panel(xs)` gives the integrand at xs, called `last` times (21
+    abscissae, then 42 per bisection; see the module docstring).
 
     Returns (result, abserr, neval, ier, last), as `dqagse` does: ier is 0 on
     success; 1 the limit of `limit` subintervals was reached; 2 roundoff
@@ -273,10 +280,7 @@ def qags(
     """
     if limit < 1 or (epsabs <= 0.0 and epsrel < max(50.0 * _EPMACH, 0.5e-28)):
         return 0.0, 0.0, 0, 6, 0
-    alist = [0.0] * (limit + 1)
-    blist = [0.0] * (limit + 1)
-    rlist = [0.0] * (limit + 1)
-    elist = [0.0] * (limit + 1)
+    alist, blist, rlist, elist = ([0.0] * (limit + 1) for _ in range(4))
     iord = [0] * (limit + 1)
     rlist2 = [0.0] * (_LIMEXP + 3)
     res3la = [0.0] * 4
@@ -286,7 +290,7 @@ def qags(
 
     # first approximation to the integral
     ierro = 0
-    result, abserr, defabs, resabs = _dqk21(panel, a, b)
+    result, abserr, defabs, resabs = _dqk21(panel(_nodes(a, b)), a, b)
     dres = abs(result)
     errbnd = max(epsabs, epsrel * dres)
     last = 1
@@ -323,8 +327,9 @@ def qags(
         a2 = b1
         b2 = blist[maxerr]
         erlast = errmax
-        area1, error1, resabs, defab1 = _dqk21(panel, a1, b1)
-        area2, error2, resabs, defab2 = _dqk21(panel, a2, b2)
+        f = panel(_nodes(a1, b1) + _nodes(a2, b2))  # both halves, in one call
+        area1, error1, resabs, defab1 = _dqk21(f[:21], a1, b1)
+        area2, error2, resabs, defab2 = _dqk21(f[21:], a2, b2)
 
         # improve the approximations to the integral and error; count roundoff
         area12 = area1 + area2

@@ -6,17 +6,18 @@ floating point), on rows scaled to integers one by one, with one Bareiss
 elimination shared by [m/n] and [m-1/n], and checks every re-expansion row in
 integers.  Only the final evaluation, the vectorized root scan and the
 bisection are floating point.  Float-only series (a wavefunction's coupling
-series at one x) get a low-order float Pade by one LU solve, with the same
-fallback and pole rules.  Critical screening strengths are the zero crossing
-of the resummed level, reported as the mean of two approximants with the
-half-difference as the uncertainty.
+series, a row per x) get low-order float Pades by stacked LU solves, with the
+same fallback and pole rules row by row.  Critical screening strengths are the
+zero crossing of the resummed level, reported as the mean of two approximants
+with the half-difference as the uncertainty.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 from typing import Sequence
@@ -34,6 +35,7 @@ __all__ = [
     "reexpand",
     "pade_with_fallback",
     "float_pade",
+    "float_pade_block",
     "float_pade_eval",
     "CriticalResult",
     "critical_lambda",
@@ -75,11 +77,11 @@ class PadeApproximant:
         }
 
 
-def _check_orders(series: Sequence, m: int, n: int) -> None:
+def _check_orders(count: int, m: int, n: int) -> None:
     if m < 0 or n < 0:
         raise ValueError("orders must be non-negative")
-    if len(series) < m + n + 1:
-        raise ValueError(f"[{m}/{n}] needs {m + n + 1} coefficients, got {len(series)}")
+    if count < m + n + 1:
+        raise ValueError(f"[{m}/{n}] needs {m + n + 1} coefficients, got {count}")
 
 
 def _row(c: list[Fraction], t: int, n: int) -> list[int]:
@@ -138,7 +140,7 @@ def pade(series: Sequence[Fraction], m: int, n: int) -> PadeApproximant:
     if [m+1/n] left it, else stores that of its rows but the bottom one: [m/n]
     then [m-1/n] eliminate once.  Every row gets the integer re-expansion check.
     """
-    _check_orders(series, m, n)
+    _check_orders(len(series), m, n)
     coeffs = [c if type(c) is Fraction else Fraction(c) for c in series[: m + n + 1]]
     Y = [1]
     if n:
@@ -189,18 +191,12 @@ def _near_pole(num, den):
     return (abs(den) < 1e-12) | (abs(den) < 1e-12 * abs(num))
 
 
-def _ratio(numerator: Sequence[float], denominator: Sequence[float], lam: float) -> float:
-    """Horner value of numerator / denominator at lam; raises PoleProximity
-    near a denominator zero."""
-    num, den = horner(numerator, lam), horner(denominator, lam)
+def pade_eval(P: PadeApproximant, lam: float) -> float:
+    """Floating Horner evaluation; raises PoleProximity near a denominator zero."""
+    num, den = horner(P.float_coefficients[0], lam), horner(P.float_coefficients[1], lam)
     if _near_pole(num, den):
         raise PoleProximity(f"denominator {den:.3e} too small at lam={lam}")
     return num / den
-
-
-def pade_eval(P: PadeApproximant, lam: float) -> float:
-    """Floating Horner evaluation; raises PoleProximity near a denominator zero."""
-    return _ratio(*P.float_coefficients, lam)
 
 
 def pade_with_fallback(series: Sequence[Fraction], m: int, n: int) -> PadeApproximant:
@@ -218,42 +214,67 @@ def pade_with_fallback(series: Sequence[Fraction], m: int, n: int) -> PadeApprox
     raise SingularPadeSystem(f"no solvable approximant at or below [{m}/{n}]")
 
 
-@lru_cache(maxsize=None)
-def _hankel_index(m: int, n: int) -> np.ndarray:
-    """Gather index of the [m/n] Pade system into the series with one zero put
-    in front: row i, column j (i, j = 1..n) reads c[m + i - j], zero below index 0."""
-    i, j = np.ogrid[1 : n + 1, 1 : n + 1]
-    return np.maximum(m + i - j + 1, 0)
+def _float_pade_rows(series, m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Float [m/n] approximants of the rows of `series`: numerators, denominators
+    (constant term 1, zero past the row's order) and orders.  Per order from n
+    down, the open rows take one stacked LU solve; an all-zero system is singular,
+    and a non-finite one, or each of a stack that raised, is solved alone.  As in
+    `pade_with_fallback`, a singular system or a non-finite solution steps a row
+    down, ending at [m/0], the truncated series itself."""
+    c = np.asarray(series, dtype=float)
+    _check_orders(c.shape[1], m, n)
+    c, rows = c[:, : m + n + 1], len(c)
+    q, order = np.eye(1, n + 1).repeat(rows, 0), np.zeros(rows, dtype=int)
+    todo = np.flatnonzero(c.any(axis=1))  # an all-zero row's systems are all singular
+    padded = np.concatenate((np.zeros((rows, 1)), c), axis=1)
+    for nn in range(n, 0, -1):
+        if not todo.size:
+            break
+        i, j = np.ogrid[1 : nn + 1, 1 : nn + 1]  # row i, column j reads c[m + i - j], 0 below c[0]
+        A, b = padded[todo][:, np.maximum(m + i - j + 1, 0)], -c[todo, m + 1 : m + nn + 1]
+        nonzero = A.any(axis=(1, 2))
+        stacked = nonzero & np.isfinite(A).all(axis=(1, 2)) & np.isfinite(b).all(axis=1)
+        alone, sol = nonzero & ~stacked, np.full(b.shape, np.nan)
+        try:  # b as an explicit column: numpy 1.x and 2.x broadcast it alike
+            sol[stacked] = np.linalg.solve(A[stacked], b[stacked, :, None])[..., 0]
+        except np.linalg.LinAlgError:
+            alone = nonzero
+        for r in np.flatnonzero(alone):
+            with suppress(np.linalg.LinAlgError):  # a singular system stays NaN
+                sol[r] = np.linalg.solve(A[r], b[r])
+        done = np.isfinite(sol).all(axis=1)
+        q[todo[done], 1 : nn + 1], order[todo[done]], todo = sol[done], nn, todo[~done]
+    p = [np.convolve(q[r, : k + 1], c[r, : m + 1])[: m + 1] if k else c[r, : m + 1]
+         for r, k in enumerate(order)]  # row by row: a Toeplitz product rounds differently
+    return np.array(p).reshape(rows, m + 1), q, order
+
+
+def float_pade_block(series, m: int, n: int, lam: float) -> tuple[list[float], list[PoleProximity | None]]:
+    """Values at a finite lam of the float [m/n] approximants of the rows of
+    `series`, and per row the PoleProximity of the `pade_eval` rule or None;
+    each value is bit-identical to the row's own."""
+    p, q, _ = _float_pade_rows(series, m, n)
+    with np.errstate(all="ignore"):
+        num, den = horner(p.T, lam), horner(q.T, lam)
+        poles, vals = _near_pole(num, den).tolist(), (num / den).tolist()
+    return vals, [PoleProximity(f"denominator {d:.3e} too small at lam={lam}") if pole else None
+                  for pole, d in zip(poles, den.tolist())]
 
 
 def float_pade(series: Sequence[float], m: int, n: int) -> tuple[list[float], list[float]]:
     """Float [m/n] approximant of a series known only as floats: the numerator
-    and denominator coefficients, denominator constant term 1.
-
-    The denominator comes from one LU solve of the n x n Pade system (no rank
-    truncation), the numerator from the convolution of the denominator with
-    the series.  As in `pade_with_fallback`, a singular system or a non-finite
-    solution steps n down, ending at [m/0], the truncated series itself.
-    """
-    _check_orders(series, m, n)
-    c = np.asarray(series[: m + n + 1], dtype=float)
-    padded = np.concatenate(([0.0], c))
-    for nn in range(n, 0, -1):
-        A = padded[_hankel_index(m, nn)]
-        try:
-            q = np.linalg.solve(A, -c[m + 1 : m + nn + 1])
-        except np.linalg.LinAlgError:
-            continue
-        if np.all(np.isfinite(q)):
-            q = np.concatenate(([1.0], q))
-            return np.convolve(q, c[: m + 1])[: m + 1].tolist(), q.tolist()
-    return c[: m + 1].tolist(), [1.0]
+    and denominator coefficients, denominator constant term 1."""
+    p, q, (k,) = _float_pade_rows([series], m, n)
+    return p[0].tolist(), q[0, : k + 1].tolist()
 
 
 def float_pade_eval(series: Sequence[float], m: int, n: int, lam: float) -> float:
     """Value at lam of `float_pade(series, m, n)`; raises PoleProximity near a
     denominator zero, by the rule of `pade_eval`."""
-    return _ratio(*float_pade(series, m, n), lam)
+    (value,), (pole,) = float_pade_block([series], m, n, lam)
+    if pole:
+        raise pole
+    return value
 
 
 @dataclass(frozen=True)
@@ -286,14 +307,9 @@ def spurious_pole_near_root(P: PadeApproximant, root: float) -> float | None:
 def _first_crossing(values: list[float | None], grid: list[float]) -> tuple[float, float]:
     prev = None
     for x, v in zip(grid, values):
-        if v is None:
-            prev = None
-            continue
-        if prev is not None:
-            x0, v0 = prev
-            if (v0 < 0.0) and (v >= 0.0):
-                return x0, x
-        prev = (x, v)
+        if v is not None and prev is not None and prev[1] < 0.0 <= v:
+            return prev[0], x
+        prev = None if v is None else (x, v)
     raise NoSignChange("no sign change of the resummed level on the scan grid")
 
 

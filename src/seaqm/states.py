@@ -21,13 +21,13 @@ float tables of x^p R_k, G_k and D, compiled once per state at that order
 turns `_BLOCK` abscissae at a time into those values, a column per x, with
 the radial and overflow rules applied column by column; the origin takes the
 general power rule, and a pole left there is a `DomainError`.  psi is an
-`exact.horner` pass over the values, and the coupling series of psi (the
-input of the pointwise resummation, `pade=(m, n)`) is the exponential's
-recursion and the prefactor convolution, done elementwise on them.  The
-wavefunction rows, `count_nodes`, the normalization's tail scan and its
-quadrature (`quadrature.qags`, QUADPACK's QAGS, which asks for one 21-point
-Kronrod panel at a time) all go through it, and `evaluate_state` and
-`state_lambda_series` are its one-abscissa calls.  It gives
+`exact.horner` pass over the values, and the coupling series of psi is the
+exponential's recursion and the prefactor convolution, done elementwise on
+them; `pade=(m, n)` resums those series a block at a time by stacked float
+Pades (`resummation.float_pade_block`).  The wavefunction rows, `count_nodes`,
+the normalization's tail scan and its quadrature (`quadrature.qags`, QUADPACK's
+QAGS, which asks for both halves of a bisection, 42 abscissae, in one call) all
+go through it; `evaluate_state` and `state_lambda_series` are one-abscissa calls.  It gives
 `LaurentPoly.__call__`'s values bit for bit: powers come from Python's ``**``
 and exponentials from `math.exp` (libm), not from `np.power` or `np.exp`,
 whose vectorized versions differ in the last bit for some arguments; numpy
@@ -50,7 +50,7 @@ from .engine import ChainSolution, ProblemFamily, solve_chain
 from .errors import DomainError, InvalidLeading, NonNormalizable, RungOrderViolation
 from .exact import LambdaSeries, LaurentPoly, horner
 from .quadrature import qags
-from .resummation import float_pade_eval
+from .resummation import float_pade_block
 
 __all__ = [
     "StateRep",
@@ -289,16 +289,21 @@ def _columns(state: StateRep, xs: Sequence[float], kernel) -> Iterator:
             yield value
 
 
+def _resummed(t: _Tables, vals: np.ndarray, errors: list, pade: tuple[int, int], lam: float) -> list[float]:
+    """psi resummed at lam: `float_pade_block` of each x's coupling series, a pole going into `errors`."""
+    values, poles = float_pade_block(_series(t, vals, errors), *pade, lam)
+    errors[:] = [error or pole for error, pole in zip(errors, poles)]
+    return values
+
+
 def evaluate_state_grid(
     state: StateRep, xs: Sequence[float], lam: float, pade: tuple[int, int] | None = None
 ) -> Iterator[float]:
     """psi(x, lam) truncated at the state's order for each x of xs in turn,
     lazily, with `_columns`.  With ``pade=(m, n)``, psi is instead resummed at
-    each x: `resummation.float_pade_eval` of the coupling series
-    `state_lambda_series(state, x)` at lam."""
-    if pade is None:
-        return _columns(state, xs, partial(_psi, lam=lam))
-    return (float_pade_eval(c, *pade, lam) for c in _columns(state, xs, _series))
+    each x: the float [m/n] Pade of `state_lambda_series(state, x)` at lam."""
+    kernel = partial(_psi, lam=lam) if pade is None else partial(_resummed, pade=pade, lam=lam)
+    return _columns(state, xs, kernel)
 
 
 def evaluate_state(state: StateRep, x: float, lam: float) -> float:
@@ -361,18 +366,20 @@ def normalize_function(grid, radial: bool) -> float:
     xs, lazily and raising where it raises; same tail logic as `normalize`.
 
     The window is [0 or the left cutoff, the right cutoff] of `_scan_cutoff`,
-    and the density f(x)^2 is integrated over it by `quadrature.qags`, one
-    21-point panel at a time, to relative tolerance `_REL_TOL`.
+    and the density f(x)^2 is integrated over it by `quadrature.qags`, both
+    halves of a bisection in one call, to relative tolerance `_REL_TOL`.
     """
     hi = _scan_cutoff(grid, _DOMAIN_BOUND)
     lo = 0.0 if radial else _scan_cutoff(grid, -_DOMAIN_BOUND)
-    val, err, *_ = qags(
+    val, err, _, ier, last = qags(
         lambda xs: [v**2 for v in grid(xs)], lo, hi, epsabs=0.0, epsrel=_REL_TOL, limit=400
     )
     # pointwise-resummed evaluators carry per-point solve noise, so only a
     # genuinely non-convergent integral is rejected here
     if val <= 0.0 or not (err < 1e-3 * val):
-        raise NonNormalizable(f"norm quadrature did not converge (err {err:.2e})")
+        size = f"relative error {err / val:.2e}" if val > 0.0 else f"integral {val:.3g}"
+        raise NonNormalizable(f"norm quadrature did not converge on [{lo:.6g}, {hi:.6g}]: "
+                              f"QAGS ier {ier} after {last} subintervals, {size}")
     return 1.0 / math.sqrt(val)
 
 

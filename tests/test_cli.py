@@ -7,6 +7,7 @@ import pytest
 
 import seaqm.cli
 import seaqm.resummation
+import seaqm.states
 from seaqm.cli import main
 from seaqm.validation import coefficient_suite
 from seaqm.errors import NoSignChange
@@ -484,6 +485,28 @@ def test_wavefunction_pade_values_pinned(tmp_path):
     }
     for x, value in recorded.items():
         assert psi[x] == pytest.approx(value, rel=1e-10)
+
+
+def test_wavefunction_pade_norm_failure_names_window_and_qags_outcome(capsys):
+    # the pointwise-resummed density is too noisy for QAGS to reach the norm
+    assert run(
+        ["wavefunction", "anharmonic", "--r", "1", "--K", "20", "--lambda", "1.0", "--pade", "10/10"]
+    ) == 3
+    assert capsys.readouterr().err == (
+        "computation failed: norm quadrature did not converge on [-5.5, 5.5]: QAGS ier 4 "
+        "after 186 subintervals, relative error 2.74e-03\n"
+    )
+
+
+def test_wavefunction_pade_order_above_K_exit_2_before_any_work(monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the chain was solved")
+
+    monkeypatch.setattr(seaqm.states, "solve_chain", forbidden)
+    assert run(
+        ["wavefunction", "anharmonic", "--r", "0", "--K", "30", "--lambda", "1.0", "--pade", "16/16"]
+    ) == 2
+    assert capsys.readouterr().err == "error: [16/16] needs 33 coefficients, got 31\n"
 
 
 def test_wavefunction_pade_builds_no_exact_approximant(pade_builds, capsys):

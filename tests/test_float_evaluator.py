@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import seaqm.states
 from seaqm.engine import Anharmonic, Hulthen
-from seaqm.errors import DomainError, NonNormalizable
+from seaqm.errors import DomainError, NonNormalizable, PoleProximity
 from seaqm.exact import LambdaSeries, LaurentPoly, horner
 from seaqm.resummation import float_pade_eval, pade, pade_eval
 from seaqm.spectra import evaluate_truncated, hulthen_energy_series
@@ -321,3 +321,30 @@ def test_scan_block_runs_past_overflowing_points():
     past = [2000.0 * i / seaqm.states._SCAN_POINTS for i in range(25, seaqm.states._BLOCK)]
     with pytest.raises(OverflowError):
         [evaluate_state(state, x, 0.01) ** 2 for x in past]
+
+
+def test_scan_block_pole_past_the_cutoff_never_raises(monkeypatch):
+    # the README `--pade 5/5` state with a pole put into the last row of each
+    # block: the scan stops at x = 5.75, long before row 255 of its first
+    # block, so the pole is never reached; iterating that far raises it
+    state = build_eigenstate(Anharmonic(), 12, r=0)
+    grid = partial(evaluate_state_grid, state, lam=3.0, pade=(5, 5))
+    clean = _scan_cutoff(grid, 2000.0)
+    real = seaqm.states.float_pade_block
+
+    def last_row_pole(series, m, n, lam):
+        values, poles = real(series, m, n, lam)
+        return values, poles[:-1] + [PoleProximity("injected")]
+
+    monkeypatch.setattr(seaqm.states, "float_pade_block", last_row_pole)
+    assert _scan_cutoff(grid, 2000.0) == clean == 5.75
+    xs = [2000.0 * i / seaqm.states._SCAN_POINTS for i in range(seaqm.states._BLOCK)]
+    values = grid(xs)
+    for _ in range(seaqm.states._BLOCK - 1):
+        next(values)
+    with pytest.raises(PoleProximity, match="injected"):
+        next(values)
+    # an x that already has an error raises that error, not its pole
+    radial = build_eigenstate(Hulthen(1), 10, n=2, l=1)
+    with pytest.raises(DomainError, match="radial states are defined for x >= 0"):
+        next(evaluate_state_grid(radial, [-1.0], 0.1, pade=(5, 5)))

@@ -110,6 +110,42 @@ def test_integrand_error_after_bisections_propagates():
         qags(pointwise(f), 0.0, 1.0, **TIGHT)
 
 
+@pytest.mark.parametrize("name", CASES)
+def test_one_panel_call_per_bisection(name):
+    # the first rule alone, then both halves of each bisection in one call;
+    # the results are QUADPACK's, as in test_fixed_cases_match_quadpack
+    f, a, b, kw = CASES[name]
+    sizes = []
+
+    def panel(xs):
+        sizes.append(len(xs))
+        return [f(x) for x in xs]
+
+    value, abserr, neval, ier, last = qags(panel, a, b, **kw)
+    assert sizes == [21] + [42] * (last - 1)
+    assert neval == 42 * last - 21
+    assert (value, abserr, neval, last, ier != 0) == quadpack(f, a, b, **kw)
+
+
+def test_error_at_a_second_half_abscissa_propagates():
+    # 0.75 is the centre of the right half of [0, 1]'s first bisection and no
+    # node of the first rule: the error comes after the whole left half
+    seen = []
+
+    def f(x):
+        if x == 0.75:
+            raise ValueError("no value at 0.75")
+        seen.append(x)
+        return math.sqrt(x)
+
+    with pytest.raises(ValueError, match="no value at 0.75"):
+        integrate.quad(f, 0.0, 1.0)
+    seen.clear()
+    with pytest.raises(ValueError, match="no value at 0.75"):
+        qags(pointwise(f), 0.0, 1.0)
+    assert len(seen) == 42 and max(seen[21:]) <= 0.5
+
+
 def test_invalid_input():
     assert qags(pointwise(math.exp), 0.0, 1.0, epsabs=0.0, epsrel=1e-15)[3] == 6
     assert qags(pointwise(math.exp), 0.0, 1.0, limit=0)[3] == 6

@@ -6,6 +6,7 @@ from fractions import Fraction
 from math import factorial
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,11 +14,13 @@ from hypothesis import strategies as st
 from make_pade_digests import DIGEST_FILE, golden_pade_digests, pade_digest
 from seaqm import resummation
 from seaqm.errors import NoSignChange, PoleProximity, SingularPadeSystem
+from seaqm.exact import horner
 from seaqm.resummation import (
     PadeApproximant,
     _scan_values,
     critical_lambda,
     float_pade,
+    float_pade_block,
     float_pade_eval,
     pade,
     pade_eval,
@@ -299,6 +302,94 @@ def test_float_pade_pole_proximity():
 def test_float_pade_requires_enough_coefficients():
     with pytest.raises(ValueError, match=r"\[2/2\] needs 5 coefficients, got 4"):
         float_pade([1.0] * 4, 2, 2)
+
+
+def _pointwise_float_pade_eval(series, m, n, lam):
+    """The per-row rule the block routine keeps: one LU solve per order from n
+    down, stepping down on a singular system or a non-finite solution, then
+    Horner; ("pole", message) where the pole rule fires, else the value."""
+    c = np.asarray(series[: m + n + 1], dtype=float)
+    padded = np.concatenate(([0.0], c))
+    num, den = c[: m + 1].tolist(), [1.0]
+    for nn in range(n, 0, -1):
+        i, j = np.ogrid[1 : nn + 1, 1 : nn + 1]
+        try:
+            q = np.linalg.solve(padded[np.maximum(m + i - j + 1, 0)], -c[m + 1 : m + nn + 1])
+        except np.linalg.LinAlgError:
+            continue
+        if np.all(np.isfinite(q)):
+            den = [1.0, *q.tolist()]
+            num = np.convolve(den, c[: m + 1])[: m + 1].tolist()
+            break
+    p, d = horner(num, lam), horner(den, lam)
+    if abs(d) < 1e-12 or abs(d) < 1e-12 * abs(p):
+        return "pole", f"denominator {d:.3e} too small at lam={lam}"
+    return p / d
+
+
+def _row_outcome(row, m, n, lam):
+    try:
+        return float_pade_eval(row, m, n, lam).hex()
+    except PoleProximity as exc:
+        return "pole", str(exc)
+
+
+@st.composite
+def _pade_blocks(draw):
+    """A block of rows for one [m/n] and lam: finite rows, zero tails, all-zero
+    rows, rows with an inf or a NaN, rows with a pole at lam (the geometric
+    series of 1/(1 - x/lam)) and constant rows, whose singular systems make a
+    stacked solve raise."""
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    length = m + n + 1 + draw(st.integers(0, 2))
+    lam = draw(st.sampled_from([0.5, -0.75, 1.5, 3.0]) | st.floats(-3.0, 3.0))
+    finite = st.lists(st.floats(-1e3, 1e3), min_size=length, max_size=length)
+    zero_tail = st.tuples(finite, st.integers(1, length)).map(lambda t: t[0][: t[1]] + [0.0] * (length - t[1]))
+    broken = st.tuples(finite, st.integers(0, length - 1), st.sampled_from([math.inf, -math.inf, math.nan]))
+    pole = [lam**-k for k in range(length)] if abs(lam) >= 0.1 else [1.0] * length
+    rows = st.one_of(
+        finite,
+        zero_tail,
+        st.just([0.0] * length),
+        broken.map(lambda t: t[0][: t[1]] + [t[2]] + t[0][t[1] + 1 :]),
+        st.just(pole),
+        st.just([1.0] * length),
+    )
+    return m, n, lam, draw(st.lists(rows, min_size=1, max_size=12))
+
+
+@given(_pade_blocks())
+@settings(max_examples=300, deadline=None)
+def test_float_pade_block_matches_each_row_bit_for_bit(block):
+    m, n, lam, rows = block
+    values, poles = float_pade_block(rows, m, n, lam)
+    for row, value, pole in zip(rows, values, poles):
+        got = ("pole", str(pole)) if pole is not None else value.hex()
+        assert got == _row_outcome(row, m, n, lam)
+        expected = _pointwise_float_pade_eval(row, m, n, lam)
+        assert got == (expected if isinstance(expected, tuple) else expected.hex())
+
+
+def test_float_pade_block_singular_stack_steps_down_per_row(monkeypatch):
+    # the constant row's 2 x 2 system is singular, so the stacked [2/2] solve
+    # raises; each row is then solved on its own and keeps its own order
+    raised, real = [], np.linalg.solve
+
+    def solve(A, b):
+        try:
+            return real(A, b)
+        except np.linalg.LinAlgError:
+            raised.append(np.ndim(A))
+            raise
+
+    rows = [[1.0] * 5, [1.0, 0.5, 0.25, 0.125, 0.0625], [1.0, -1.0, 0.5, 0.0, 0.0], [0.0] * 5]
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    values, poles = float_pade_block(rows, 2, 2, 0.5)
+    assert 3 in raised
+    assert poles == [None] * 4
+    monkeypatch.undo()
+    assert [v.hex() for v in values] == [_row_outcome(row, 2, 2, 0.5) for row in rows]
+    assert float_pade(rows[0], 2, 2)[1] == [1.0, -1.0]  # stepped down to [2/1]
 
 
 # ----------------------------------------------------------- critical values -
