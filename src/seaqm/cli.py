@@ -34,7 +34,7 @@ from .engine import Anharmonic, Hulthen, ProblemFamily, solve_chain
 from .errors import DomainError, SeaError
 from .exact import rational_to_str
 from .reference import CRITICAL_SCREENING, critical_value
-from .resummation import _check_orders, critical_lambda, pade_pair_value, pade_with_fallback
+from .resummation import _check_orders, critical_lambda, default_pade_pair, reconstruct_energy
 from .spectra import EnergySeries, anharmonic_energy_series, evaluate_truncated, hulthen_energy_series
 from .states import build_eigenstate, evaluate_state_grid, normalize
 from .validation import coefficient_suite, oracle_suite, table1_suite
@@ -112,12 +112,6 @@ def _parse_pade_pair(text: str) -> tuple[tuple[int, int], tuple[int, int]]:
             "its uncertainty 0; give two different orders m1/n1,m2/n2"
         )
     return pairs[0], pairs[1]
-
-
-def _default_pade_pair(K: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    m = (K + 1) // 2
-    n = m - 1
-    return (m, n), (n, n)
 
 
 def _problem(args: argparse.Namespace) -> tuple[ProblemFamily, int]:
@@ -199,7 +193,7 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
 def cmd_energy(args: argparse.Namespace) -> int:
     K_list = sorted(set(args.K_list or [args.K]))
     K_max = max(max(K_list), args.K)
-    pair = args.pade or _default_pade_pair(max(K_max, 1))
+    pair = args.pade or default_pade_pair(K_max)
     K_max = max(K_max, pair[0][0] + pair[0][1], pair[1][0] + pair[1][1])
     series = _energy_series(args, K_max)
     bound_hint = _tabulated_lambda_c(args)
@@ -207,11 +201,10 @@ def cmd_energy(args: argparse.Namespace) -> int:
     if bound_hint is not None and any(l > bound_hint for l in lams):
         print(f"warning: range extends beyond the critical coupling {bound_hint:.6g}", file=sys.stderr)
     header = ["lambda"] + [f"K{k}" for k in K_list] + ["pade", "uncertainty"]
-    first, second = (pade_with_fallback(series.coeffs, m, n) for m, n in pair)
-    rows = []
-    for lam in lams:
-        row = [lam] + [evaluate_truncated(series, lam, k) for k in K_list]
-        rows.append(row + list(pade_pair_value(first, second, lam)))
+    rows = [
+        [lam] + [evaluate_truncated(series, lam, k) for k in K_list] + list(resummed)
+        for lam, resummed in zip(lams, reconstruct_energy(series.coeffs, lams, pair))
+    ]
     meta = _metadata(args, K_list=K_list, pade_pair=[list(pair[0]), list(pair[1])], order=K_max)
     _emit(args, meta, header, rows)
     return EXIT_OK
@@ -274,7 +267,7 @@ def _resumed_cells(path: Path, run: dict) -> dict[str, dict]:
 def cmd_critical(args: argparse.Namespace) -> int:
     if args.nmax < 1:
         raise ValueError(f"need --nmax >= 1, got {args.nmax}")
-    pair = args.pade or ((15, 14), (14, 14))
+    pair = args.pade or default_pade_pair(args.K)
     order = args.K
     embed = args.embed_approximants and args.format == "json"
     # the run parameters every cell depends on, kept in the progress file so
@@ -340,12 +333,11 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
     family, _ = _problem(args)
     if args.pade_single:  # the state's coupling series has K + 1 coefficients
         _check_orders(args.K + 1, *args.pade_single)
+    lam_c = _tabulated_lambda_c(args) if family.radial else None
+    if lam_c is not None and args.lam >= lam_c:
+        raise ValueError(f"lam={args.lam} at or beyond critical {lam_c:.6g}")
     state = build_eigenstate(family, args.K, n=args.n, l=args.l, r=args.r)
     if family.radial:
-        lam_c = _tabulated_lambda_c(args)
-        if lam_c is not None and args.lam >= lam_c:
-            print(f"error: lam={args.lam} at or beyond critical {lam_c:.6g}", file=sys.stderr)
-            return EXIT_USAGE
         xs = args.x_range or _grid(0.0, max(40.0, 10.0 * args.n**2), 400)
     else:
         xs = args.x_range or _grid(-8.0, 8.0, 401)
@@ -384,13 +376,16 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    if args.nmax is not None and args.suite != "table1":
+        raise ValueError(f"--nmax sizes the table1 suite only; --suite {args.suite} does not take it")
     suites, records = [], []
     if args.suite in ("all", "coefficients"):
-        suites.append(coefficient_suite(args.inject_error))
+        suites.append(coefficient_suite())
     if args.suite in ("all", "oracle"):
         suite, records = oracle_suite()
         suites.append(suite)
     if args.suite == "table1":
+        args.nmax = 3 if args.nmax is None else args.nmax  # the default, recorded in the metadata
         suites.append(table1_suite(args.nmax))
     total_failures = sum(len(s["failures"]) for s in suites)
     payload = {
@@ -449,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, family=False)
     p.add_argument("--nmax", type=int, default=9)
     p.add_argument("--K", type=int, default=30)
-    p.add_argument("--pade", type=_parse_pade_pair, help="default 15/14,14/14")
+    p.add_argument("--pade", type=_parse_pade_pair, help="default from --K: 15/14,14/14 at K = 30")
     p.add_argument("--resume", help="progress file for long runs")
     p.add_argument(
         "--embed-approximants",
@@ -474,10 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="run the cross-validation suites")
     p.add_argument("--out", help="JSON report path (stdout when omitted)")
     p.add_argument("--suite", choices=["all", "coefficients", "oracle", "table1"], default="all")
-    p.add_argument("--nmax", type=int, default=3, help="table1 suite size")
-    p.add_argument(
-        "--inject-error", action="store_true", help=argparse.SUPPRESS  # negative-control mode
-    )
+    p.add_argument("--nmax", type=int, help="table1 suite size (default 3; table1 only)")
     p.set_defaults(func=cmd_validate)
     return parser
 

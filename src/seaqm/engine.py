@@ -62,7 +62,6 @@ from .errors import (
     UnsolvableOrder,
 )
 from .exact import (
-    LambdaSeries,
     LaurentPoly,
     _Dense,
     _dense,
@@ -309,15 +308,6 @@ class Rung:
     def order(self) -> int:
         return len(self.w) - 1
 
-    def superpotential_series(self) -> LambdaSeries:
-        return LambdaSeries(self.w)
-
-    def energy_series(self) -> LambdaSeries:
-        return LambdaSeries(self.energy)
-
-    def potential_series(self) -> LambdaSeries:
-        return LambdaSeries(self.potential)
-
 
 @dataclass(frozen=True)
 class ChainSolution:
@@ -465,15 +455,16 @@ def _back_substitute(
 
 
 def riccati_residual(
-    W: LambdaSeries, v: LambdaSeries, eps: LambdaSeries, K: int
+    w: Sequence[LaurentPoly], v: Sequence[LaurentPoly], eps: Sequence[Fraction], K: int
 ) -> list[LaurentPoly]:
     """Order-by-order residual ``C_k - w_k' - v_k + eps_k`` with C the
-    self-convolution of W; identically zero for a valid solution.
+    self-convolution of w, through order K; identically zero for a valid
+    solution.  The series are indexed by order: a rung's own tuples or
+    `LambdaSeries`.
 
     Each ``C_k`` is formed afresh from all of ``w_0..w_k``, independently of
     the ``B_k`` the solver used, so the check is the full exact identity.
     """
-    w = W.truncated(K).coeffs
     return [
         _dense_sum(
             _self_convolution(w, k, 0)
@@ -516,9 +507,7 @@ def _rung_potentials(
 def _checked(rung: Rung) -> Rung:
     """`rung`, once it satisfies the exact Riccati identity at every order;
     ResidualNonzero otherwise."""
-    residuals = riccati_residual(
-        rung.superpotential_series(), rung.potential_series(), rung.energy_series(), rung.order
-    )
+    residuals = riccati_residual(rung.w, rung.potential, rung.energy, rung.order)
     bad = [k for k, res in enumerate(residuals) if res]
     if bad:
         raise ResidualNonzero(f"rung {rung.index} violates the Riccati identity at orders {bad}")

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import NoSignChange, PoleProximity, SingularPadeSystem
 from .exact import horner, rational_to_str
-from .spectra import EnergySeries, hulthen_energy_series
+from .spectra import hulthen_energy_series
 
 __all__ = [
     "PadeApproximant",
@@ -34,12 +34,10 @@ __all__ = [
     "pade_eval",
     "reexpand",
     "pade_with_fallback",
-    "float_pade",
     "float_pade_block",
-    "float_pade_eval",
     "CriticalResult",
+    "default_pade_pair",
     "critical_lambda",
-    "pade_pair_value",
     "reconstruct_energy",
 ]
 
@@ -214,9 +212,9 @@ def pade_with_fallback(series: Sequence[Fraction], m: int, n: int) -> PadeApprox
     raise SingularPadeSystem(f"no solvable approximant at or below [{m}/{n}]")
 
 
-def _float_pade_rows(series, m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Float [m/n] approximants of the rows of `series`: numerators, denominators
-    (constant term 1, zero past the row's order) and orders.  Per order from n
+def _float_pade_rows(series, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Float [m/n] approximants of the rows of `series`: numerators and
+    denominators (constant term 1, zero past the row's order).  Per order from n
     down, the open rows take one stacked LU solve; an all-zero system is singular,
     and a non-finite one, or each of a stack that raised, is solved alone.  As in
     `pade_with_fallback`, a singular system or a non-finite solution steps a row
@@ -246,35 +244,19 @@ def _float_pade_rows(series, m: int, n: int) -> tuple[np.ndarray, np.ndarray, np
         q[todo[done], 1 : nn + 1], order[todo[done]], todo = sol[done], nn, todo[~done]
     p = [np.convolve(q[r, : k + 1], c[r, : m + 1])[: m + 1] if k else c[r, : m + 1]
          for r, k in enumerate(order)]  # row by row: a Toeplitz product rounds differently
-    return np.array(p).reshape(rows, m + 1), q, order
+    return np.array(p).reshape(rows, m + 1), q
 
 
 def float_pade_block(series, m: int, n: int, lam: float) -> tuple[list[float], list[PoleProximity | None]]:
     """Values at a finite lam of the float [m/n] approximants of the rows of
     `series`, and per row the PoleProximity of the `pade_eval` rule or None;
     each value is bit-identical to the row's own."""
-    p, q, _ = _float_pade_rows(series, m, n)
+    p, q = _float_pade_rows(series, m, n)
     with np.errstate(all="ignore"):
         num, den = horner(p.T, lam), horner(q.T, lam)
         poles, vals = _near_pole(num, den).tolist(), (num / den).tolist()
     return vals, [PoleProximity(f"denominator {d:.3e} too small at lam={lam}") if pole else None
                   for pole, d in zip(poles, den.tolist())]
-
-
-def float_pade(series: Sequence[float], m: int, n: int) -> tuple[list[float], list[float]]:
-    """Float [m/n] approximant of a series known only as floats: the numerator
-    and denominator coefficients, denominator constant term 1."""
-    p, q, (k,) = _float_pade_rows([series], m, n)
-    return p[0].tolist(), q[0, : k + 1].tolist()
-
-
-def float_pade_eval(series: Sequence[float], m: int, n: int, lam: float) -> float:
-    """Value at lam of `float_pade(series, m, n)`; raises PoleProximity near a
-    denominator zero, by the rule of `pade_eval`."""
-    (value,), (pole,) = float_pade_block([series], m, n, lam)
-    if pole:
-        raise pole
-    return value
 
 
 @dataclass(frozen=True)
@@ -367,24 +349,33 @@ def _track_root(series: Sequence[Fraction], m: int, n: int) -> tuple[float, Pade
         nn = P.n - 1
 
 
+def default_pade_pair(K: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The Pade pair of a series through order K when none is given: [m/m-1]
+    and [m-1/m-1] with m = (K + 1) // 2, at least [1/0] and [0/0].  The two
+    share all Hankel rows but one, so `pade` eliminates once for both."""
+    m = max((K + 1) // 2, 1)
+    return (m, m - 1), (m - 1, m - 1)
+
+
 def critical_lambda(
     n: int,
     l: int,
     series_order: int = 30,
-    pade_pair: tuple[tuple[int, int], tuple[int, int]] = ((15, 14), (14, 14)),
+    pade_pair: tuple[tuple[int, int], tuple[int, int]] | None = None,
 ) -> CriticalResult:
     """Critical screening strength of level (n, l): the coupling at which the
-    resummed energy crosses zero.
+    resummed energy crosses zero, by the pair of `default_pade_pair(series_order)`
+    unless `pade_pair` is given.
 
     Returns the mean of the two approximants' roots with half their difference
     as the uncertainty.  Levels whose series terminates at the quadratic (the
     l = 0 closed form) are solved exactly from the quadratic instead.
     """
-    for (mm, nn) in pade_pair:
-        if series_order < mm + nn:
-            raise ValueError(f"series order {series_order} below [{mm}/{nn}] requirement")
+    pade_pair = pade_pair or default_pade_pair(series_order)
+    for orders in pade_pair:
+        _check_orders(series_order + 1, *orders)
     series = hulthen_energy_series(n, l, series_order).coeffs
-    if all(c == 0 for c in series[3:]) and series[2] != 0:
+    if len(series) > 2 and all(c == 0 for c in series[3:]) and series[2] != 0:
         # closed quadratic: c0 + c1 x + c2 x^2 with discriminant 0 at these levels
         c0, c1, c2 = series[0], series[1], series[2]
         disc = c1 * c1 - 4 * c0 * c2
@@ -400,25 +391,11 @@ def critical_lambda(
     )
 
 
-def pade_pair_value(
-    first: PadeApproximant, second: PadeApproximant, lam: float
-) -> tuple[float, float]:
-    """Resummed value at one coupling: the first approximant's value, with the
-    absolute difference from the second as the uncertainty."""
-    value = pade_eval(first, lam)
-    return value, abs(value - pade_eval(second, lam))
-
-
 def reconstruct_energy(
-    series: "EnergySeries | Sequence[Fraction]",
-    lam: float,
-    m: int,
-    n: int,
-    alt: tuple[int, int],
-) -> tuple[float, float]:
-    """Resummed value at one coupling: the [m/n] value, with the absolute
-    difference from the alternate approximant as the uncertainty."""
-    coeffs = series.coeffs if isinstance(series, EnergySeries) else tuple(series)
-    first = pade_with_fallback(coeffs, m, n)
-    second = pade_with_fallback(coeffs, alt[0], alt[1])
-    return pade_pair_value(first, second, lam)
+    coeffs: Sequence[Fraction], lams: Sequence[float], pair: tuple[tuple[int, int], tuple[int, int]]
+) -> list[tuple[float, float]]:
+    """Resummed values of an exact series at each coupling of `lams`: the value
+    of the pair's first approximant, with the absolute difference from the
+    second's as the uncertainty.  Both are built once, by `pade_with_fallback`."""
+    first, second = (pade_with_fallback(coeffs, m, n) for m, n in pair)
+    return [(v := pade_eval(first, lam), abs(v - pade_eval(second, lam))) for lam in lams]

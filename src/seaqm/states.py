@@ -84,9 +84,11 @@ _SCAN_POINTS = 8000
 _NODE_SAMPLES = 6000
 _NODE_HALF_WIDTH = 10.0
 
-# The array kernel and the tail scan take at most _BLOCK abscissae at a time,
-# so the scan evaluates few points past its stop and no table spans a grid.
+# The array kernel takes at most _BLOCK abscissae at a time, so no table spans
+# a grid.  The tail scan asks for _FIRST_CHUNK of them first, doubling up to
+# _BLOCK, so it evaluates few points past an early stop.
 _BLOCK = 256
+_FIRST_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -164,8 +166,7 @@ def apply_creation(state: StateRep, q: int, chain: ChainSolution) -> StateRep:
     if not 0 <= q < r:
         raise RungOrderViolation(f"creation rung q={q} must satisfy 0 <= q < {r}")
     K = state.order
-    W_q = chain.rung(q).superpotential_series().truncated(K)
-    W_r = chain.rung(r).superpotential_series().truncated(K)
+    W_q, W_r = (LambdaSeries(chain.rung(i).w).truncated(K) for i in (q, r))
     R = state.prefactor
     new_R = (W_q + W_r) * R + R.derivative().scale(-1)
     return replace(state, prefactor=new_R)
@@ -320,8 +321,8 @@ def state_lambda_series(state: StateRep, x: float) -> list[float]:
 def _scan_cutoff(grid, stop: float) -> float:
     """March from 0 toward `stop` over _SCAN_POINTS steps; return the abscissa
     where the density psi^2 has decayed below _TAIL_RATIO times its running
-    peak.  `grid(xs)` iterates psi over all the steps lazily (`_columns`
-    evaluates `_BLOCK` of them at a time), raising where psi raises.
+    peak.  `grid(xs)` iterates psi over xs lazily, raising where psi raises;
+    the scan calls it on growing chunks of the steps (`_chunked`).
 
     When it never does, the truncated series has broken down before the state
     decayed: the error names where the density stopped decaying (its lowest
@@ -331,7 +332,7 @@ def _scan_cutoff(grid, stop: float) -> float:
     peak = 0.0
     lowest, x_turn = 1.0, 0.0
     xs = [stop * i / _SCAN_POINTS for i in range(_SCAN_POINTS + 1)]
-    psi = grid(xs)
+    psi = _chunked(grid, xs)
     for x in xs:
         try:
             val = next(psi) ** 2
@@ -347,6 +348,14 @@ def _scan_cutoff(grid, stop: float) -> float:
     raise NonNormalizable(
         _breakdown(x_turn, lowest, f"is still above the cutoff at the domain bound {stop}")
     )
+
+
+def _chunked(grid, xs: Sequence[float]) -> Iterator[float]:
+    """`grid` over xs lazily, on chunks of _FIRST_CHUNK abscissae doubling up to _BLOCK."""
+    start, size = 0, _FIRST_CHUNK
+    while start < len(xs):
+        yield from grid(xs[start : start + size])
+        start, size = start + size, min(2 * size, _BLOCK)
 
 
 def _breakdown(x_turn: float, lowest: float, end: str) -> str:
@@ -402,9 +411,8 @@ def hamiltonian_residual(state: StateRep, chain: ChainSolution) -> list[LaurentP
     """
     K = state.order
     r = state.base_rung
-    W = chain.rung(r).superpotential_series().truncated(K)
-    v0 = chain.rung(0).potential_series().truncated(K)
-    eps = chain.rung(r).energy
+    W = LambdaSeries(chain.rung(r).w).truncated(K)
+    v0, eps = chain.rung(0).potential, chain.rung(r).energy
     R = state.prefactor
     Rp = R.derivative()
     Rpp = Rp.derivative()

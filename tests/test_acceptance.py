@@ -246,17 +246,13 @@ def test_criterion_7_property_suite(critical_table):
         chain = solve_chain(Hulthen(l), 4, 14)
         for r in range(5):
             rung = chain.rung(r)
-            res = riccati_residual(
-                rung.superpotential_series(), rung.potential_series(), rung.energy_series(), 14
-            )
+            res = riccati_residual(rung.w, rung.potential, rung.energy, 14)
             assert all(p.is_zero for p in res), (l, r)
             assert all(rung.energy[k] == 0 for k in range(3, 15, 2)), (l, r)
     chain = solve_chain(Anharmonic(), 4, 14)
     for r in range(5):
         rung = chain.rung(r)
-        res = riccati_residual(
-            rung.superpotential_series(), rung.potential_series(), rung.energy_series(), 14
-        )
+        res = riccati_residual(rung.w, rung.potential, rung.energy, 14)
         assert all(p.is_zero for p in res), r
     # eigenstate residuals and node counts over the same range
     for l in range(5):

@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
 import seaqm.cli
 import seaqm.resummation
 import seaqm.states
+import seaqm.validation
 from seaqm.cli import main
 from seaqm.validation import coefficient_suite
 from seaqm.errors import NoSignChange
@@ -306,6 +308,20 @@ def test_critical_resume_rejects_malformed_file(text, problem, tmp_path, monkeyp
     assert err.startswith("error: ") and problem in err and str(progress) in err
 
 
+def test_critical_default_pair_follows_K(tmp_path):
+    # the default pair comes from --K: [10/9], [9/9] at K = 20
+    out = tmp_path / "t.csv"
+    assert run(["critical", "--nmax", "2", "--K", "20", "--out", str(out)]) == 0
+    meta, _, rows = read_csv(out)
+    assert meta["pade_pair"] == [[10, 9], [9, 9]] and meta["order"] == 20
+    assert rows[-1][4] == "[10/9] [9/9]"
+
+
+def test_critical_explicit_pair_beyond_K_exit_2(capsys):
+    assert run(["critical", "--nmax", "2", "--K", "20", "--pade", "15/14,14/14"]) == 2
+    assert capsys.readouterr().err == "error: [15/14] needs 30 coefficients, got 21\n"
+
+
 @pytest.mark.parametrize("nmax", ["0", "-1"])
 def test_critical_nmax_below_one_exit_2(nmax, capsys):
     assert run(["critical", "--nmax", nmax]) == 2
@@ -509,6 +525,16 @@ def test_wavefunction_pade_order_above_K_exit_2_before_any_work(monkeypatch, cap
     assert capsys.readouterr().err == "error: [16/16] needs 33 coefficients, got 31\n"
 
 
+def test_wavefunction_at_critical_exit_2_before_any_work(monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the chain was solved")
+
+    monkeypatch.setattr(seaqm.states, "solve_chain", forbidden)
+    assert run(["wavefunction", "hulthen", "--n", "2", "--l", "1", "--K", "10", "--lambda", "0.38"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: lam=0.38 at or beyond critical 0.376739\n" and not captured.out
+
+
 def test_wavefunction_pade_builds_no_exact_approximant(pade_builds, capsys):
     # the README command; the rationalized exact path built 2852 approximants
     assert run(
@@ -583,17 +609,53 @@ def test_validate_coefficients_pass(tmp_path):
     assert doc["suites"][0]["checks"] > 50
 
 
-def test_validate_negative_control(tmp_path):
+def test_validate_negative_control(tmp_path, monkeypatch):
+    # one reference coefficient off by 1e-6: the suite reports that check
+    # alone, and validate exits 1
+    real = seaqm.validation.hulthen_energy_coefficient
+
+    def off(k, n2, L2):
+        value = real(k, n2, L2)
+        return value + Fraction(1, 10**6) if (k, n2, L2) == (2, 4, 2) else value
+
+    monkeypatch.setattr(seaqm.validation, "hulthen_energy_coefficient", off)
     out = tmp_path / "v.json"
-    assert run(
-        ["validate", "--suite", "coefficients", "--inject-error", "--out", str(out)]
-    ) == 1
+    assert run(["validate", "--suite", "coefficients", "--out", str(out)]) == 1
     doc = json.loads(out.read_text())
     assert doc["status"] == "fail"
-    assert doc["suites"][0]["failures"]
     assert doc["suites"][0]["failures"] == [
-        {"check": "hulthen eps_2(n=2,l=1)", "got": "-2499997/3000000", "expected": "-5/6"}
+        {"check": "hulthen eps_2(n=2,l=1)", "got": "-5/6", "expected": "-2499997/3000000"}
     ]
+    assert "inject_error" not in doc["metadata"]["parameters"]
+
+
+@pytest.mark.parametrize("suite", ["all", "coefficients", "oracle"])
+def test_validate_nmax_outside_table1_exit_2(suite, monkeypatch, tmp_path, capsys):
+    # --nmax sizes the table1 suite only; elsewhere it is refused before any suite runs
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(seaqm.cli, "coefficient_suite", forbidden)
+    monkeypatch.setattr(seaqm.cli, "oracle_suite", forbidden)
+    out = tmp_path / "v.json"
+    assert run(["validate", "--suite", suite, "--nmax", "7", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --nmax sizes the table1 suite only; --suite {suite} does not take it\n"
+    )
+    assert not out.exists()
+
+
+def test_validate_metadata_records_nmax_for_table1_only(tmp_path, monkeypatch):
+    suite = lambda nmax: {"suite": "table1", "checks": nmax, "failures": []}
+    monkeypatch.setattr(seaqm.cli, "table1_suite", suite)
+    out = tmp_path / "v.json"
+    assert run(["validate", "--suite", "table1", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["metadata"]["parameters"]["nmax"] == 3 and doc["suites"][0]["checks"] == 3
+    assert run(["validate", "--suite", "coefficients", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["metadata"]["parameters"] == {
+        "command": "validate", "out": str(out), "suite": "coefficients"
+    }
 
 
 def test_validate_coefficient_suite_matches_cli(tmp_path):

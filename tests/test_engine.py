@@ -360,9 +360,7 @@ def test_riccati_residual_zero_for_solutions():
     chain = solve_chain(Hulthen(1), 2, 6)
     for r in range(3):
         rung = chain.rung(r)
-        res = riccati_residual(
-            rung.superpotential_series(), rung.potential_series(), rung.energy_series(), 6
-        )
+        res = riccati_residual(rung.w, rung.potential, rung.energy, 6)
         assert all(p.is_zero for p in res)
 
 
@@ -378,9 +376,7 @@ def test_riccati_residual_detects_corruption():
     rung = chain.rung(0)
     w = list(rung.w)
     w[2] = w[2] + P.monomial(1, F(1, 1000))  # perturb the order-2 coefficient
-    res = riccati_residual(
-        LambdaSeries(w), rung.potential_series(), rung.energy_series(), 3
-    )
+    res = riccati_residual(w, rung.potential, rung.energy, 3)
     assert not res[2].is_zero
     assert res[0].is_zero and res[1].is_zero
     # changing any one coefficient of any solved w_k is seen at order k
@@ -390,9 +386,7 @@ def test_riccati_residual_detects_corruption():
             for e, c in rung.w[k].items():
                 w = list(rung.w)
                 w[k] = w[k] + P.monomial(e, c / 7)
-                res = riccati_residual(
-                    LambdaSeries(w), rung.potential_series(), rung.energy_series(), K
-                )
+                res = riccati_residual(w, rung.potential, rung.energy, K)
                 assert not res[k].is_zero, (family, k, e)
                 assert all(p.is_zero for p in res[:k]), (family, k, e)
 
@@ -477,9 +471,7 @@ def test_generic_coulomb_family_with_linear_perturbation():
     chain = solve_chain(fam, 2, 6)
     for r in range(3):
         rung = chain.rung(r)
-        res = riccati_residual(
-            rung.superpotential_series(), rung.potential_series(), rung.energy_series(), 6
-        )
+        res = riccati_residual(rung.w, rung.potential, rung.energy, 6)
         assert all(p.is_zero for p in res)
     # rung leadings shift like the Coulomb ladder
     assert chain.rung(2).leading.pole == F(-3)

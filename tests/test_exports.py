@@ -1,6 +1,7 @@
 """Every name a seaqm module exports through `__all__` must resolve, and
 seaqm runs without scipy: `import seaqm.cli` loads none of it, and the oracle
-suite of `validate` passes with scipy blocked."""
+suite of `validate` and the README's resummed energy and wavefunction lines
+run with scipy blocked."""
 
 import importlib
 import os
@@ -63,3 +64,21 @@ def test_oracle_suite_runs_without_scipy():
     )
     assert probe.returncode == 0, probe.stderr
     assert '"status": "pass"' in probe.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["energy", "anharmonic", "--r", "0", "--K", "5", "--K-list", "3,4,5",
+         "--lambda-range", "0:0.2:41", "--pade", "21/20,20/20"],
+        ["wavefunction", "anharmonic", "--r", "0", "--K", "12", "--lambda", "3.0",
+         "--pade", "5/5", "--x-range=-5:5:201"],
+    ],
+)
+def test_readme_resummed_lines_run_without_scipy(argv):
+    probe = _probe(
+        "import sys; sys.modules['scipy'] = None; from seaqm.cli import main; "
+        f"sys.exit(main({argv!r}))"
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.startswith("# command: ")

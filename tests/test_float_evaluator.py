@@ -11,11 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import seaqm.resummation
 import seaqm.states
 from seaqm.engine import Anharmonic, Hulthen
 from seaqm.errors import DomainError, NonNormalizable, PoleProximity
 from seaqm.exact import LambdaSeries, LaurentPoly, horner
-from seaqm.resummation import float_pade_eval, pade, pade_eval
+from seaqm.resummation import float_pade_block, pade, pade_eval
 from seaqm.spectra import evaluate_truncated, hulthen_energy_series
 from seaqm.states import (
     StateRep,
@@ -280,6 +281,14 @@ def _scan_outcome(grid, stop):
         return str(exc)
 
 
+def _one_row_pade(state, x, pade, lam):
+    """The resummed psi at one x: a one-row `float_pade_block`, raising its pole."""
+    (value,), (pole,) = float_pade_block([state_lambda_series(state, x)], *pade, lam)
+    if pole is not None:
+        raise pole
+    return value
+
+
 @pytest.mark.parametrize("block", [1, 5, 256])
 @pytest.mark.parametrize(
     "family, K, labels, lam, ending",
@@ -300,7 +309,7 @@ def test_scan_in_blocks_matches_a_point_walk(family, K, labels, lam, ending, blo
     if pade is None:
         psi = partial(evaluate_state, state, lam=lam)
     else:
-        psi = lambda x: float_pade_eval(state_lambda_series(state, x), *pade, lam)
+        psi = partial(_one_row_pade, state, pade=pade, lam=lam)
     for stop in (2000.0,) if family.radial else (2000.0, -2000.0):
         blocked = _scan_outcome(partial(evaluate_state_grid, state, lam=lam, pade=pade), stop)
         assert blocked == _scan_outcome(partial(map, psi), stop)
@@ -323,10 +332,32 @@ def test_scan_block_runs_past_overflowing_points():
         [evaluate_state(state, x, 0.01) ** 2 for x in past]
 
 
+def test_scan_resums_few_rows_past_an_early_stop(monkeypatch):
+    # the README `--pade 5/5` state stops at x = +-5.75, row 23 of each side:
+    # the scan's short first chunk keeps the rows resummed past it few, and
+    # the cutoffs are those of a walk over all the rows
+    state = build_eigenstate(Anharmonic(), 12, r=0)
+    grid = partial(evaluate_state_grid, state, lam=3.0, pade=(5, 5))
+    rows, real = [], seaqm.resummation._float_pade_rows
+
+    def spy(series, m, n):
+        rows.append(len(series))
+        return real(series, m, n)
+
+    monkeypatch.setattr(seaqm.resummation, "_float_pade_rows", spy)
+    for stop, cutoff in ((2000.0, 5.75), (-2000.0, -5.75)):
+        rows.clear()
+        assert _scan_cutoff(grid, stop) == cutoff
+        assert sum(rows) < 64, rows
+    rows.clear()  # the spy sees a full block when the scan starts with one
+    monkeypatch.setattr(seaqm.states, "_FIRST_CHUNK", seaqm.states._BLOCK)
+    assert _scan_cutoff(grid, 2000.0) == 5.75 and sum(rows) == 256
+
+
 def test_scan_block_pole_past_the_cutoff_never_raises(monkeypatch):
     # the README `--pade 5/5` state with a pole put into the last row of each
-    # block: the scan stops at x = 5.75, long before row 255 of its first
-    # block, so the pole is never reached; iterating that far raises it
+    # block: the scan stops at x = 5.75 (row 23), inside its first chunk of 32
+    # rows, so the pole is never reached; iterating a block that far raises it
     state = build_eigenstate(Anharmonic(), 12, r=0)
     grid = partial(evaluate_state_grid, state, lam=3.0, pade=(5, 5))
     clean = _scan_cutoff(grid, 2000.0)

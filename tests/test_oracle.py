@@ -8,6 +8,7 @@ import pytest
 from seaqm.engine import Hulthen, solve_chain
 from seaqm.errors import GridTooCoarse
 from seaqm.oracle import MeshSpec, anharmonic_numeric, hulthen_numeric, mesh_eigenvalues
+from seaqm.reference import critical_value
 from seaqm.resummation import pade, pade_eval
 from seaqm.spectra import evaluate_truncated, hulthen_energy_closed_l0, hulthen_energy_series
 
@@ -47,6 +48,17 @@ def test_hulthen_near_critical_matches_pade():
     exact = pade_eval(pade(hulthen_energy_series(4, 1, 30).coeffs, 15, 14), lam)
     oracle = hulthen_numeric(1, lam, 3)[2]
     assert abs(oracle - exact) <= 1e-9 * abs(exact)
+
+
+def test_2p_still_bound_above_tabulated_critical_coupling():
+    # a known deviation (README): at lam = 0.3768, above the tabulated
+    # lambda_c(2,1) = 0.3767388 that `critical` reproduces, the mesh still
+    # binds the 2p level, with the same energy on meshes of 150 to 400 points
+    lam = 0.3768
+    assert critical_value(2, 1) < lam
+    for size in (150, 300, 400):
+        (energy,) = hulthen_numeric(1, lam, 1, MeshSpec(2000.0, radial=True, size=size))
+        assert energy == pytest.approx(-2.6849e-5, rel=1e-4)
 
 
 def test_grid_too_coarse():

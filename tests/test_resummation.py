@@ -17,11 +17,11 @@ from seaqm.errors import NoSignChange, PoleProximity, SingularPadeSystem
 from seaqm.exact import horner
 from seaqm.resummation import (
     PadeApproximant,
+    _float_pade_rows,
     _scan_values,
     critical_lambda,
-    float_pade,
+    default_pade_pair,
     float_pade_block,
-    float_pade_eval,
     pade,
     pade_eval,
     pade_with_fallback,
@@ -279,32 +279,33 @@ def test_float_pade_matches_exact_pade(series, m, n):
     exact = pade(series, m, n)
     floats = [float(c) for c in series]
     for lam in (-0.7, 0.0, 0.3, 0.9, 1.5):
-        assert float_pade_eval(floats, m, n, lam) == pytest.approx(
-            pade_eval(exact, lam), rel=1e-13, abs=0.0
-        )
+        (value,), (pole,) = float_pade_block([floats], m, n, lam)
+        assert pole is None
+        assert value == pytest.approx(pade_eval(exact, lam), rel=1e-13, abs=0.0)
 
 
 def test_float_pade_zero_tail_steps_down_to_polynomial():
     # as in pade_with_fallback: every n >= 1 system of a degree-2 series is singular
     series = [1.0, 2.0, 3.0] + [0.0] * 10
-    numerator, denominator = float_pade(series, 5, 4)
+    numerator, denominator = _float_pade_rows([series], 5, 4)
     assert pade_with_fallback([F(c) for c in series], 5, 4).n == 0
-    assert denominator == [1.0]
-    assert numerator == series[:6]
-    assert float_pade_eval(series, 5, 4, 2.0) == 1 + 4 + 12
+    assert denominator.tolist() == [[1.0, 0.0, 0.0, 0.0, 0.0]]
+    assert numerator.tolist() == [series[:6]]
+    assert float_pade_block([series], 5, 4, 2.0) == ([1 + 4 + 12], [None])
 
 
 def test_float_pade_pole_proximity():
-    with pytest.raises(PoleProximity):
-        float_pade_eval([1.0] * 3, 0, 1, 1.0)  # 1/(1-x)
+    values, (pole,) = float_pade_block([[1.0] * 3], 0, 1, 1.0)  # 1/(1-x)
+    assert isinstance(pole, PoleProximity)
+    assert str(pole) == "denominator 0.000e+00 too small at lam=1.0"
 
 
 def test_float_pade_requires_enough_coefficients():
     with pytest.raises(ValueError, match=r"\[2/2\] needs 5 coefficients, got 4"):
-        float_pade([1.0] * 4, 2, 2)
+        float_pade_block([[1.0] * 4], 2, 2, 0.5)
 
 
-def _pointwise_float_pade_eval(series, m, n, lam):
+def _pointwise_float_pade(series, m, n, lam):
     """The per-row rule the block routine keeps: one LU solve per order from n
     down, stepping down on a singular system or a non-finite solution, then
     Horner; ("pole", message) where the pole rule fires, else the value."""
@@ -328,10 +329,9 @@ def _pointwise_float_pade_eval(series, m, n, lam):
 
 
 def _row_outcome(row, m, n, lam):
-    try:
-        return float_pade_eval(row, m, n, lam).hex()
-    except PoleProximity as exc:
-        return "pole", str(exc)
+    """The row solved on its own, a one-row block."""
+    (value,), (pole,) = float_pade_block([row], m, n, lam)
+    return ("pole", str(pole)) if pole is not None else value.hex()
 
 
 @st.composite
@@ -366,7 +366,7 @@ def test_float_pade_block_matches_each_row_bit_for_bit(block):
     for row, value, pole in zip(rows, values, poles):
         got = ("pole", str(pole)) if pole is not None else value.hex()
         assert got == _row_outcome(row, m, n, lam)
-        expected = _pointwise_float_pade_eval(row, m, n, lam)
+        expected = _pointwise_float_pade(row, m, n, lam)
         assert got == (expected if isinstance(expected, tuple) else expected.hex())
 
 
@@ -389,7 +389,7 @@ def test_float_pade_block_singular_stack_steps_down_per_row(monkeypatch):
     assert poles == [None] * 4
     monkeypatch.undo()
     assert [v.hex() for v in values] == [_row_outcome(row, 2, 2, 0.5) for row in rows]
-    assert float_pade(rows[0], 2, 2)[1] == [1.0, -1.0]  # stepped down to [2/1]
+    assert _float_pade_rows(rows[:1], 2, 2)[1].tolist() == [[1.0, -1.0, 0.0]]  # stepped down to [2/1]
 
 
 # ----------------------------------------------------------- critical values -
@@ -415,8 +415,29 @@ def test_critical_3d_matches_table():
 
 
 def test_critical_requires_series_depth():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^\[15/14\] needs 30 coefficients, got 11$"):
         critical_lambda(2, 1, 10, ((15, 14), (14, 14)))
+
+
+@pytest.mark.parametrize(
+    "K, pair",
+    [(0, ((1, 0), (0, 0))), (1, ((1, 0), (0, 0))), (3, ((2, 1), (1, 1))), (20, ((10, 9), (9, 9))),
+     (30, ((15, 14), (14, 14))), (41, ((21, 20), (20, 20)))],
+)
+def test_default_pade_pair(K, pair):
+    assert default_pade_pair(K) == pair
+
+
+def test_critical_default_pair_follows_series_order():
+    assert critical_lambda(2, 1) == critical_lambda(2, 1, 30, ((15, 14), (14, 14)))
+    assert critical_lambda(2, 1, 20).pade_used == "[10/9] [9/9]"
+
+
+def test_critical_series_through_order_one_fails_typed():
+    # a two-term series has no quadratic to solve in closed form: the root
+    # scan runs and finds no sign change, instead of indexing past the series
+    with pytest.raises(NoSignChange):
+        critical_lambda(1, 0, 1)
 
 
 def test_critical_monotone_bracketing():
@@ -445,26 +466,39 @@ def test_no_sign_change_reported():
 
 def test_reconstruct_polynomial_series_is_exact():
     series = hulthen_energy_series(1, 0, 30)
-    value, unc = reconstruct_energy(series, 1.0, 15, 14, (14, 14))
+    ((value, unc),) = reconstruct_energy(series.coeffs, [1.0], ((15, 14), (14, 14)))
     assert value == pytest.approx(-0.25, abs=1e-15)
     assert unc == pytest.approx(0.0, abs=1e-15)
 
 
 def test_reconstruct_at_zero():
-    from seaqm.spectra import anharmonic_energy_series
-
     series = anharmonic_energy_series(0, 41)
-    value, unc = reconstruct_energy(series, 0.0, 21, 20, (20, 20))
-    assert value == 1.0 and unc == 0.0
+    assert reconstruct_energy(series.coeffs, [0.0], default_pade_pair(41)) == [(1.0, 0.0)]
 
 
 def test_reconstruct_small_coupling_tight():
-    from seaqm.spectra import anharmonic_energy_series
-
     series = anharmonic_energy_series(0, 41)
-    value, unc = reconstruct_energy(series, 0.125, 21, 20, (20, 20))
+    ((value, unc),) = reconstruct_energy(series.coeffs, [0.125], ((21, 20), (20, 20)))
     assert unc / abs(value) < 1e-3
     assert value == pytest.approx(1.0794103952102574, rel=1e-12)
+
+
+def test_reconstruct_builds_the_pair_once_for_all_couplings(monkeypatch):
+    # one exact build per approximant, on the series tuple itself, and per
+    # coupling the first value with its distance from the second
+    coeffs, builds = anharmonic_energy_series(0, 41).coeffs, []
+    real = resummation.pade
+
+    def spy(series, m, n):
+        builds.append((series is coeffs, m, n))
+        return real(series, m, n)
+
+    monkeypatch.setattr(resummation, "pade", spy)
+    lams = [0.0, 0.05, 0.125]
+    got = reconstruct_energy(coeffs, lams, ((21, 20), (20, 20)))
+    assert builds == [(True, 21, 20), (True, 20, 20)]
+    first, second = real(coeffs, 21, 20), real(coeffs, 20, 20)
+    assert got == [(pade_eval(first, x), abs(pade_eval(first, x) - pade_eval(second, x))) for x in lams]
 
 
 def test_spurious_pole_detector():
