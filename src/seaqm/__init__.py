@@ -19,7 +19,7 @@ from .engine import (
     riccati_residual,
     solve_chain,
 )
-from .exact import LambdaSeries, LaurentPoly, Rational, bernoulli_minus
+from .exact import LaurentPoly, bernoulli_minus
 from .oracle import MeshSpec, anharmonic_numeric, hulthen_numeric, mesh_eigenvalues
 from .resummation import (
     CriticalResult,
@@ -59,12 +59,10 @@ __all__ = [
     "EnergySeries",
     "GenericPerturbed",
     "Hulthen",
-    "LambdaSeries",
     "LaurentPoly",
     "LeadingSuperpotential",
     "MeshSpec",
     "PadeApproximant",
-    "Rational",
     "Rung",
     "StateRep",
     "anharmonic_energy_series",

@@ -26,7 +26,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from pathlib import Path
 
 from . import __version__
@@ -218,7 +217,11 @@ def _critical_group(task: tuple[int, list[int], int, tuple, bool]) -> list[dict]
     l, ns, order, pair, embed = task
     out = []
     for n in ns:
-        res = critical_lambda(n, l, order, pair)
+        try:
+            res = critical_lambda(n, l, order, pair)
+        except SeaError as exc:
+            pade = " ".join(f"[{a}/{b}]" for a, b in pair)
+            raise type(exc)(f"lambda_c({n},{l}) with {pade}: {exc}") from exc
         rec = {
             "n": n,
             "l": l,
@@ -292,6 +295,8 @@ def cmd_critical(args: argparse.Namespace) -> int:
             _replace_file(resume_path, json.dumps({"parameters": run, "cells": done}, indent=2))
 
     if workers > 1:
+        # only a parallel table needs multiprocessing, so a cold start skips it
+        from concurrent.futures import ProcessPoolExecutor, as_completed
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_critical_group, t) for t in tasks]
             try:
@@ -435,8 +440,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--K", type=int, default=14)
     p.add_argument("--K-list", dest="K_list", type=lambda s: [int(x) for x in s.split(",")])
-    p.add_argument("--lambda", dest="lam", type=_finite_float, default=0.0)
-    p.add_argument("--lambda-range", dest="lambda_range", type=_parse_range)
+    lam = p.add_mutually_exclusive_group()
+    lam.add_argument("--lambda", dest="lam", type=_finite_float, default=0.0)
+    lam.add_argument("--lambda-range", dest="lambda_range", type=_parse_range)
     p.add_argument("--pade", type=_parse_pade_pair, help="m/n or m1/n1,m2/n2")
     p.set_defaults(func=cmd_energy)
 

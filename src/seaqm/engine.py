@@ -459,8 +459,8 @@ def riccati_residual(
 ) -> list[LaurentPoly]:
     """Order-by-order residual ``C_k - w_k' - v_k + eps_k`` with C the
     self-convolution of w, through order K; identically zero for a valid
-    solution.  The series are indexed by order: a rung's own tuples or
-    `LambdaSeries`.
+    solution.  The series are any sequences indexed by order, such as a rung's
+    own tuples.
 
     Each ``C_k`` is formed afresh from all of ``w_0..w_k``, independently of
     the ``B_k`` the solver used, so the check is the full exact identity.

@@ -1,5 +1,5 @@
-"""Exact arithmetic substrate: rationals, sparse Laurent polynomials, truncated
-series in the expansion parameter, and Bernoulli numbers.
+"""Exact arithmetic substrate: rationals, sparse Laurent polynomials, the one
+float evaluator, and Bernoulli numbers.
 
 All coefficient arithmetic in this package is carried out over arbitrary
 precision rationals (``fractions.Fraction``); floating point enters only at
@@ -27,24 +27,19 @@ from functools import lru_cache, reduce
 from itertools import repeat
 from math import comb, gcd, lcm
 from operator import add, mul
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import NonIntegrableTerm, OrderExceeded
-
-Rational = Fraction
-RationalLike = Union[Fraction, int]
+from .errors import NonIntegrableTerm
 
 __all__ = [
-    "Rational",
     "LaurentPoly",
-    "LambdaSeries",
     "bernoulli_minus",
     "horner",
     "rational_to_str",
 ]
 
 
-def rational_to_str(q: Rational) -> str:
+def rational_to_str(q: Fraction) -> str:
     """Serialize a rational as ``"p/q"`` (or ``"p"`` when the denominator is 1)."""
     q = Fraction(q)
     if q.denominator == 1:
@@ -73,7 +68,7 @@ class LaurentPoly:
 
     __slots__ = ("_terms", "_dense")
 
-    def __init__(self, terms: Mapping[int, RationalLike] | Iterable[tuple[int, RationalLike]] = ()):
+    def __init__(self, terms: Mapping[int, Fraction | int] | Iterable[tuple[int, Fraction | int]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
         clean: dict[int, Fraction] = {}
         for exp, coeff in items:
@@ -90,11 +85,11 @@ class LaurentPoly:
         return cls()
 
     @classmethod
-    def constant(cls, c: RationalLike) -> "LaurentPoly":
+    def constant(cls, c: Fraction | int) -> "LaurentPoly":
         return cls({0: c})
 
     @classmethod
-    def monomial(cls, exponent: int, coeff: RationalLike = 1) -> "LaurentPoly":
+    def monomial(cls, exponent: int, coeff: Fraction | int = 1) -> "LaurentPoly":
         return cls({exponent: coeff})
 
     # -- inspection ----------------------------------------------------------
@@ -153,7 +148,7 @@ class LaurentPoly:
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
-    def __mul__(self, other: "LaurentPoly | RationalLike") -> "LaurentPoly":
+    def __mul__(self, other: "LaurentPoly | Fraction | int") -> "LaurentPoly":
         if isinstance(other, LaurentPoly):
             out: dict[int, Fraction] = {}
             for e1, c1 in self._terms.items():
@@ -170,7 +165,7 @@ class LaurentPoly:
             return _wrap({e: c * v for e, v in self._terms.items()}) if c else LaurentPoly()
         return NotImplemented
 
-    def __rmul__(self, other: RationalLike) -> "LaurentPoly":
+    def __rmul__(self, other: Fraction | int) -> "LaurentPoly":
         return self.__mul__(other)
 
     def derivative(self) -> "LaurentPoly":
@@ -317,83 +312,6 @@ def _dense_poly(d: _Dense) -> LaurentPoly:
     p = _wrap({lo + i: Fraction(nums[i], den) for i in range(len(nums) - 1, -1, -1) if nums[i]})
     p._dense = d
     return p
-
-
-Payload = Union[LaurentPoly, Fraction]
-
-
-class LambdaSeries:
-    """A series truncated at order K in the expansion parameter.
-
-    ``coeffs[k]`` is the order-k payload, either a LaurentPoly (superpotentials,
-    potentials, prefactors) or a rational (energies).  The length is exactly
-    K + 1; binary operations truncate to the smaller of the two orders.
-    """
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs: Sequence[Payload]):
-        if not coeffs:
-            raise ValueError("a LambdaSeries holds at least the order-0 payload")
-        self._coeffs = tuple(coeffs)
-
-    @property
-    def order(self) -> int:
-        return len(self._coeffs) - 1
-
-    @property
-    def coeffs(self) -> tuple[Payload, ...]:
-        return self._coeffs
-
-    def __getitem__(self, k: int) -> Payload:
-        if not 0 <= k <= self.order:
-            raise OrderExceeded(f"order {k} outside 0..{self.order}")
-        return self._coeffs[k]
-
-    def __iter__(self) -> Iterator[Payload]:
-        return iter(self._coeffs)
-
-    def __len__(self) -> int:
-        return len(self._coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, LambdaSeries):
-            return self._coeffs == other._coeffs
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"LambdaSeries(order={self.order})"
-
-    def truncated(self, K: int) -> "LambdaSeries":
-        if K > self.order:
-            raise OrderExceeded(f"cannot extend order {self.order} to {K}")
-        return LambdaSeries(self._coeffs[: K + 1])
-
-    # Polynomial-payload helpers used by the chain and state machinery.
-
-    def map(self, fn) -> "LambdaSeries":
-        return LambdaSeries([fn(c) for c in self._coeffs])
-
-    def derivative(self) -> "LambdaSeries":
-        return self.map(lambda p: p.derivative())
-
-    def __add__(self, other: "LambdaSeries") -> "LambdaSeries":
-        K = min(self.order, other.order)
-        return LambdaSeries([self._coeffs[k] + other._coeffs[k] for k in range(K + 1)])
-
-    def __mul__(self, other: "LambdaSeries") -> "LambdaSeries":
-        """Cauchy product truncated at the smaller order."""
-        K = min(self.order, other.order)
-        out = []
-        for k in range(K + 1):
-            acc = self._coeffs[0] * other._coeffs[k]
-            for m in range(1, k + 1):
-                acc = acc + self._coeffs[m] * other._coeffs[k - m]
-            out.append(acc)
-        return LambdaSeries(out)
-
-    def scale(self, c: RationalLike) -> "LambdaSeries":
-        return self.map(lambda p: p * Fraction(c))
 
 
 @lru_cache(maxsize=None)

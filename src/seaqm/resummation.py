@@ -369,11 +369,15 @@ def critical_lambda(
 
     Returns the mean of the two approximants' roots with half their difference
     as the uncertainty.  Levels whose series terminates at the quadratic (the
-    l = 0 closed form) are solved exactly from the quadratic instead.
+    l = 0 closed form) are solved exactly from the quadratic instead.  A [0/n]
+    order (the default pair below series order 3) is a ValueError.
     """
     pade_pair = pade_pair or default_pade_pair(series_order)
     for orders in pade_pair:
         _check_orders(series_order + 1, *orders)
+        if orders[0] == 0:
+            raise ValueError(f"[0/{orders[1]}] has a constant numerator, which never crosses zero: "
+                             "a critical coupling needs m >= 1 in both orders")
     series = hulthen_energy_series(n, l, series_order).coeffs
     if len(series) > 2 and all(c == 0 for c in series[3:]) and series[2] != 0:
         # closed quadratic: c0 + c1 x + c2 x^2 with discriminant 0 at these levels

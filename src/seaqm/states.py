@@ -48,7 +48,7 @@ import numpy as np
 
 from .engine import ChainSolution, ProblemFamily, solve_chain
 from .errors import DomainError, InvalidLeading, NonNormalizable, RungOrderViolation
-from .exact import LambdaSeries, LaurentPoly, horner
+from .exact import LaurentPoly, horner
 from .quadrature import qags
 from .resummation import float_pade_block
 
@@ -99,15 +99,15 @@ class StateRep:
     base_rung: int
     power: int               # exponent of the x^p factor (0 on the full line)
     decay: LaurentPoly       # D(x): order-0 exponent, pure polynomial
-    prefactor: LambdaSeries  # R(x, lam)
-    G: LambdaSeries          # G_k for k >= 1; entry 0 is the zero polynomial
+    prefactor: tuple[LaurentPoly, ...]  # R_0..R_K of R(x, lam)
+    G: tuple[LaurentPoly, ...]          # G_k for k >= 1; entry 0 is the zero polynomial
     n: int | None = None
     l: int | None = None
     r: int | None = None
 
     @property
     def order(self) -> int:
-        return self.prefactor.order
+        return len(self.prefactor) - 1
 
     @property
     def radial(self) -> bool:
@@ -119,17 +119,13 @@ class StateRep:
         return _Tables(self)
 
 
-def build_G(chain: ChainSolution, r: int) -> LambdaSeries:
+def build_G(chain: ChainSolution, r: int) -> tuple[LaurentPoly, ...]:
     """Antiderivatives of the rung-r superpotential coefficients for k >= 1.
 
     The order-0 entry is zero: the leading decay is held separately in the
     state's ``power``/``decay`` fields.
     """
-    rung = chain.rung(r)
-    out = [LaurentPoly.zero()]
-    for k in range(1, chain.K + 1):
-        out.append(rung.w[k].antiderivative())
-    return LambdaSeries(out)
+    return (LaurentPoly.zero(), *(w.antiderivative() for w in chain.rung(r).w[1 : chain.K + 1]))
 
 
 def edge_state(chain: ChainSolution, r: int) -> StateRep:
@@ -141,15 +137,12 @@ def edge_state(chain: ChainSolution, r: int) -> StateRep:
             "is not a Laurent monomial"
         )
     decay = LaurentPoly({1: lead.constant, 2: lead.linear / 2})
-    one = LambdaSeries(
-        [LaurentPoly.constant(1)] + [LaurentPoly.zero()] * chain.K
-    )
     return StateRep(
         family=chain.family,
         base_rung=r,
         power=int(-lead.pole),
         decay=decay,
-        prefactor=one,
+        prefactor=(LaurentPoly.constant(1),) + (LaurentPoly.zero(),) * chain.K,
         G=build_G(chain, r),
         **chain.family.labels(r),
     )
@@ -165,11 +158,21 @@ def apply_creation(state: StateRep, q: int, chain: ChainSolution) -> StateRep:
     r = state.base_rung
     if not 0 <= q < r:
         raise RungOrderViolation(f"creation rung q={q} must satisfy 0 <= q < {r}")
-    K = state.order
-    W_q, W_r = (LambdaSeries(chain.rung(i).w).truncated(K) for i in (q, r))
-    R = state.prefactor
-    new_R = (W_q + W_r) * R + R.derivative().scale(-1)
-    return replace(state, prefactor=new_R)
+    R, W_q, W_r = state.prefactor, chain.rung(q).w, chain.rung(r).w
+    W = [W_q[k] + W_r[k] for k in range(len(R))]
+    return replace(state, prefactor=tuple(p + d.derivative() * -1 for p, d in zip(_cauchy(W, R), R)))
+
+
+def _cauchy(a: Sequence[LaurentPoly], b: Sequence[LaurentPoly]) -> tuple[LaurentPoly, ...]:
+    """Cauchy product of coupling series, truncated at the shorter: order k is
+    ``a[0] b[k]``, then ``+ a[m] b[k-m]`` for m = 1..k, in `LaurentPoly`'s own
+    arithmetic.  Not the engine's integer kernel (`_self_convolution`, for sums
+    that stay exact): it stores terms top exponent first, and the term order of
+    each R_k sets the float bits of psi (`LaurentPoly.__call__`)."""
+    return tuple(
+        reduce(add, (a[m] * b[k - m] for m in range(1, k + 1)), a[0] * b[k])
+        for k in range(min(len(a), len(b)))
+    )
 
 
 def build_eigenstate(
@@ -202,7 +205,7 @@ class _Tables:
         xp = LaurentPoly.monomial(state.power)
         slot: dict[int, int] = {}  # exponent -> its index in exps
         self.K, self.slots, self.coeffs, self.bounds = state.order, [], [], []
-        for p in (*(xp * q for q in state.prefactor), *state.G.coeffs[1 : self.K + 1], state.decay):
+        for p in (*(xp * q for q in state.prefactor), *state.G[1 : self.K + 1], state.decay):
             start = len(self.slots)
             for e, c in p.float_terms:
                 self.slots.append(slot.setdefault(e, len(slot)))
@@ -411,20 +414,17 @@ def hamiltonian_residual(state: StateRep, chain: ChainSolution) -> list[LaurentP
     """
     K = state.order
     r = state.base_rung
-    W = LambdaSeries(chain.rung(r).w).truncated(K)
+    W = chain.rung(r).w[: K + 1]
     v0, eps = chain.rung(0).potential, chain.rung(r).energy
     R = state.prefactor
-    Rp = R.derivative()
-    Rpp = Rp.derivative()
+    Rp = [p.derivative() for p in R]
+    Rpp = [p.derivative() for p in Rp]
     # A = W' - W^2 + v0 - eps, assembled once so the residual is a single
     # pair of series convolutions
-    Wsq = W * W
-    A = LambdaSeries([
-        W[k].derivative() - Wsq[k] + v0[k] - LaurentPoly.constant(eps[k])
-        for k in range(K + 1)
-    ])
-    WRp = W * Rp
-    AR = A * R
+    Wsq = _cauchy(W, W)
+    A = [W[k].derivative() - Wsq[k] + v0[k] - LaurentPoly.constant(eps[k]) for k in range(K + 1)]
+    WRp = _cauchy(W, Rp)
+    AR = _cauchy(A, R)
     return [-Rpp[k] + 2 * WRp[k] + AR[k] for k in range(K + 1)]
 
 

@@ -123,6 +123,18 @@ def test_energy_negative_K_list_exit_2(capsys):
     assert "--K-list order >= 0" in captured.err and not captured.out
 
 
+def test_energy_lambda_and_range_exclusive_exit_2(capsys):
+    # a single coupling and a range together: neither silently wins
+    args = ["energy", "hulthen", "--n", "2", "--l", "1", "--K", "4", "--lambda", "0.1",
+            "--lambda-range", "0:0.1:2"]
+    with pytest.raises(SystemExit) as exc:
+        run(args)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "argument --lambda-range: not allowed with argument --lambda" in captured.err
+    assert not captured.out
+
+
 # ------------------------------------------------------------------ energy --
 
 
@@ -320,6 +332,40 @@ def test_critical_default_pair_follows_K(tmp_path):
 def test_critical_explicit_pair_beyond_K_exit_2(capsys):
     assert run(["critical", "--nmax", "2", "--K", "20", "--pade", "15/14,14/14"]) == 2
     assert capsys.readouterr().err == "error: [15/14] needs 30 coefficients, got 21\n"
+
+
+@pytest.mark.parametrize(
+    "argv, order",
+    [(["--K", "2"], "[0/0]"), (["--pade", "1/0,0/0"], "[0/0]"), (["--pade", "2/1,0/2"], "[0/2]")],
+    ids=["K 2", "pade 1/0,0/0", "pade 2/1,0/2"],
+)
+def test_critical_constant_numerator_exit_2_before_any_series(argv, order, monkeypatch, capsys):
+    # a [0/n] numerator is constant and never crosses zero, so no cell can succeed
+    monkeypatch.setenv("SEA_THREADS", "1")
+    monkeypatch.setattr(seaqm.resummation, "hulthen_energy_series", None)  # any call raises
+    assert run(["critical", "--nmax", "3", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {order} has a constant numerator, which never crosses zero: "
+                            "a critical coupling needs m >= 1 in both orders\n")
+    assert not captured.out
+
+
+def test_critical_failure_names_its_cell(monkeypatch, capsys):
+    monkeypatch.setenv("SEA_THREADS", "1")
+
+    def fake(n, l, order, pair):
+        if (n, l) == (2, 1):
+            raise NoSignChange("no sign change of the resummed level on the scan grid")
+        return seaqm.resummation.CriticalResult(n, l, 1.0, 0.0, "fake")
+
+    monkeypatch.setattr("seaqm.cli.critical_lambda", fake)
+    assert run(["critical", "--nmax", "2"]) == 3
+    assert capsys.readouterr().err == (
+        "computation failed: lambda_c(2,1) with [15/14] [14/14]: "
+        "no sign change of the resummed level on the scan grid\n"
+    )
+    with pytest.raises(NoSignChange, match=r"^lambda_c\(2,1\) with \[10/9\] \[9/9\]: no sign"):
+        seaqm.cli._critical_group((1, [2], 20, ((10, 9), (9, 9)), False))
 
 
 @pytest.mark.parametrize("nmax", ["0", "-1"])

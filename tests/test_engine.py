@@ -20,7 +20,7 @@ from seaqm.engine import (
 )
 from seaqm.engine import _back_substitute, _self_convolution
 from seaqm.errors import InvalidLeading, ResidualNonzero, UnsolvableOrder
-from seaqm.exact import LambdaSeries, LaurentPoly, _dense, _dense_combine, _dense_sum
+from seaqm.exact import LaurentPoly, _dense, _dense_combine, _dense_sum
 
 from family_recurrences import anharmonic_ladder, hulthen_ladder
 from make_chain_digests import DIGEST_FILE, chain_digest, golden_chains
@@ -194,13 +194,15 @@ def test_convolution_B_matches_fraction_sum(w):
 @given(st.lists(st.tuples(polys, polys, st.fractions(max_denominator=40)), min_size=1, max_size=6))
 @settings(max_examples=40)
 def test_riccati_residual_matches_series_product(orders):
-    # reference: the LambdaSeries Cauchy product C = W * W, term by term
-    W, v, eps = (LambdaSeries(list(col)) for col in zip(*orders))
-    K = W.order
-    C = W * W
-    expected = [
-        C[k] - W[k].derivative() - v[k] + P.constant(eps[k]) for k in range(K + 1)
-    ]
+    # reference: the Cauchy product C = W * W in Fraction arithmetic, term by term
+    W, v, eps = (list(col) for col in zip(*orders))
+    K = len(W) - 1
+    expected = []
+    for k in range(K + 1):
+        C_k = P.zero()
+        for m in range(k + 1):
+            C_k = C_k + W[m] * W[k - m]
+        expected.append(C_k - W[k].derivative() - v[k] + P.constant(eps[k]))
     assert riccati_residual(W, v, eps, K) == expected
 
 
@@ -365,10 +367,7 @@ def test_riccati_residual_zero_for_solutions():
 
 
 def test_riccati_residual_oscillator_order_zero():
-    W = LambdaSeries([P.monomial(1)])
-    v = LambdaSeries([P.monomial(2)])
-    eps = LambdaSeries([F(1)])
-    assert riccati_residual(W, v, eps, 0) == [P.zero()]
+    assert riccati_residual([P.monomial(1)], [P.monomial(2)], [F(1)], 0) == [P.zero()]
 
 
 def test_riccati_residual_detects_corruption():

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from seaqm.errors import NonIntegrableTerm, OrderExceeded
+from seaqm.errors import NonIntegrableTerm
 from seaqm.exact import (
-    LambdaSeries,
     LaurentPoly,
     _dense,
     _dense_derivative,
@@ -19,6 +18,7 @@ from seaqm.exact import (
     horner,
     rational_to_str,
 )
+from seaqm.states import _cauchy
 
 from family_recurrences import bernoulli_at
 
@@ -180,54 +180,32 @@ def test_horner_on_arrays_is_the_scalar_horner():
     assert rows.tolist() == [horner(coeffs, 0.3)] * 2
 
 
-# ------------------------------------------------------------ LambdaSeries -
-
-
-def _series(*polys):
-    return LambdaSeries(list(polys))
+# ------------------------------------- Cauchy product of coupling series -
 
 
 def test_convolution_order_zero():
-    w = _series(P.monomial(1), P.zero())
-    assert (w * w)[0] == P.monomial(2)
+    w = (P.monomial(1), P.zero())
+    assert _cauchy(w, w)[0] == P.monomial(2)
 
 
 def test_convolution_order_one():
     # 2 * x * (3/4 x + 1/2 x^3) = 3/2 x^2 + x^4
-    w = _series(P.monomial(1), P({1: F(3, 4), 3: F(1, 2)}))
-    assert (w * w)[1] == P({2: F(3, 2), 4: F(1)})
+    w = (P.monomial(1), P({1: F(3, 4), 3: F(1, 2)}))
+    assert _cauchy(w, w)[1] == P({2: F(3, 2), 4: F(1)})
 
 
 def test_convolution_zero_inputs():
-    w = _series(P.zero(), P.zero(), P.monomial(2))
-    assert (w * w)[1] == P.zero()
-
-
-def test_convolution_order_exceeded():
-    w = _series(P.monomial(1))
-    with pytest.raises(OrderExceeded):
-        (w * w)[1]
+    w = (P.zero(), P.zero(), P.monomial(2))
+    assert _cauchy(w, w)[1] == P.zero()
 
 
 @given(st.lists(polys, min_size=1, max_size=4), st.lists(polys, min_size=1, max_size=4))
 @settings(max_examples=40)
 def test_convolution_symmetric(a, b):
-    sa, sb = LambdaSeries(a), LambdaSeries(b)
-    k = min(sa.order, sb.order)
-    assert (sa * sb)[k] == (sb * sa)[k]
+    assert _cauchy(a, b) == _cauchy(b, a)
 
 
-def test_series_binary_ops_use_min_order():
-    a = _series(P.monomial(1), P.monomial(2), P.monomial(3))
-    b = _series(P.constant(1), P.constant(2))
-    assert (a + b).order == 1
-    assert (a * b).order == 1
-    assert (a * b)[1] == P.monomial(1) * F(2) + P.monomial(2)
-
-
-def test_series_indexing_bounds():
-    a = _series(P.zero())
-    with pytest.raises(OrderExceeded):
-        a[1]
-    with pytest.raises(OrderExceeded):
-        a.truncated(3)
+def test_convolution_truncates_at_shorter_series():
+    a = (P.monomial(1), P.monomial(2), P.monomial(3))
+    b = (P.constant(1), P.constant(2))
+    assert _cauchy(a, b) == _cauchy(b, a) == (P.monomial(1), P.monomial(1) * F(2) + P.monomial(2))

@@ -56,6 +56,16 @@ def test_cli_import_loads_no_scipy():
     assert probe.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_multiprocessing():
+    # only a critical table with more than one worker starts a process pool
+    probe = _probe(
+        "import sys, seaqm.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == "
+        "'multiprocessing' or m == 'concurrent.futures.process'))"
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == "[]"
+
+
 def test_oracle_suite_runs_without_scipy():
     # a None entry in sys.modules makes every `import scipy` raise ImportError
     probe = _probe(

@@ -15,7 +15,7 @@ import seaqm.resummation
 import seaqm.states
 from seaqm.engine import Anharmonic, Hulthen
 from seaqm.errors import DomainError, NonNormalizable, PoleProximity
-from seaqm.exact import LambdaSeries, LaurentPoly, horner
+from seaqm.exact import LaurentPoly, horner
 from seaqm.resummation import float_pade_block, pade, pade_eval
 from seaqm.spectra import evaluate_truncated, hulthen_energy_series
 from seaqm.states import (
@@ -118,8 +118,8 @@ def test_pole_at_origin_rejected_by_both_evaluators():
         base_rung=0,
         power=0,
         decay=P({1: 1}),
-        prefactor=LambdaSeries([P({-1: 1, 0: 1})]),
-        G=LambdaSeries([P.zero()]),
+        prefactor=(P({-1: 1, 0: 1}),),
+        G=(P.zero(),),
     )
     assert evaluate_state(st, 1.0, 0.0) == pytest.approx(2.0 * math.exp(-1.0), rel=1e-15)
     with pytest.raises(DomainError, match="pole"):

@@ -434,9 +434,10 @@ def test_critical_default_pair_follows_series_order():
 
 
 def test_critical_series_through_order_one_fails_typed():
-    # a two-term series has no quadratic to solve in closed form: the root
-    # scan runs and finds no sign change, instead of indexing past the series
-    with pytest.raises(NoSignChange):
+    # a two-term series has no quadratic to solve in closed form, and its
+    # default pair holds [0/0], whose constant numerator never crosses zero:
+    # a ValueError before any series is built, not an index past the series
+    with pytest.raises(ValueError, match=r"^\[0/0\] has a constant numerator"):
         critical_lambda(1, 0, 1)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from seaqm.engine import Anharmonic, GenericPerturbed, Hulthen, LeadingSuperpotential, solve_chain
 from seaqm.errors import DomainError, InvalidLeading, NonNormalizable, RungOrderViolation
-from seaqm.exact import LambdaSeries, LaurentPoly
+from seaqm.exact import LaurentPoly
 from seaqm.states import (
     apply_creation,
     build_eigenstate,
@@ -256,7 +256,7 @@ def test_hamiltonian_residual_detects_corruption():
     bad_R[1] = bad_R[1] + P.monomial(1, F(1, 100))
     from dataclasses import replace
 
-    corrupted = replace(st, prefactor=LambdaSeries(bad_R))
+    corrupted = replace(st, prefactor=tuple(bad_R))
     res = hamiltonian_residual(corrupted, chain)
     assert any(not p.is_zero for p in res)
 
