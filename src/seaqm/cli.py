@@ -372,8 +372,6 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
     meta = _metadata(args, **labels)
     header = ["x", "psi", "psi_squared", "psi_normalized", "psi_squared_normalized"]
     _emit(args, meta, header, rows)
-    if args.out and args.format == "csv":
-        _write(Path(args.out).with_suffix(".meta.json"), json.dumps(labels, indent=2) + "\n")
     return EXIT_OK
 
 

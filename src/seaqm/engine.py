@@ -64,7 +64,6 @@ from .errors import (
 from .exact import (
     LaurentPoly,
     _Dense,
-    _dense,
     _dense_combine,
     _dense_derivative,
     _dense_mul,
@@ -359,10 +358,7 @@ class ChainSolution:
             raise ValueError(f"need K >= 0 and rungs 0..rMax in order; got K={K}, rungs {found}")
         rungs: list[Rung] = []
         for r, entry in enumerate(entries):
-            # each w_k takes the route of a solved order, so it evaluates bit
-            # for bit like the solved w_k
-            polys = _field(entry, "superpotential", lambda ps: [LaurentPoly.from_json(p) for p in ps])
-            w = tuple(_dense_poly(_dense(p)) for p in polys)
+            w = _field(entry, "superpotential", lambda ps: tuple(map(LaurentPoly.from_json, ps)))
             energy = _field(entry, "energy", lambda es: tuple(map(Fraction, es)))
             if not len(w) == len(energy) == K + 1:
                 raise ValueError(f"rung {r} must hold orders 0..{K}")
@@ -385,9 +381,9 @@ def _self_convolution(w: Sequence[LaurentPoly], k: int, first: int) -> list[tupl
     """Weighted integer-kernel terms of ``sum_{m+n=k, m,n>=first} w_m w_n``,
     each distinct product formed once: ``2 w_m w_{k-m}`` for m < k/2 plus the
     middle square."""
-    terms = [(2, _dense_mul(_dense(w[m]), _dense(w[k - m]))) for m in range(first, (k + 1) // 2)]
+    terms = [(2, _dense_mul(w[m]._dense, w[k - m]._dense)) for m in range(first, (k + 1) // 2)]
     if k % 2 == 0 and k // 2 >= first:
-        mid = _dense(w[k // 2])
+        mid = w[k // 2]._dense
         terms.append((1, _dense_mul(mid, mid)))
     return terms
 
@@ -395,7 +391,7 @@ def _self_convolution(w: Sequence[LaurentPoly], k: int, first: int) -> list[tupl
 def _rhs(v_k: LaurentPoly, w: Sequence[LaurentPoly], k: int) -> tuple[int, list[int], int]:
     """``rhs_k = v_k - B_k`` as integer numerators over one denominator."""
     return _dense_combine(
-        [(1, _dense(v_k))] + [(-c, t) for c, t in _self_convolution(w, k, 1)]
+        [(1, v_k._dense)] + [(-c, t) for c, t in _self_convolution(w, k, 1)]
     )
 
 
@@ -469,9 +465,9 @@ def riccati_residual(
         _dense_sum(
             _self_convolution(w, k, 0)
             + [
-                (-1, _dense_derivative(_dense(w[k]))),
-                (-1, _dense(v[k])),
-                (1, _dense(LaurentPoly.constant(eps[k]))),
+                (-1, _dense_derivative(w[k]._dense)),
+                (-1, v[k]._dense),
+                (1, LaurentPoly.constant(eps[k])._dense),
             ]
         )
         for k in range(K + 1)
@@ -499,7 +495,7 @@ def _rung_potentials(
         return tuple(family.base_potential(k) for k in range(K + 1))
     prev = below[r - 1]
     return tuple(
-        _dense_sum([(1, _dense(v)), (2, _dense_derivative(_dense(w)))])
+        _dense_sum([(1, v._dense), (2, _dense_derivative(w._dense))])
         for v, w in zip(prev.potential, prev.w)
     )
 

@@ -1,23 +1,20 @@
-"""Exact arithmetic substrate: rationals, sparse Laurent polynomials, the one
-float evaluator, and Bernoulli numbers.
+"""Exact arithmetic substrate: rationals, Laurent polynomials, the one float
+evaluator, and Bernoulli numbers.
 
 All coefficient arithmetic in this package is carried out over arbitrary
-precision rationals (``fractions.Fraction``); floating point enters only at
-evaluation time.  Laurent polynomials are stored sparsely as an exponent ->
-coefficient mapping because negative exponents and widely varying degrees
-coexist (centrifugal ``1/x**2`` terms next to degree ~2k polynomials).
-
-The solver's hot sums of products (the ``B_k`` convolution, the right-hand
-side of each order, the partner potentials and the Riccati residual) run on an
-integer kernel instead: each polynomial's dense form, a lowest exponent with a
-tuple of integer numerators over one common denominator, is built once per
-instance, products are convolutions of integer tuples, and a sum of terms is
-combined over the lcm of their denominators (``_dense_combine``) and turned
-back into a canonical ``LaurentPoly`` once.
+precision rationals; floating point enters only at evaluation time.  A Laurent
+polynomial has one representation, its canonical dense integer form: a lowest
+exponent (negative exponents and widely varying degrees coexist, centrifugal
+``1/x**2`` terms next to degree ~2k polynomials) with a tuple of integer
+numerators over one common denominator.  It has one arithmetic, the integer
+kernel: products are convolutions of integer tuples, and a sum of terms, such
+as the solver's ``B_k`` convolution, right-hand sides, partner potentials and
+Riccati residual, is combined over the lcm of their denominators
+(``_dense_combine``) and reduced to canonical form once.  A polynomial's float
+value therefore depends only on the polynomial, not on how it was built.
 
 Values are immutable after construction and safe to share across threads; the
-internal caches are the Bernoulli table (a ``functools.lru_cache``) and each
-polynomial's dense form, built on first use.
+one internal cache is the Bernoulli table (a ``functools.lru_cache``).
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import repeat
 from math import comb, gcd, lcm
-from operator import add, mul
+from operator import add, index, mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import NonIntegrableTerm
@@ -59,24 +56,26 @@ def horner(coeffs: Sequence, t):
 
 
 class LaurentPoly:
-    """A sparse Laurent polynomial in one variable over the rationals.
+    """A Laurent polynomial in one variable over the rationals.
 
-    Exponents are integers and may be negative.  The representation is
-    canonical: zero coefficients are never stored, so equality is entry-wise.
-    Instances are immutable and hashable.
+    Exponents are integers and may be negative.  The one representation is
+    the canonical dense integer form ``(lo, nums, den)``: sum_i nums[i]/den *
+    x^(lo+i), with nonzero end numerators and den > 0 the lcm of the reduced
+    coefficients' denominators (the zero polynomial is ``(0, (), 1)``), so
+    equality and hashing compare that tuple.  Dense storage means far-apart
+    exponents cost their gap: ``{0: 1, 10**6: 1}`` holds a million numerators;
+    nothing in this package builds such a polynomial.  Instances are
+    immutable and hashable.
     """
 
-    __slots__ = ("_terms", "_dense")
+    __slots__ = ("_dense",)
 
-    def __init__(self, terms: Mapping[int, Fraction | int] | Iterable[tuple[int, Fraction | int]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        clean: dict[int, Fraction] = {}
-        for exp, coeff in items:
-            c = Fraction(coeff)
-            if c:
-                clean[int(exp)] = c
-        self._terms = clean
-        self._dense: _Dense | None = None
+    def __init__(self, terms: Mapping[int, Fraction | int] = {}):  # never mutated
+        # operator.index: a float exponent is a TypeError, never truncated
+        fracs = [(index(e), Fraction(c)) for e, c in terms.items()]
+        self._dense: _Dense = _dense_reduced(
+            *_dense_combine((1, (e, (c.numerator,), c.denominator)) for e, c in fracs)
+        )
 
     # -- constructors -------------------------------------------------------
 
@@ -96,73 +95,68 @@ class LaurentPoly:
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._dense[1]
 
     @property
     def min_exponent(self) -> int | None:
         """Smallest exponent with a nonzero coefficient, None for the zero polynomial."""
-        return min(self._terms) if self._terms else None
+        lo, nums, _ = self._dense
+        return lo if nums else None
 
     @property
     def max_exponent(self) -> int | None:
-        return max(self._terms) if self._terms else None
+        lo, nums, _ = self._dense
+        return lo + len(nums) - 1 if nums else None
 
     def coeff(self, exponent: int) -> Fraction:
-        return self._terms.get(exponent, Fraction(0))
+        lo, nums, den = self._dense
+        i = exponent - lo
+        return Fraction(nums[i], den) if 0 <= i < len(nums) else Fraction(0)
 
     def items(self) -> Iterator[tuple[int, Fraction]]:
         """Terms in ascending exponent order."""
-        return iter(sorted(self._terms.items()))
+        lo, nums, den = self._dense
+        return ((lo + i, Fraction(n, den)) for i, n in enumerate(nums) if n)
 
     def __len__(self) -> int:
-        return len(self._terms)
+        """The number of nonzero terms."""
+        nums = self._dense[1]
+        return len(nums) - nums.count(0)
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._dense[1])
 
     # -- algebra -------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, LaurentPoly):
-            return self._terms == other._terms
+            return self._dense == other._dense
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash(self._dense)
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        out = dict(self._terms)
-        for exp, c in other._terms.items():
-            s = out.get(exp, Fraction(0)) + c
-            if s:
-                out[exp] = s
-            else:
-                out.pop(exp, None)
-        return _wrap(out)
+        return _dense_sum([(1, self._dense), (1, other._dense)])
 
     def __neg__(self) -> "LaurentPoly":
-        return _wrap({e: -c for e, c in self._terms.items()})
+        lo, nums, den = self._dense
+        return _dense_poly((lo, tuple(-n for n in nums), den))
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        return _dense_sum([(1, self._dense), (-1, other._dense)])
 
     def __mul__(self, other: "LaurentPoly | Fraction | int") -> "LaurentPoly":
         if isinstance(other, LaurentPoly):
-            out: dict[int, Fraction] = {}
-            for e1, c1 in self._terms.items():
-                for e2, c2 in other._terms.items():
-                    e = e1 + e2
-                    s = out.get(e, Fraction(0)) + c1 * c2
-                    if s:
-                        out[e] = s
-                    else:
-                        out.pop(e, None)
-            return _wrap(out)
+            return _dense_poly(_dense_reduced(*_dense_mul(self._dense, other._dense)))
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            return _wrap({e: c * v for e, v in self._terms.items()}) if c else LaurentPoly()
+            lo, nums, den = self._dense
+            return _dense_poly(_dense_reduced(lo, [n * c.numerator for n in nums], den * c.denominator))
         return NotImplemented
 
     def __rmul__(self, other: Fraction | int) -> "LaurentPoly":
@@ -170,7 +164,7 @@ class LaurentPoly:
 
     def derivative(self) -> "LaurentPoly":
         """Term-wise d/dx; the constant term drops."""
-        return _wrap({e - 1: c * e for e, c in self._terms.items() if e != 0})
+        return _dense_poly(_dense_reduced(*_dense_derivative(self._dense)))
 
     def antiderivative(self) -> "LaurentPoly":
         """Term-wise antiderivative with integration constant 0.
@@ -178,47 +172,41 @@ class LaurentPoly:
         Raises NonIntegrableTerm for an x^-1 term, whose antiderivative
         (a logarithm) leaves the Laurent-polynomial ring.
         """
-        if -1 in self._terms:
+        if self.coeff(-1):
             raise NonIntegrableTerm("x^-1 term has no Laurent-polynomial antiderivative")
-        return _wrap({e + 1: c / (e + 1) for e, c in self._terms.items()})
+        return LaurentPoly({e + 1: c / (e + 1) for e, c in self.items()})
 
     # -- evaluation ----------------------------------------------------------
 
     @property
     def float_terms(self) -> tuple[tuple[int, float], ...]:
-        """(exponent, float coefficient) pairs in insertion order, converted on
-        each read: a state's tables read them once per polynomial."""
-        return tuple((e, float(c)) for e, c in self._terms.items())
+        """(exponent, float coefficient) pairs of the nonzero terms, top
+        exponent first, converted on each read: a state's tables read them
+        once per polynomial.  Each float is ``n / den``, which Python rounds
+        correctly, so it equals ``float(self.coeff(e))``."""
+        lo, nums, den = self._dense
+        return tuple((lo + i, nums[i] / den) for i in range(len(nums) - 1, -1, -1) if nums[i])
 
     def __call__(self, x: float) -> float:
-        """Float value at x.  The float sum runs left to right over the terms in
-        insertion order (not `sum`, which compensates from Python 3.12 on), so
-        two equal polynomials built in different term orders can differ in the
-        last bits."""
+        """Float value at x: the float sum runs left to right over `float_terms`
+        (not `sum`, which compensates from Python 3.12 on)."""
         return reduce(add, (c * x**e for e, c in self.float_terms), 0)
 
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> dict[str, str]:
         """JSON object with decimal exponent strings as keys, "p/q" values."""
-        return {str(e): rational_to_str(c) for e, c in sorted(self._terms.items())}
+        return {str(e): rational_to_str(c) for e, c in self.items()}
 
     @classmethod
     def from_json(cls, obj: Mapping[str, str]) -> "LaurentPoly":
         return cls({int(e): Fraction(v) for e, v in obj.items()})
 
     def __repr__(self) -> str:
-        if not self._terms:
+        if not self:
             return "LaurentPoly(0)"
         parts = [f"{rational_to_str(c)}*x^{e}" for e, c in self.items()]
         return "LaurentPoly(" + " + ".join(parts) + ")"
-
-
-def _wrap(terms: dict[int, Fraction]) -> LaurentPoly:
-    p = LaurentPoly.__new__(LaurentPoly)
-    p._terms = terms
-    p._dense = None
-    return p
 
 
 # -- integer kernel -----------------------------------------------------------
@@ -227,24 +215,6 @@ _Dense = tuple[int, tuple[int, ...], int]
 """(lowest exponent e, numerators n_i, common denominator d) for sum_i n_i/d * x^(e+i)."""
 
 _DENSE_ZERO: _Dense = (0, (), 1)
-
-
-def _dense(p: LaurentPoly) -> _Dense:
-    """The dense integer form of p, built on first use and kept on the instance."""
-    d = p._dense
-    if d is None:
-        terms = p._terms
-        if not terms:
-            d = _DENSE_ZERO
-        else:
-            lo = min(terms)
-            den = lcm(*(c.denominator for c in terms.values()))
-            nums = [0] * (max(terms) - lo + 1)
-            for e, c in terms.items():
-                nums[e - lo] = c.numerator * (den // c.denominator)
-            d = (lo, tuple(nums), den)
-        p._dense = d
-    return d
 
 
 def _dense_mul(a: _Dense, b: _Dense) -> _Dense:
@@ -306,10 +276,8 @@ def _dense_reduced(lo: int, nums: Sequence[int], den: int) -> _Dense:
 
 
 def _dense_poly(d: _Dense) -> LaurentPoly:
-    """The LaurentPoly of a canonical dense form, its terms inserted top
-    exponent first and the dense form kept on the instance."""
-    lo, nums, den = d
-    p = _wrap({lo + i: Fraction(nums[i], den) for i in range(len(nums) - 1, -1, -1) if nums[i]})
+    """The LaurentPoly of a canonical dense form."""
+    p = LaurentPoly.__new__(LaurentPoly)
     p._dense = d
     return p
 

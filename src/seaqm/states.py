@@ -165,10 +165,7 @@ def apply_creation(state: StateRep, q: int, chain: ChainSolution) -> StateRep:
 
 def _cauchy(a: Sequence[LaurentPoly], b: Sequence[LaurentPoly]) -> tuple[LaurentPoly, ...]:
     """Cauchy product of coupling series, truncated at the shorter: order k is
-    ``a[0] b[k]``, then ``+ a[m] b[k-m]`` for m = 1..k, in `LaurentPoly`'s own
-    arithmetic.  Not the engine's integer kernel (`_self_convolution`, for sums
-    that stay exact): it stores terms top exponent first, and the term order of
-    each R_k sets the float bits of psi (`LaurentPoly.__call__`)."""
+    ``a[0] b[k]``, then ``+ a[m] b[k-m]`` for m = 1..k."""
     return tuple(
         reduce(add, (a[m] * b[k - m] for m in range(1, k + 1)), a[0] * b[k])
         for k in range(min(len(a), len(b)))
@@ -195,8 +192,8 @@ def build_eigenstate(
 
 class _Tables:
     """x^p R_0..R_K, G_1..G_K and D of a state at its order K as flat float
-    tables: the terms, in that order and each polynomial's insertion order, are
-    `coeffs[i] * x**exps[slots[i]]` (a float column), and polynomial j owns
+    tables: the terms, in that order and each polynomial's `float_terms` order,
+    are `coeffs[i] * x**exps[slots[i]]` (a float column), and polynomial j owns
     `bounds[j]`.  x^p R_k is pole-free for every valid state."""
 
     __slots__ = ("K", "exps", "slots", "coeffs", "bounds")
@@ -218,7 +215,7 @@ def _table_values(state: StateRep, t: _Tables, xs: Sequence[float]) -> tuple[np.
     """The block kernel: polynomial j of the tables (x^p R_0..R_K, G_1..G_K,
     D) at each x of xs as row j, a column per x, and per x the error it
     raises or None.  Each distinct power is taken once by Python's ``**`` and
-    each polynomial summed left to right in its term order, as
+    each polynomial summed left to right over its `float_terms`, as
     `LaurentPoly.__call__`.  A radial state is rejected at x < 0.  The origin
     takes the same rule as any x: a valid state's x^p R_k has no negative
     exponent and each G_k starts at x^1, so the sums there are the constant

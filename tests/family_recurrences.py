@@ -2,7 +2,9 @@
 generic triangular solver, for use as test oracles.
 
 Polynomials are plain ``{exponent: Fraction}`` dicts here so the oracle does
-not depend on the package's arithmetic classes.  Bernoulli numbers come from
+not depend on the package's arithmetic classes; ``dict_add``, ``dict_mul``
+and ``dict_derivative`` are the reference for ``LaurentPoly``'s integer
+kernel.  Bernoulli numbers come from
 the Akiyama-Tanigawa scheme, a different algorithm from the package's double
 sum.
 
@@ -34,6 +36,31 @@ def bernoulli_at(n: int) -> Fraction:
             a[j - 1] = j * (a[j - 1] - a[j])
         out = a[0]
     return -out if n == 1 else out  # AT yields B_1 = +1/2; flip to minus convention
+
+
+def plain(p) -> dict:
+    """A polynomial's nonzero terms as a plain ``{exponent: Fraction}`` dict."""
+    return dict(p.items())
+
+
+def dict_add(a: dict, b: dict, scale: Fraction | int = 1) -> dict:
+    """a + scale * b."""
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, F(0)) + scale * c
+    return {e: c for e, c in out.items() if c}
+
+
+def dict_mul(a: dict, b: dict) -> dict:
+    out: dict[int, Fraction] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, F(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def dict_derivative(a: dict) -> dict:
+    return {e - 1: e * c for e, c in a.items() if e}
 
 
 def _conv_excluding_zero(w: list[dict], k: int) -> dict:

@@ -390,7 +390,8 @@ def test_wavefunction_hydrogen_2p_peak(tmp_path):
     assert peak_x == pytest.approx(4.0, abs=0.2)  # hydrogen 2p radial density peaks at 4
     total = sum(d for _, d in dens) * (dens[1][0] - dens[0][0])
     assert total == pytest.approx(1.0, abs=5e-3)
-    assert (tmp_path / "w.meta.json").exists()
+    assert meta["norm"] > 0  # the labels live in the CSV prolog, with no sidecar file
+    assert [p.name for p in tmp_path.iterdir()] == ["w.csv"]
 
 
 def test_wavefunction_single_point_x_range(tmp_path):

@@ -20,9 +20,16 @@ from seaqm.engine import (
 )
 from seaqm.engine import _back_substitute, _self_convolution
 from seaqm.errors import InvalidLeading, ResidualNonzero, UnsolvableOrder
-from seaqm.exact import LaurentPoly, _dense, _dense_combine, _dense_sum
+from seaqm.exact import LaurentPoly, _dense_combine, _dense_sum
 
-from family_recurrences import anharmonic_ladder, hulthen_ladder
+from family_recurrences import (
+    anharmonic_ladder,
+    dict_add,
+    dict_derivative,
+    dict_mul,
+    hulthen_ladder,
+    plain,
+)
 from make_chain_digests import DIGEST_FILE, chain_digest, golden_chains
 
 F = Fraction
@@ -185,25 +192,27 @@ def test_convolution_B_anharmonic_k2():
 @settings(max_examples=50)
 def test_convolution_B_matches_fraction_sum(w):
     for k in range(len(w) + 1):
-        expected = P.zero()
+        expected: dict = {}
         for m in range(1, k):
-            expected = expected + w[m] * w[k - m]
-        assert B(w, k) == expected
+            expected = dict_add(expected, dict_mul(plain(w[m]), plain(w[k - m])))
+        assert plain(B(w, k)) == expected
 
 
 @given(st.lists(st.tuples(polys, polys, st.fractions(max_denominator=40)), min_size=1, max_size=6))
 @settings(max_examples=40)
 def test_riccati_residual_matches_series_product(orders):
-    # reference: the Cauchy product C = W * W in Fraction arithmetic, term by term
+    # reference: the Cauchy product C = W * W in plain {exponent: Fraction}
+    # arithmetic, term by term
     W, v, eps = (list(col) for col in zip(*orders))
     K = len(W) - 1
     expected = []
     for k in range(K + 1):
-        C_k = P.zero()
+        C_k: dict = {}
         for m in range(k + 1):
-            C_k = C_k + W[m] * W[k - m]
-        expected.append(C_k - W[k].derivative() - v[k] + P.constant(eps[k]))
-    assert riccati_residual(W, v, eps, K) == expected
+            C_k = dict_add(C_k, dict_mul(plain(W[m]), plain(W[k - m])))
+        C_k = dict_add(C_k, dict_derivative(plain(W[k])), -1)
+        expected.append(dict_add(dict_add(C_k, plain(v[k]), -1), {0: eps[k]}))
+    assert [plain(res) for res in riccati_residual(W, v, eps, K)] == expected
 
 
 # ------------------------------------------------------------ single orders -
@@ -306,12 +315,11 @@ def test_integer_back_substitution_matches_fraction_loop(lead, rhs, cancel):
     expected = fraction_back_substitution(lead, rhs)
     # the same right-hand side as the rung loop forms it: an unreduced integer
     # combination over a larger denominator, with zero numerators at its ends
-    combined = _dense_combine([(1, _dense(rhs)), (3, _dense(cancel)), (-3, _dense(cancel))])
-    for w, eps in (_back_substitute(lead, _dense(rhs)), _back_substitute(lead, combined)):
+    combined = _dense_combine([(1, rhs._dense), (3, cancel._dense), (-3, cancel._dense)])
+    top_first = tuple((e, float(c)) for e, c in reversed(list(expected[0].items())))
+    for w, eps in (_back_substitute(lead, rhs._dense), _back_substitute(lead, combined)):
         assert (w, eps) == expected
-        # terms are inserted top exponent first, as the Fraction loop inserted them
-        assert list(w._terms.items()) == list(expected[0]._terms.items())
-        assert w._dense == _dense(P(w._terms))
+        assert w.float_terms == top_first
 
 
 def test_integer_back_substitution_errors():
@@ -320,24 +328,25 @@ def test_integer_back_substitution_errors():
     pole = P({-1: F(2, 3), 2: F(1)})
     for lead in (coulomb, oscillator):
         with pytest.raises(UnsolvableOrder, match="pole"):
-            _back_substitute(lead, _dense(pole))
+            _back_substitute(lead, pole._dense)
         with pytest.raises(UnsolvableOrder, match="pole"):
-            _back_substitute(lead, _dense_combine([(1, _dense(pole)), (-1, _dense(P.monomial(2)))]))
+            _back_substitute(lead, _dense_combine([(1, pole._dense), (-1, P.monomial(2)._dense)]))
     no_constant = LeadingSuperpotential(-1, 0, 0, 0)
     for rhs in (P.zero(), P({0: F(1), 3: F(-2, 7)})):
         with pytest.raises(UnsolvableOrder, match="zero constant"):
-            _back_substitute(no_constant, _dense(rhs))
+            _back_substitute(no_constant, rhs._dense)
 
 
 def test_solved_orders_list_terms_top_exponent_first():
-    # LaurentPoly evaluates its float sum in insertion order, so the order of
-    # the solved terms fixes the last bits of every state value; the chain
-    # digests sort the terms and cannot see it
+    # LaurentPoly evaluates its float sum over float_terms, so their order
+    # fixes the last bits of every state value; the chain digests sort the
+    # terms and cannot see it
     for label, spec in golden_chains().items():
         for rung in solve_chain(*spec).rungs:
             for k, w_k in enumerate(rung.w[1:], start=1):
-                exps = list(w_k._terms)
+                exps = [e for e, _ in w_k.float_terms]
                 assert exps == sorted(exps, reverse=True), (label, rung.index, k)
+                assert w_k.float_terms == tuple((e, float(w_k.coeff(e))) for e in exps)
 
 
 # -------------------------------------------------------------- full chains -

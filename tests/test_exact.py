@@ -4,14 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from seaqm.errors import NonIntegrableTerm
 from seaqm.exact import (
     LaurentPoly,
-    _dense,
-    _dense_derivative,
     _dense_mul,
     _dense_sum,
     bernoulli_minus,
@@ -20,7 +18,7 @@ from seaqm.exact import (
 )
 from seaqm.states import _cauchy
 
-from family_recurrences import bernoulli_at
+from family_recurrences import bernoulli_at, dict_add, dict_derivative, dict_mul, plain
 
 F = Fraction
 P = LaurentPoly
@@ -128,17 +126,48 @@ def test_poly_mul_commutes(a, b):
 @settings(max_examples=80)
 def test_integer_kernel_matches_fraction_products(terms):
     # weighted sums of products, combined over the lcm of the denominators,
-    # against the per-term Fraction products of LaurentPoly.__mul__
-    expected = P.zero()
+    # and LaurentPoly's operators, which are that kernel, against plain
+    # {exponent: Fraction} arithmetic
+    expected: dict = {}
     for c, a, b in terms:
-        expected = expected + c * (a * b)
-    got = _dense_sum((c, _dense_mul(_dense(a), _dense(b))) for c, a, b in terms)
-    assert got == expected
-    assert all(coeff for _, coeff in got.items())
-    for _, a, _ in terms:
-        assert _dense(a) is _dense(a)  # converted once per instance
-        assert _dense_sum([(1, _dense(a))]) == a
-        assert _dense_sum([(1, _dense_derivative(_dense(a)))]) == a.derivative()
+        expected = dict_add(expected, dict_mul(plain(a), plain(b)), c)
+    got = _dense_sum((c, _dense_mul(a._dense, b._dense)) for c, a, b in terms)
+    assert plain(got) == expected
+    assert got == P(expected)  # the canonical form, whichever route built it
+    for c, a, b in terms:
+        assert plain(a + b) == dict_add(plain(a), plain(b))
+        assert plain(a - b) == dict_add(plain(a), plain(b), -1)
+        assert plain(-a) == dict_add({}, plain(a), -1)
+        assert plain(a * b) == dict_mul(plain(a), plain(b))
+        assert plain(a * c) == plain(c * a) == dict_add({}, plain(a), c)
+        assert plain(a.derivative()) == dict_derivative(plain(a))
+
+
+@given(polys)
+@example(P({1: 1, 2: 1}))
+def test_float_terms_do_not_depend_on_the_route(p):
+    # a Mapping in either key order, a sum, a product and a JSON round trip
+    # all give one canonical form, so the same floats in the same order
+    terms = list(p.items())
+    routes = [
+        P(dict(terms)),
+        P(dict(reversed(terms))),
+        sum((P.monomial(e, c) for e, c in reversed(terms)), P.zero()),
+        P.monomial(1) * P({e - 1: c for e, c in terms}),
+        P.from_json(p.to_json()),
+    ]
+    expected = tuple((e, float(c)) for e, c in reversed(terms))
+    for q in routes:
+        assert q.float_terms == expected
+
+
+def test_exponents_must_be_integers():
+    # a float exponent is an error, never truncated to an integer one
+    with pytest.raises(TypeError):
+        P({1.5: 1})
+    with pytest.raises(ValueError):
+        P.from_json({"1.5": "1"})
+    assert P({np.int64(2): F(1, 3)}) == P.monomial(2, F(1, 3))
 
 
 @given(polys)

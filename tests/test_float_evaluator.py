@@ -47,7 +47,7 @@ def test_evaluate_state_bits_hulthen(hulthen_52):
         0.0: "0x0.0p+0",
         0.5: "0x1.aa1676171ce42p+2",
         3.0: "0x1.2891d3394df6ap+9",
-        12.0: "-0x1.d9f84962813eap+8",
+        12.0: "-0x1.d9f84962813f6p+8",
         40.0: "0x1.372f1d87ff7d0p+11",
     }
     for x, bits in expected.items():
