@@ -338,6 +338,8 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
     family, _ = _problem(args)
     if args.pade_single:  # the state's coupling series has K + 1 coefficients
         _check_orders(args.K + 1, *args.pade_single)
+    if family.radial and min(args.x_range or [0.0]) < 0:
+        raise ValueError(f"--x-range must lie in x >= 0 for a radial state, got {min(args.x_range):g}")
     lam_c = _tabulated_lambda_c(args) if family.radial else None
     if lam_c is not None and args.lam >= lam_c:
         raise ValueError(f"lam={args.lam} at or beyond critical {lam_c:.6g}")

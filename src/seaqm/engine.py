@@ -7,26 +7,30 @@ the logarithmic substitution ``W = -(ln u)'`` as the Riccati identity
 
 Expanding ``W``, ``v`` and ``eps`` in powers of the coupling ``lam`` turns the
 identity into a cascade: the order-0 equation is solved in closed form by a
-Coulomb-type (``c + p/x``) or oscillator-type (``c + w*x``) leading term, and
-each order k >= 1 reduces to a *triangular* linear system for the polynomial
-coefficients of ``w_k`` plus the scalar ``eps_k``, with inhomogeneity
+Coulomb-type (``c + p/x``) or oscillator-type (``c + om*x``) leading term
+``w_0``, and each order k >= 1 is ``2 w_0 w_k - w_k' = rhs_k - eps_k``, with
 
     rhs_k = v_k - B_k,      B_k = sum_{m+n=k, m,n>=1} w_m w_n.
 
+Row x^beta of it is one three-term recurrence for all problem families,
+``2om*w_(beta-1) + 2c*w_beta + (2p-beta-1)*w_(beta+1) = rhs_(k,beta)``, with
+``-eps_k`` in row 0; the back-substitution solves it from the top exponent
+down for the pivot the leading shape sets: w_beta if Coulomb-type,
+w_(beta-1) if oscillator-type.
+
 Excited levels come from a ladder of partner problems: rung r+1 has potential
 ``v_{r+1} = v_r + 2 W_r'`` order by order, and shares its spectrum with rung r
-except for the lowest state removed at each step.  A single generic triangular
-elimination serves all problem families; every solved rung is verified against
-the exact Riccati identity before a chain is returned.
+except for the lowest state removed at each step.  Every solved rung is
+verified against the exact Riccati identity before a chain is returned.
 
 Each order of a rung is solved on integers end to end.  The partner potential
 ``v_{r,k}`` and the right-hand side ``v_k - B_k`` are integer combinations of
 the dense forms of ``exact`` (integer numerators over one denominator); the
-back-substitution runs on those numerators with each row scaled once, so the
-whole order lies over one denominator, and one gcd reduces it to the canonical
-``w_k``.  Only the energy coefficient is formed as a single ``Fraction``.  The
-residual check stays independent of this path: it recomputes every ``C_k``
-from all of ``w_0..w_k``.
+back-substitution scales every row by one integer, so the whole order lies
+over one denominator, and one gcd reduces it to the canonical ``w_k``.  Only
+the energy coefficient is formed as a single ``Fraction``.  The residual check
+stays independent of this path: it recomputes every ``C_k`` from all of
+``w_0..w_k``.
 
 Every problem family (``Hulthen``, ``GenericPerturbed`` and its quartic case
 ``Anharmonic``) is a ``ProblemFamily``, which owns the ladder: ``radial``
@@ -42,8 +46,8 @@ and map them to the ladder depth and back; and ``to_json()`` /
 The public surface is those families (with ``LeadingSuperpotential``), the
 solved ``Rung`` and ``ChainSolution``, ``solve_chain`` and
 ``riccati_residual``.  ``ChainSolution.loads`` verifies what it loads: the
-rungs must be complete, and each must pass the same exact residual check as a
-solved one.
+rungs must be complete, hold only exponents a solved rung can hold, and
+each pass the same exact residual check as a solved one.
 """
 
 from __future__ import annotations
@@ -51,8 +55,8 @@ from __future__ import annotations
 import json
 from dataclasses import astuple, dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial
+from functools import cached_property, lru_cache
+from math import factorial, lcm
 from typing import Sequence
 
 from .errors import (
@@ -114,6 +118,16 @@ class LeadingSuperpotential:
     @property
     def is_coulomb(self) -> bool:
         return self.pole != 0
+
+    @cached_property
+    def _row_constants(self) -> tuple[int, int, int, int, int, int]:
+        """`_back_substitute`'s integers, formed once per leading term: the
+        pivot shift s (row beta solves w_(beta-s)), L, the pivot P, 2c*L,
+        2p*L*P^s and L*P^s (a w_(beta+1) solved two rows up has one more P)."""
+        two_w, two_c, two_p = 2 * self.linear, 2 * self.constant, 2 * self.pole
+        L = lcm(two_w.denominator, two_c.denominator, two_p.denominator)
+        s, P = (1, int(two_w * L)) if two_w else (0, int(two_c * L))
+        return s, L, P, int(two_c * L), int(two_p * L) * P**s, L * P**s
 
     def as_poly(self) -> LaurentPoly:
         return LaurentPoly({-1: self.pole, 0: self.constant, 1: self.linear})
@@ -356,6 +370,8 @@ class ChainSolution:
         found = [_field(entry, "r", int) for entry in entries]
         if K < 0 or r_max < 0 or found != list(range(r_max + 1)):
             raise ValueError(f"need K >= 0 and rungs 0..rMax in order; got K={K}, rungs {found}")
+        for r, entry in enumerate(entries):  # bound every key before any polynomial is built
+            _field(entry, "superpotential", lambda ps: _exponents_bounded(ps, r, family))
         rungs: list[Rung] = []
         for r, entry in enumerate(entries):
             w = _field(entry, "superpotential", lambda ps: tuple(map(LaurentPoly.from_json, ps)))
@@ -375,6 +391,19 @@ class ChainSolution:
     @classmethod
     def loads(cls, text: str) -> "ChainSolution":
         return cls.from_json(json.loads(text))
+
+
+def _exponents_bounded(ps: list, r: int, family: ProblemFamily) -> list:
+    """`ps`, rung r's orders in a chain document, once every key of w_k (k >= 1)
+    lies in 0..k*D, D = max(1, ceil(top v_j / j) for j <= k): top(w_k) <=
+    max(top v_k, top w_m + top w_(k-m)), and a partner adds only 2 w'."""
+    D = 1
+    for k, p in enumerate(ps[1:], 1):
+        D = max(D, -(-(family.potential_term(k).max_exponent or 0) // k))
+        bad = [e for e in p if not 0 <= int(e) <= k * D]
+        if bad:
+            raise ValueError(f"rung {r} order {k} holds the exponent {bad[0]}, outside 0..{k * D}")
+    return ps
 
 
 def _self_convolution(w: Sequence[LaurentPoly], k: int, first: int) -> list[tuple[int, _Dense]]:
@@ -398,56 +427,32 @@ def _rhs(v_k: LaurentPoly, w: Sequence[LaurentPoly], k: int) -> tuple[int, list[
 def _back_substitute(
     leading: LeadingSuperpotential, rhs: tuple[int, Sequence[int], int]
 ) -> tuple[LaurentPoly, Fraction]:
-    """Solve ``2 w_0 w - w' = rhs - eps`` on the integer numerators N_beta of
-    ``rhs`` over its denominator ``den``, from the top exponent down.
-
-    Each row is scaled once by M (the numerator of the pivot times the
-    denominator of the other leading coefficient), so every ``w`` coefficient
-    lies over ``den * M^top``; one gcd then gives the canonical dense form.
-    """
+    """Solve the row recurrence (module notes) on the numerators N_beta of
+    ``rhs`` over ``den``, each row times L, the lcm of the denominators of
+    2om, 2c and 2p, so that its pivot P (2c*L or 2om*L) is an integer."""
     lo, nums, den = rhs
     nonzero = [i for i, n in enumerate(nums) if n]
     if nonzero and lo + nonzero[0] < 0:
         raise UnsolvableOrder(f"inhomogeneity has a pole (min exponent {lo + nonzero[0]})")
+    s, L, P, C, B, LPs = leading._row_constants
+    if not P:
+        raise UnsolvableOrder("Coulomb-type leading term with zero constant part")
     top = lo + nonzero[-1] if nonzero else 0
-    N = [0] * (top + 1)
-    for i in nonzero:
-        N[lo + i] = nums[i]
-    u = [0] * (top + 2)
-    if leading.is_coulomb:
-        two_c, p = 2 * leading.constant, leading.pole
-        if not two_c:
-            raise UnsolvableOrder("Coulomb-type leading term with zero constant part")
-        tn, td, pn, pd = two_c.numerator, two_c.denominator, p.numerator, p.denominator
-        M = tn * pd
-        # row x^beta, beta >= 1:  2c*w_beta + (2p - beta - 1)*w_{beta+1} = rhs_beta,
-        # with w_beta = u_beta / (den * M^(top-beta+1))
-        scale = pd  # pd * M^(top-beta)
-        for beta in range(top, 0, -1):
-            u[beta] = td * (scale * N[beta] - (2 * pn - (beta + 1) * pd) * u[beta + 1])
-            scale *= M
-        eps = Fraction(scale * N[0] - (2 * pn - pd) * u[1], scale * den)
-        first = 1  # w_1 .. w_top
-    else:
-        two_w, two_c = 2 * leading.linear, 2 * leading.constant
-        sn, sd, qn, qd = two_w.numerator, two_w.denominator, two_c.numerator, two_c.denominator
-        M = sn * qd
-        qdM = qd * M
-        # row x^beta, beta >= 1:  2om*w_{beta-1} + 2c*w_beta - (beta+1)*w_{beta+1} = rhs_beta,
-        # with w_(beta-1) = u_(beta-1) / (den * M^(top-beta+1))
-        scale = qd  # qd * M^(top-beta)
-        for beta in range(top, 0, -1):
-            u[beta - 1] = sd * (scale * N[beta] - qn * u[beta] + (beta + 1) * qdM * u[beta + 1])
-            scale *= M
-        eps = Fraction(scale * N[0] - qn * u[0] + qdM * u[1], scale * den)
-        first = 0  # w_0 .. w_(top-1)
-    # w_first lies over den * M^top, each higher coefficient over one power of M
-    # less: bring them all over den * M^top
+    N = [0] * lo + list(nums[max(-lo, 0) :]) + [0]  # N[beta] of x^beta; N[0] of a zero rhs
+    # u[j+1]: w_j * den * P^(top-beta+1), solved at row beta = j + s.  A row's
+    # unsolved unknowns are still 0, so subtracting its whole left side leaves
+    # P times the pivot (its 2om term is 0 or the pivot)
+    u = [0] * (top + 3)
+    scale = L  # L * P^(top-beta)
+    for beta in range(top, -1, -1):
+        u[beta + 1 - s] = scale * N[beta] - C * u[beta + 1] - (B - (beta + 1) * LPs) * u[beta + 2]
+        scale *= P
+    # row 0's pivot slot holds L*eps over den * P^top; bring w over it too
     out, power = [], 1
-    for beta in range(first, top + first):
-        out.append(u[beta] * power)
-        power *= M
-    return _dense_poly(_dense_reduced(first, out, den * power)), eps
+    for n in u[2 - s : top + 2 - s]:
+        out.append(n * power)
+        power *= P
+    return _dense_poly(_dense_reduced(1 - s, out, den * power)), Fraction(u[1 - s], L * den * power)
 
 
 def riccati_residual(
@@ -467,7 +472,7 @@ def riccati_residual(
             + [
                 (-1, _dense_derivative(w[k]._dense)),
                 (-1, v[k]._dense),
-                (1, LaurentPoly.constant(eps[k])._dense),
+                (1, (0, (eps[k].numerator,), eps[k].denominator)),
             ]
         )
         for k in range(K + 1)

@@ -14,7 +14,8 @@ Riccati residual, is combined over the lcm of their denominators
 value therefore depends only on the polynomial, not on how it was built.
 
 Values are immutable after construction and safe to share across threads; the
-one internal cache is the Bernoulli table (a ``functools.lru_cache``).
+one internal cache is the Bernoulli table (a ``functools.lru_cache``), which
+the Bernoulli recurrence reads for every smaller index.
 """
 
 from __future__ import annotations
@@ -286,16 +287,13 @@ def _dense_poly(d: _Dense) -> LaurentPoly:
 def bernoulli_minus(k: int) -> Fraction:
     """Bernoulli number B_k in the minus convention (B_1 = -1/2).
 
-    Computed from the explicit double sum
-        B_k = sum_{n=0..k} sum_{m=0..n} (-1)^m C(n, m) m^k / (n + 1),
-    with results cached.
+    Computed from the recurrence sum_{j=0..k} C(k+1, j) B_j = 0 (k >= 1) over
+    the cached B_0..B_(k-1), which are asked for in ascending order, so each
+    comes from the cache or from cached predecessors and the recursion stays
+    one level deep.
     """
     if k < 0:
         raise ValueError("Bernoulli index must be non-negative")
-    total = Fraction(0)
-    for n in range(k + 1):
-        inner = 0
-        for m in range(n + 1):
-            inner += (-1) ** m * comb(n, m) * m**k
-        total += Fraction(inner, n + 1)
-    return total
+    if k == 0:
+        return Fraction(1)
+    return -sum((comb(k + 1, j) * bernoulli_minus(j) for j in range(k)), Fraction(0)) / (k + 1)

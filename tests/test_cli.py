@@ -519,12 +519,20 @@ def test_non_finite_number_exit_2(args, option, capsys):
     assert f"argument {option}: expected a finite number" in capsys.readouterr().err
 
 
-def test_wavefunction_pade_rejects_negative_radial_x_exit_3(capsys):
-    assert run(
-        ["wavefunction", "hulthen", "--n", "2", "--l", "1", "--K", "10", "--lambda", "0.1",
-         "--pade", "5/5", "--x-range=-2:2:3"]
-    ) == 3
-    assert "radial states are defined for x >= 0" in capsys.readouterr().err
+def test_wavefunction_rejects_negative_radial_x_range_exit_2(monkeypatch, capsys):
+    # a parameter problem, found before any state is built, pointwise and with --pade
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the state was built")
+
+    monkeypatch.setattr(seaqm.cli, "build_eigenstate", unreachable)
+    for extra in ([], ["--pade", "5/5"]):
+        assert run(
+            ["wavefunction", "hulthen", "--n", "2", "--l", "1", "--K", "10", "--lambda", "0.1",
+             *extra, "--x-range=-2:2:3"]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --x-range must lie in x >= 0 for a radial state, got -2\n"
 
 
 def test_wavefunction_pade_values_pinned(tmp_path):

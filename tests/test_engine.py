@@ -1,6 +1,7 @@
 """Chain solver tests: leading terms, triangular orders, partner ladders."""
 
 import json
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -542,6 +543,22 @@ def test_golden_chain_digests():
     assert list(expected) == list(chains)
     for label, spec in chains.items():
         assert chain_digest(*spec) == expected[label], label
+
+
+def test_chain_json_bounds_exponents_before_building():
+    # a solved w_k has its exponents in 0..k*D (D = 1 for Hulthen), so a far
+    # exponent is refused before any dense polynomial or product is formed
+    doc = solve_chain(Hulthen(0), 0, 2).to_json()
+    for far in ("400000", "-1"):
+        doc["rungs"][0]["superpotential"][2] = {"0": "1", far: "1"}
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=rf"rung 0 order 2 holds the exponent {far}, outside 0\.\.2"):
+            ChainSolution.from_json(doc)
+        assert time.perf_counter() - start < 0.1
+    # the bound holds on every golden chain
+    for family, r_max, K in golden_chains().values():
+        chain = solve_chain(family, r_max, K)
+        assert ChainSolution.loads(chain.dumps()) == chain
 
 
 def test_chain_json_rejects_edited_coefficient():
