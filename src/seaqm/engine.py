@@ -29,8 +29,9 @@ the dense forms of ``exact`` (integer numerators over one denominator); the
 back-substitution scales every row by one integer, so the whole order lies
 over one denominator, and one gcd reduces it to the canonical ``w_k``.  Only
 the energy coefficient is formed as a single ``Fraction``.  The residual check
-stays independent of this path: it recomputes every ``C_k`` from all of
-``w_0..w_k``.
+takes from this path only each ``B_k``, formed once on the final
+w_1..w_(k-1); it forms ``2 w_0 w_k``, ``w_k'``, ``v_k`` (from the rung's own
+tuple) and ``eps_k`` itself.  A loaded chain's check forms every product afresh.
 
 Every problem family (``Hulthen``, ``GenericPerturbed`` and its quartic case
 ``Anharmonic``) is a ``ProblemFamily``, which owns the ladder: ``radial``
@@ -67,6 +68,7 @@ from .errors import (
 )
 from .exact import (
     LaurentPoly,
+    _DENSE_ZERO,
     _Dense,
     _dense_combine,
     _dense_derivative,
@@ -232,7 +234,7 @@ class Hulthen(ProblemFamily):
         return {"name": self.name, "l": self.l}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "Hulthen":
+    def from_json(cls, obj: dict, top: int | None = None) -> "Hulthen":
         return cls(_field(obj, "l", int))
 
 
@@ -277,12 +279,15 @@ class GenericPerturbed(ProblemFamily):
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "GenericPerturbed":
+    def from_json(cls, obj: dict, top: int | None = None) -> "GenericPerturbed":
+        """`top`: the highest exponent a chain document's w_1 allows the
+        perturbation, checked before it is built."""
         lead = _field(obj, "leading")
         leading = LeadingSuperpotential(
             *(_field(lead, key, Fraction) for key in _LEADING_KEYS)
         )
-        return cls(leading, _field(obj, "perturbation", LaurentPoly.from_json))
+        bounded = lambda p: LaurentPoly.from_json(_keys_within(p, 0, top, "order 1 of the potential"))
+        return cls(leading, _field(obj, "perturbation", bounded))
 
 
 @dataclass(frozen=True)
@@ -300,7 +305,7 @@ class Anharmonic(GenericPerturbed):
         return {"name": self.name}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "Anharmonic":
+    def from_json(cls, obj: dict, top: int | None = None) -> "Anharmonic":
         return cls()
 
 
@@ -362,15 +367,17 @@ class ChainSolution:
         name = _field(family_obj, "name", str)
         if name not in _FAMILIES:
             raise ValueError(f"unknown family name {name!r}")
-        family = _FAMILIES[name].from_json(family_obj)
         b, K, r_max = (_field(obj, key, int) for key in ("b", "K", "rMax"))
-        if b != family.b:
-            raise ValueError(f"chain b={b} disagrees with the family's b={family.b}")
         entries = _field(obj, "rungs", list)
         found = [_field(entry, "r", int) for entry in entries]
         if K < 0 or r_max < 0 or found != list(range(r_max + 1)):
             raise ValueError(f"need K >= 0 and rungs 0..rMax in order; got K={K}, rungs {found}")
-        for r, entry in enumerate(entries):  # bound every key before any polynomial is built
+        # bound every key before any polynomial is built
+        top = _field(entries[0], "superpotential", _order_one_top) if K else None
+        family = _FAMILIES[name].from_json(family_obj, top)
+        if b != family.b:
+            raise ValueError(f"chain b={b} disagrees with the family's b={family.b}")
+        for r, entry in enumerate(entries):
             _field(entry, "superpotential", lambda ps: _exponents_bounded(ps, r, family))
         rungs: list[Rung] = []
         for r, entry in enumerate(entries):
@@ -393,35 +400,42 @@ class ChainSolution:
         return cls.from_json(json.loads(text))
 
 
+def _keys_within(p: dict, lo: int, hi: int | None, what: str) -> dict:
+    """`p` of a chain document, once its exponent keys lie in lo..hi (hi None: any)."""
+    bad = [e for e in p if hi is not None and not lo <= int(e) <= hi]
+    if bad:
+        raise ValueError(f"{what} holds the exponent {bad[0]}, outside {lo}..{hi}")
+    return p
+
+
+def _order_one_top(ps: list) -> int:
+    """The top of v_1 that rung 0's orders `ps` allow: 2 w_0 w_1 - w_1' =
+    v_1 - eps_1 reaches at most x^(top w_1 + 1), or x^0 if w_1 = 0."""
+    return 1 + max([0, *(int(e) for p in ps[1:2] for e in p)])
+
+
 def _exponents_bounded(ps: list, r: int, family: ProblemFamily) -> list:
-    """`ps`, rung r's orders in a chain document, once every key of w_k (k >= 1)
-    lies in 0..k*D, D = max(1, ceil(top v_j / j) for j <= k): top(w_k) <=
-    max(top v_k, top w_m + top w_(k-m)), and a partner adds only 2 w'."""
+    """`ps`, rung r's orders in a chain document, once every key of w_0 lies
+    in -1..1 and every key of w_k (k >= 1) in 0..k*D, D = max(1, ceil(top
+    v_j / j) for j <= k): top(w_k) <= max(top v_k, top w_m + top w_(k-m)),
+    and a partner adds only 2 w'."""
     D = 1
-    for k, p in enumerate(ps[1:], 1):
-        D = max(D, -(-(family.potential_term(k).max_exponent or 0) // k))
-        bad = [e for e in p if not 0 <= int(e) <= k * D]
-        if bad:
-            raise ValueError(f"rung {r} order {k} holds the exponent {bad[0]}, outside 0..{k * D}")
+    for k, p in enumerate(ps):
+        if k:
+            D = max(D, -(-(family.potential_term(k).max_exponent or 0) // k))
+        _keys_within(p, *((0, k * D) if k else (-1, 1)), f"rung {r} order {k}")
     return ps
 
 
-def _self_convolution(w: Sequence[LaurentPoly], k: int, first: int) -> list[tuple[int, _Dense]]:
-    """Weighted integer-kernel terms of ``sum_{m+n=k, m,n>=first} w_m w_n``,
+def _self_convolution(w: Sequence[LaurentPoly], k: int) -> list[tuple[int, _Dense]]:
+    """Weighted integer-kernel terms of ``B_k = sum_{m+n=k, m,n>=1} w_m w_n``,
     each distinct product formed once: ``2 w_m w_{k-m}`` for m < k/2 plus the
     middle square."""
-    terms = [(2, _dense_mul(w[m]._dense, w[k - m]._dense)) for m in range(first, (k + 1) // 2)]
-    if k % 2 == 0 and k // 2 >= first:
+    terms = [(2, _dense_mul(w[m]._dense, w[k - m]._dense)) for m in range(1, (k + 1) // 2)]
+    if k % 2 == 0 and k >= 2:
         mid = w[k // 2]._dense
         terms.append((1, _dense_mul(mid, mid)))
     return terms
-
-
-def _rhs(v_k: LaurentPoly, w: Sequence[LaurentPoly], k: int) -> tuple[int, list[int], int]:
-    """``rhs_k = v_k - B_k`` as integer numerators over one denominator."""
-    return _dense_combine(
-        [(1, v_k._dense)] + [(-c, t) for c, t in _self_convolution(w, k, 1)]
-    )
 
 
 def _back_substitute(
@@ -456,20 +470,26 @@ def _back_substitute(
 
 
 def riccati_residual(
-    w: Sequence[LaurentPoly], v: Sequence[LaurentPoly], eps: Sequence[Fraction], K: int
+    w: Sequence[LaurentPoly], v: Sequence[LaurentPoly], eps: Sequence[Fraction], K: int, *, B=None
 ) -> list[LaurentPoly]:
     """Order-by-order residual ``C_k - w_k' - v_k + eps_k`` with C the
     self-convolution of w, through order K; identically zero for a valid
     solution.  The series are any sequences indexed by order, such as a rung's
     own tuples.
 
-    Each ``C_k`` is formed afresh from all of ``w_0..w_k``, independently of
-    the ``B_k`` the solver used, so the check is the full exact identity.
+    ``C_0 = w_0^2`` and ``C_k = B_k + 2 w_0 w_k``.  `B`, indexed by order,
+    holds the solver's ``B_k`` (module notes); without it each ``B_k`` is
+    formed afresh from w.  ``2 w_0 w_k``, ``w_k'``, ``v_k`` and ``eps_k``
+    are always formed here, so every order is an exact zero test.
     """
+    if B is None:
+        B = [_dense_combine(_self_convolution(w, k)) for k in range(K + 1)]
+    w0 = w[0]._dense
     return [
         _dense_sum(
-            _self_convolution(w, k, 0)
-            + [
+            [
+                (1, B[k]),
+                (2 if k else 1, _dense_mul(w0, w[k]._dense)),
                 (-1, _dense_derivative(w[k]._dense)),
                 (-1, v[k]._dense),
                 (1, (0, (eps[k].numerator,), eps[k].denominator)),
@@ -505,10 +525,10 @@ def _rung_potentials(
     )
 
 
-def _checked(rung: Rung) -> Rung:
-    """`rung`, once it satisfies the exact Riccati identity at every order;
-    ResidualNonzero otherwise."""
-    residuals = riccati_residual(rung.w, rung.potential, rung.energy, rung.order)
+def _checked(rung: Rung, B=None) -> Rung:
+    """`rung`, once it satisfies the exact Riccati identity at every order
+    (`B` as in `riccati_residual`); ResidualNonzero otherwise."""
+    residuals = riccati_residual(rung.w, rung.potential, rung.energy, rung.order, B=B)
     bad = [k for k, res in enumerate(residuals) if res]
     if bad:
         raise ResidualNonzero(f"rung {rung.index} violates the Riccati identity at orders {bad}")
@@ -529,8 +549,10 @@ def _solve_rung(family: ProblemFamily, r: int, K: int, below: tuple[Rung, ...]) 
     v = _rung_potentials(family, r, K, below)
     w = [lead.as_poly()]
     energy = [lead.leading_energy]
+    B = [_DENSE_ZERO]  # B_0; every B_k is kept for the rung's check
     for k in range(1, K + 1):
-        w_k, eps_k = _back_substitute(lead, _rhs(v[k], w, k))
+        B.append(_dense_combine(_self_convolution(w, k)))
+        w_k, eps_k = _back_substitute(lead, _dense_combine([(1, v[k]._dense), (-1, B[k])]))
         w.append(w_k)
         energy.append(eps_k)
-    return _checked(Rung(r, lead, tuple(w), tuple(energy), v))
+    return _checked(Rung(r, lead, tuple(w), tuple(energy), v), B)

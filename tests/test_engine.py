@@ -2,6 +2,7 @@
 
 import json
 import time
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import seaqm.engine as engine
 from seaqm.engine import (
     Anharmonic,
     ChainSolution,
@@ -19,7 +21,7 @@ from seaqm.engine import (
     riccati_residual,
     solve_chain,
 )
-from seaqm.engine import _back_substitute, _self_convolution
+from seaqm.engine import _back_substitute, _self_convolution, _solve_chain_cached
 from seaqm.errors import InvalidLeading, ResidualNonzero, UnsolvableOrder
 from seaqm.exact import LaurentPoly, _dense_combine, _dense_sum
 
@@ -167,12 +169,12 @@ def test_leading_shape_validation():
 
 def B(w, k):
     """``B_k = sum_{m+n=k, m,n>=1} w_m w_n`` from the solver's kernel terms."""
-    return _dense_sum(_self_convolution(w, k, 1))
+    return _dense_sum(_self_convolution(w, k))
 
 
 def test_convolution_B_order_one_empty():
     chain = solve_chain(Hulthen(2), 0, 3)
-    assert _self_convolution(chain.rung(0).w, 1, 1) == []
+    assert _self_convolution(chain.rung(0).w, 1) == []
     assert B(chain.rung(0).w, 1) == P.zero()
 
 
@@ -400,6 +402,72 @@ def test_riccati_residual_detects_corruption():
                 assert all(p.is_zero for p in res[:k]), (family, k, e)
 
 
+# ------------------------------------------- the solver's B_k in the check -
+
+
+def test_solver_hands_the_check_each_B_k_formed_afresh(monkeypatch):
+    # the check takes B_k from the solver; it must equal the convolution
+    # formed afresh from the rung's final w_1..w_(k-1) at every order
+    handed = []
+    check = riccati_residual
+
+    def recording(w, v, eps, K, *, B=None):
+        handed.append((w, B))
+        return check(w, v, eps, K, B=B)
+
+    monkeypatch.setattr(engine, "riccati_residual", recording)
+    _solve_chain_cached.cache_clear()
+    specs = [*golden_chains().values(), (Anharmonic(), 1, 41)]
+    try:
+        for spec in specs:
+            solve_chain(*spec)
+    finally:
+        _solve_chain_cached.cache_clear()
+    # the r <= 1 ladder is a prefix of the golden anharmonic chain, so the cache serves it
+    assert len(handed) == sum(r_max + 1 for _, r_max, _ in specs[:-1])
+    for w, B_handed in handed:
+        assert len(B_handed) == len(w)
+        for k, B_k in enumerate(B_handed):
+            assert _dense_sum([(1, B_k)]) == B(w, k), k
+
+
+def test_corrupt_B_k_is_seen_at_exactly_that_order():
+    for family, r, K in [(Hulthen(1), 2, 8), (Anharmonic(), 1, 9)]:
+        rung = solve_chain(family, r, K).rung(r)
+        fresh = [_dense_combine(_self_convolution(rung.w, k)) for k in range(K + 1)]
+        for k in range(K + 1):
+            B_bad = list(fresh)
+            B_bad[k] = _dense_combine([(1, fresh[k]), (1, P.monomial(k % 3, F(1, 11))._dense)])
+            res = riccati_residual(rung.w, rung.potential, rung.energy, K, B=B_bad)
+            assert [bool(p) for p in res] == [j == k for j in range(K + 1)], (family, k)
+
+
+@pytest.mark.parametrize("family", [Hulthen(2), Anharmonic()])
+@pytest.mark.parametrize("target", ["w", "eps"])
+def test_wrong_back_substitution_fails_the_shared_check(monkeypatch, family, target):
+    # a solver that gets one order wrong must fail the check at that order,
+    # though the check reuses the B_k the solver formed
+    solve = _back_substitute
+    orders = iter(range(1, 100))
+
+    def perturbed(lead, rhs):
+        w_k, eps_k = solve(lead, rhs)
+        if next(orders) == 7:
+            if target == "w":
+                w_k = w_k + P.monomial(2, F(1, 1000))
+            else:
+                eps_k += F(1, 1000)
+        return w_k, eps_k
+
+    monkeypatch.setattr(engine, "_back_substitute", perturbed)
+    _solve_chain_cached.cache_clear()
+    try:
+        with pytest.raises(ResidualNonzero, match=r"rung 0 .* orders \[7\]$"):
+            solve_chain(family, 0, 10)
+    finally:
+        _solve_chain_cached.cache_clear()
+
+
 # -------------------------------------------------- invariants & properties -
 
 
@@ -559,6 +627,31 @@ def test_chain_json_bounds_exponents_before_building():
     for family, r_max, K in golden_chains().values():
         chain = solve_chain(family, r_max, K)
         assert ChainSolution.loads(chain.dumps()) == chain
+
+
+def test_chain_json_bounds_leading_term_and_perturbation_before_building():
+    # w_0 is a leading term, so its keys lie in -1..1; with K >= 1 the order-1
+    # row puts the top of the perturbation at most one above that of w_1
+    hulthen = solve_chain(Hulthen(0), 0, 2).to_json()
+    hulthen["rungs"][0]["superpotential"][0] = {"-1": "-1", "0": "1", "400000": "1"}
+    oscillator = LeadingSuperpotential(pole=0, constant=0, linear=1, leading_energy=1)
+    generic = solve_chain(GenericPerturbed(oscillator, P.monomial(1)), 0, 2).to_json()
+    generic["family"]["perturbation"] = {"1": "1", "400000": "1"}
+    for doc, message in [
+        (hulthen, r"'superpotential': rung 0 order 0 holds the exponent 400000, outside -1\.\.1"),
+        (generic, r"'perturbation': .* holds the exponent 400000, outside 0\.\.1"),
+    ]:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                ChainSolution.from_json(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, message
+    # a K = 0 document has no w_1 to bound the perturbation by
+    doc = solve_chain(GenericPerturbed(oscillator, P({1: 1, 9: 1})), 0, 0).to_json()
+    assert ChainSolution.from_json(doc).family.perturbation == P({1: 1, 9: 1})
 
 
 def test_chain_json_rejects_edited_coefficient():
