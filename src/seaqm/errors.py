@@ -56,7 +56,7 @@ class PoleProximity(SeaError):
 
 
 class NoSignChange(SeaError):
-    """No bracketing interval was found during root isolation."""
+    """A Pade numerator has no root in (0, 2): the resummed level never reaches zero there."""
 
 
 class GridTooCoarse(SeaError):

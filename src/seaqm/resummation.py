@@ -4,12 +4,12 @@ For exact series (energies, critical couplings) `pade` finds the denominator
 exactly (high-order Hankel systems are catastrophically ill-conditioned in
 floating point), on rows scaled to integers one by one, with one Bareiss
 elimination shared by [m/n] and [m-1/n], and checks every re-expansion row in
-integers.  Only the final evaluation, the vectorized root scan and the
-bisection are floating point.  Float-only series (a wavefunction's coupling
-series, a row per x) get low-order float Pades by stacked LU solves, with the
-same fallback and pole rules row by row.  Critical screening strengths are the
-zero crossing of the resummed level, reported as the mean of two approximants
-with the half-difference as the uncertainty.
+integers.  Only the final evaluation is floating point.  Float-only series (a
+wavefunction's coupling series, a row per x) get low-order float Pades by
+stacked LU solves, with the same fallback and pole rules row by row.  Critical
+screening strengths, the zero crossing of the resummed level, are decided in
+integers by Descartes' rule of signs, and reported as the mean of two
+approximants' roots with the half-difference as the uncertainty.
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import gcd, lcm
-from operator import mul
+from operator import mul, ne
 from typing import Sequence
 
 import numpy as np
@@ -82,14 +83,18 @@ def _check_orders(count: int, m: int, n: int) -> None:
         raise ValueError(f"[{m}/{n}] needs {m + n + 1} coefficients, got {count}")
 
 
+def _primitive(coeffs: Sequence[Fraction]) -> list[int]:
+    """The coprime integers proportional to `coeffs`."""
+    L = lcm(*(x.denominator for x in coeffs))
+    ints = [x.numerator * (L // x.denominator) for x in coeffs]
+    g = gcd(*ints) or 1
+    return [a // g for a in ints]
+
+
 def _row(c: list[Fraction], t: int, n: int) -> list[int]:
     """Row t of the Pade system, sum_j c_{t-j} q_j = 0 (j = 0..n), from c padded
     with n zeros in front, scaled to coprime integers on its own."""
-    row = c[t : t + n + 1][::-1]
-    L = lcm(*(x.denominator for x in row))
-    row = [x.numerator * (L // x.denominator) for x in row]
-    g = gcd(*row) or 1
-    return [a // g for a in row]
+    return _primitive(c[t : t + n + 1][::-1])
 
 
 def _kernel(rows: list[list[int]], width: int) -> list[list[int]]:
@@ -272,80 +277,81 @@ class CriticalResult:
     approximants: tuple[PadeApproximant, ...] = ()
 
 
-def spurious_pole_near_root(P: PadeApproximant, root: float) -> float | None:
-    """First real denominator zero inside (0, root] within 1e-3 of the root.
+_BITS = 57  # dyadic digits of a root on (0, 1), half the coupling: 2^-56 in lambda
 
-    Such a zero marks a defect (pole-zero) pair sitting on the physical
-    interval; callers retry with the denominator order reduced by one.
-    Denominator zeros *above* the root are expected (the resummed level is
-    singular beyond the critical coupling) and are not flagged.
-    """
-    for z in np.roots(P.float_coefficients[1][::-1]):  # none for a constant
-        if abs(z.imag) < 1e-9 * max(1.0, abs(z.real)) and 0.0 < z.real <= root and root - z.real < 1e-3:
-            return float(z.real)
+
+def _scaled(p: list[int], a: int, k: int) -> list[int]:
+    """2^(kd) p(a x / 2^k) for p of degree d, constant term first."""
+    return [c * a**i << k * (len(p) - 1 - i) for i, c in enumerate(p)]
+
+
+def _at(p: list[int], a: int, k: int) -> int:
+    """2^(kd) p(a / 2^k), of the sign of p there, by Horner's rule in integers."""
+    acc = 0
+    for i, c in enumerate(reversed(p)):
+        acc = acc * a + (c << k * i)
+    return acc
+
+
+def _shift(p: list[int]) -> list[int]:
+    """p(x + 1), by d passes of prefix sums over the coefficients from the top."""
+    p = p[::-1]
+    for k in range(len(p), 1, -1):
+        p[:k] = accumulate(p[:k])
+    return p[::-1]
+
+
+def _leftmost_root(p: list[int]) -> tuple[int, int, int] | None:
+    """Leftmost root in (0, 1) of an integer p (constant term first, p(0) != 0)
+    as (lo, hi, k): it lies in [lo / 2^k, hi / 2^k], with lo == hi for an exact
+    dyadic root and else hi = lo + 1 at k = _BITS; None when p has none there.
+    Vincent-Collins-Akritas bisection, left half first: the node of
+    (c / 2^k, (c + 1) / 2^k) holds q = 2^(kd) p((x + c) / 2^k) on (0, 1) and is
+    dropped at Descartes bound 0 (the sign changes of (x + 1)^d q(1 / (x + 1))),
+    narrowed by exact sign bisection at bound 1, and halved above that, its right
+    half shifted only when popped, where a zero constant term is a root at the
+    split.  A node still bounding two or more roots at k = _BITS (a double root
+    off the dyadics, or a cluster) is returned as it stands."""
+    todo = [(p, 0, 0, False)]
+    while todo:
+        q, c, k, right = todo.pop()
+        if right and not (q := _shift(q))[0]:
+            return c, c, k
+        signs = [x > 0 for x in _shift(q[::-1]) if x]
+        bound = sum(map(ne, signs, signs[1:]))
+        if bound == 1:
+            s = _at(p, c, k) > 0
+            while k < _BITS:
+                c, k = 2 * c + 1, k + 1  # the midpoint, left end of the right half
+                if not (mid := _at(p, c, k)):
+                    return c, c, k
+                c -= (mid > 0) != s  # a sign change in the left half: take it
+        if bound and k == _BITS:
+            return c, c + 1, k
+        if bound:
+            q = _scaled(q, 1, 1)
+            todo += [(q, 2 * c + 1, k + 1, True), (q, 2 * c, k + 1, False)]
     return None
 
 
-def _first_crossing(values: list[float | None], grid: list[float]) -> tuple[float, float]:
-    prev = None
-    for x, v in zip(grid, values):
-        if v is not None and prev is not None and prev[1] < 0.0 <= v:
-            return prev[0], x
-        prev = None if v is None else (x, v)
-    raise NoSignChange("no sign change of the resummed level on the scan grid")
-
-
-def _bisect_root(f, lo: float, hi: float) -> float:
-    flo = f(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if (flo < 0.0) == (fm < 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-        if hi - lo < 1e-12:
-            break
-    return 0.5 * (lo + hi)
-
-
-def _scan_values(P: PadeApproximant, grid: Sequence[float]) -> list[float | None]:
-    """`pade_eval` at every grid point, None where it raises PoleProximity:
-    one `exact.horner` pass over the grid array and the same pole rule, so
-    every value is bit-identical to the scalar one."""
-    x = np.asarray(grid, dtype=float)
-    with np.errstate(all="ignore"):
-        num, den = (horner(coeffs, x) for coeffs in P.float_coefficients)
-        keep = ~_near_pole(num, den)
-        vals = num / den
-    return [v if k else None for v, k in zip(vals.tolist(), keep.tolist())]
-
-
-# the root scan: 1000 equal steps on (0, 2]
-_SCAN_GRID = [2.0 * (i + 1) / 1000 for i in range(1000)]
-
-
 def _track_root(series: Sequence[Fraction], m: int, n: int) -> tuple[float, PadeApproximant, list[str]]:
-    """Root of one approximant on the scan grid, applying the spurious-pole
-    policy: a denominator zero within 1e-3 of the tracked root, or inside the
-    bracket of the first sign change, triggers a retry at n-1."""
-    notes: list[str] = []
-    nn = n
+    """Critical coupling of one approximant, in integers: the leftmost root of
+    its numerator N in (0, 2), read on N(2x) (N(0), the zero-coupling level, is
+    not 0).  A denominator root in (0, hi], hi the root's upper bound, is a pole
+    before the root and steps n down; a pole past the root is expected."""
+    notes, nn = [], n
     while True:
         P = pade_with_fallback(series, m, nn)
-        lo, hi = _first_crossing(_scan_values(P, _SCAN_GRID), _SCAN_GRID)
-        try:
-            root = _bisect_root(lambda x: pade_eval(P, x), lo, hi)
-        except PoleProximity:
-            if P.n == 0:
-                raise
-            where = f"in the bracket ({lo:.6g}, {hi:.6g}) of the first sign change"
-        else:
-            pole = spurious_pole_near_root(P, root)
-            if pole is None or P.n == 0:
-                return root, P, notes
-            where = f"at {pole:.6g} near root"
-        notes.append(f"[{P.m}/{P.n}] denominator zero {where}; reduced n")
+        root = _leftmost_root(_scaled(_primitive(P.numerator), 2, 0))
+        if root is None:
+            raise NoSignChange(f"the [{P.m}/{P.n}] numerator has no root in (0, 2)"
+                               + "".join(f" ({note})" for note in notes))
+        lo, hi, k = root
+        lam = (lo + hi) / (1 << k)  # the bracket's midpoint on the coupling scale
+        D = _scaled(_primitive(P.denominator), hi, k - 1)  # D(hi x), whose sum has D(hi)'s sign
+        if sum(D) and _leftmost_root(D) is None:
+            return lam, P, notes
+        notes.append(f"[{P.m}/{P.n}] denominator zero at or below the root {lam:.6g}; reduced n")
         nn = P.n - 1
 
 
@@ -378,21 +384,14 @@ def critical_lambda(
         if orders[0] == 0:
             raise ValueError(f"[0/{orders[1]}] has a constant numerator, which never crosses zero: "
                              "a critical coupling needs m >= 1 in both orders")
-    series = hulthen_energy_series(n, l, series_order).coeffs
-    if len(series) > 2 and all(c == 0 for c in series[3:]) and series[2] != 0:
-        # closed quadratic: c0 + c1 x + c2 x^2 with discriminant 0 at these levels
-        c0, c1, c2 = series[0], series[1], series[2]
-        disc = c1 * c1 - 4 * c0 * c2
-        if disc == 0:
-            root = -c1 / (2 * c2)
-            return CriticalResult(
-                n, l, float(root), 0.0, "closed-form quadratic", ("series terminates at k=2",)
-            )
+    series = c = hulthen_energy_series(n, l, series_order).coeffs
+    if len(c) > 2 and not any(c[3:]) and c[2] and c[1] * c[1] == 4 * c[0] * c[2]:
+        # closed quadratic c0 + c1 x + c2 x^2, with discriminant 0 at these levels
+        return CriticalResult(n, l, float(-c[1] / (2 * c[2])), 0.0, "closed-form quadratic",
+                              ("series terminates at k=2",))
     (root0, P0, notes0), (root1, P1, notes1) = (_track_root(series, *o) for o in pade_pair)
-    return CriticalResult(
-        n, l, 0.5 * (root0 + root1), 0.5 * abs(root0 - root1), f"[{P0.m}/{P0.n}] [{P1.m}/{P1.n}]",
-        tuple(notes0 + notes1), (P0, P1),
-    )
+    return CriticalResult(n, l, 0.5 * (root0 + root1), 0.5 * abs(root0 - root1),
+                          f"[{P0.m}/{P0.n}] [{P1.m}/{P1.n}]", tuple(notes0 + notes1), (P0, P1))
 
 
 def reconstruct_energy(

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from fractions import Fraction
 from math import factorial
 from unittest import mock
@@ -18,7 +19,9 @@ from seaqm.exact import horner
 from seaqm.resummation import (
     PadeApproximant,
     _float_pade_rows,
-    _scan_values,
+    _leftmost_root,
+    _scaled,
+    _track_root,
     critical_lambda,
     default_pade_pair,
     float_pade_block,
@@ -217,39 +220,6 @@ def test_pade_eval_pole_proximity():
     P = pade([F(1)] * 3, 0, 1)  # 1/(1-x)
     with pytest.raises(PoleProximity):
         pade_eval(P, 1.0)
-
-
-def _scalar_scan(P, grid):
-    out = []
-    for x in grid:
-        try:
-            out.append(pade_eval(P, x))
-        except PoleProximity:
-            out.append(None)
-    return out
-
-
-def _same(a, b):
-    return a == b or (a is not None and b is not None and math.isnan(a) and math.isnan(b))
-
-
-@pytest.mark.parametrize(
-    "P",
-    [
-        *critical_lambda(2, 1).approximants,
-        pade([F(1)] * 3, 0, 1),  # 1/(1-x): a denominator zero on the grid at x = 1
-        # |num| and |den| overflow to inf: inf/inf is NaN on both paths
-        PadeApproximant(1, 1, (F(10**300), F(10**308)), (F(1), F(10**308))),
-    ],
-)
-def test_scan_values_bit_identical_to_pade_eval(P):
-    grid = [2.0 * (i + 1) / 1000 for i in range(1000)]
-    vectorized, scalar = _scan_values(P, grid), _scalar_scan(P, grid)
-    assert len(vectorized) == len(scalar)
-    assert all(_same(v, s) for v, s in zip(vectorized, scalar))
-    assert all(v is None or type(v) is float for v in vectorized)
-    if P.denominator == (F(1), F(-1)):
-        assert vectorized[499] is None  # x = 1.0
 
 
 # ----------------------------------------------------------------- float Pade -
@@ -502,28 +472,26 @@ def test_reconstruct_builds_the_pair_once_for_all_couplings(monkeypatch):
     assert got == [(pade_eval(first, x), abs(pade_eval(first, x) - pade_eval(second, x))) for x in lams]
 
 
-def test_spurious_pole_detector():
-    from seaqm.resummation import spurious_pole_near_root
+def _pole_series(p):
+    # Taylor series of (x - 3/10) / (1 - x/p): its [1/1] approximant is the
+    # function itself, with the zero at 3/10 and the pole at p
+    return [F(-3, 10)] + [(1 - F(3, 10) / p) / p ** (j - 1) for j in range(1, 8)]
 
-    # Taylor series of (x - 3/10) / (1 - x/p) with a pole at p = 2995/10000,
-    # 5e-4 below the zero at 3/10: the [1/1] approximant reproduces it exactly
-    # and the on-interval defect must be flagged (the retry trigger)
-    p = F(2995, 10000)
-    series = [F(-3, 10)]
-    for j in range(1, 8):
-        series.append((F(1) - F(3, 10) / p) / p ** (j - 1))
-    P = pade(series, 1, 1)
-    pole = spurious_pole_near_root(P, 0.3)
-    assert pole == pytest.approx(0.2995, abs=1e-9)
-    # a pole just beyond the root is physical (level disappearance), not a defect
-    p2 = F(3005, 10000)
-    series2 = [F(-3, 10)]
-    for j in range(1, 8):
-        series2.append((F(1) - F(3, 10) / p2) / p2 ** (j - 1))
-    assert spurious_pole_near_root(pade(series2, 1, 1), 0.3) is None
+
+def test_spurious_pole_detector():
+    # a pole 5e-4 below the zero is a defect on the physical interval: n steps
+    # down to [1/0], whose numerator -3/10 - x/599 has no root in (0, 2)
+    with pytest.raises(NoSignChange, match=re.escape(
+        "the [1/0] numerator has no root in (0, 2) "
+        "([1/1] denominator zero at or below the root 0.3; reduced n)"
+    )):
+        _track_root(_pole_series(F(2995, 10000)), 1, 1)
+    # a pole 5e-4 above the root is physical (level disappearance), not a defect
+    root, P, notes = _track_root(_pole_series(F(3005, 10000)), 1, 1)
+    assert (root, P.n, notes) == (pytest.approx(0.3, abs=1e-16), 1, [])
     # a clean approximant of the same orders is not flagged either
-    clean = pade([F(-3, 10), F(1), F(0), F(0)], 1, 1)
-    assert spurious_pole_near_root(clean, 0.3) is None
+    root, P, notes = _track_root([F(-3, 10), F(1), F(0), F(0)], 1, 1)
+    assert (root, P.n, notes) == (pytest.approx(0.3, abs=1e-16), 1, [])
 
 
 def test_table_cells_need_no_pole_retry():
@@ -533,16 +501,82 @@ def test_table_cells_need_no_pole_retry():
         assert res.pade_used == "[15/14] [14/14]"
 
 
-def test_pole_in_first_bracket_retries_at_lower_n():
-    # [15/14] of (10,7) first changes sign across a denominator zero at
-    # 0.0160017, not across the root: the bisection meets the pole, and the
-    # policy steps n down as for a pole near the root
+def test_10_7_isolates_at_the_default_pair():
+    # [15/14] of (10,7) has a denominator zero at 0.0160017, 0.0014 above its
+    # root: a pole past the root is expected, so the default pair stands
     res = critical_lambda(10, 7)
-    assert res.notes == (
-        "[15/14] denominator zero in the bracket (0.016, 0.018) of the first sign change; reduced n",
-    )
-    assert res.pade_used == "[15/12] [14/14]"
-    assert res.lambda_c == pytest.approx(0.0145734680, abs=1e-10)
-    assert res.uncertainty == pytest.approx(9.0e-9, abs=1e-10)
+    assert res.notes == ()
+    assert res.pade_used == "[15/14] [14/14]"
+    assert res.lambda_c == pytest.approx(0.0145734765, abs=1e-10)
+    assert res.uncertainty == pytest.approx(4.8e-10, abs=1e-11)
     # between its neighbours in l, as the table is monotone in l
     assert critical_lambda(10, 8).lambda_c < res.lambda_c < critical_lambda(10, 6).lambda_c
+
+
+# ------------------------------------------------------------ root isolation -
+
+
+def _poly(*roots, lead=1):
+    # integer coefficients, constant term first, of lead * prod (d x - c) for
+    # each root c / d
+    p = [lead]
+    for r in map(F, roots):
+        p = [a * r.denominator - b * r.numerator for a, b in zip([0] + p, p + [0])]
+    return p
+
+
+def _root(p):
+    # leftmost root of p in (0, 2) as `_track_root` reads it, on p(2x), and
+    # its dyadic bracket on the coupling scale
+    root = _leftmost_root(_scaled(p, 2, 0))
+    return root and (F(root[0], 1 << root[2] - 1), F(root[1], 1 << root[2] - 1))
+
+
+def _brackets(root, at):
+    lo, hi = root
+    return lo < at < hi and hi - lo == F(1, 2**56)
+
+
+def test_isolates_a_simple_root():
+    assert _root(_poly(F(1, 4), F(3))) == (F(1, 4), F(1, 4))
+    assert _brackets(_root(_poly(F(1, 3), F(-2))), F(1, 3))
+
+
+def test_isolates_the_leftmost_of_two_roots():
+    assert _root(_poly(F(1, 3), F(1, 4), lead=-7)) == (F(1, 4), F(1, 4))
+    assert _brackets(_root(_poly(F(2, 5), F(1, 3))), F(1, 3))
+
+
+def test_no_root_in_0_2():
+    assert _root(_poly(F(5, 2), F(-1, 5))) is None
+    assert _root(_poly(F(2), F(-1))) is None  # the end points are not in (0, 2)
+    assert _root([1, 0, 1]) is None  # 1 + x^2: a Descartes bound of 0
+    assert _root([101, -200, 100]) is None  # 1/100 + (x - 1)^2: bound 2, then 0
+
+
+def test_dyadic_roots_are_exact():
+    # 1/2 is a split point of the isolation tree, which bounds 2/3 with it;
+    # 5/4 is the first midpoint of the sign bisection of its isolating (1, 3/2)
+    assert _root(_poly(F(2, 3), F(1, 2))) == (F(1, 2), F(1, 2))
+    assert _root(_poly(F(5, 4), F(9, 5))) == (F(5, 4), F(5, 4))
+
+
+def test_double_roots_end():
+    # a double root bounds two roots at every width: on a dyadic it is found
+    # exactly at a split point, off them the node of width 2^-56 is returned
+    assert _root(_poly(F(1, 4), F(1, 4))) == (F(1, 4), F(1, 4))
+    assert _brackets(_root(_poly(F(1, 3), F(1, 3))), F(1, 3))
+
+
+def test_table_through_n_15_falls_with_l():
+    # past the tabulated n <= 9, lambda_c is 0.006-0.02 and an approximant's
+    # first pole often lies within 0.002 above it
+    table = {(n, l): critical_lambda(n, l, 30) for n in range(2, 16) for l in range(1, n)}
+    for n in range(2, 16):
+        lams = [table[n, l].lambda_c for l in range(1, n)]
+        assert all(a > b for a, b in zip(lams, lams[1:])), n
+    assert all(res.uncertainty > 0.0 for res in table.values())
+    # mesh values, 50 bisection steps on the sign of the radial mesh level
+    assert table[12, 3].lambda_c == pytest.approx(0.0125488, abs=2e-6)
+    assert table[12, 4].lambda_c == pytest.approx(0.0120802, abs=2e-6)
+    assert table[15, 1].lambda_c == pytest.approx(0.0086786, abs=1e-7)
