@@ -47,8 +47,9 @@ and map them to the ladder depth and back; and ``to_json()`` /
 The public surface is those families (with ``LeadingSuperpotential``), the
 solved ``Rung`` and ``ChainSolution``, ``solve_chain`` and
 ``riccati_residual``.  ``ChainSolution.loads`` verifies what it loads: the
-rungs must be complete, hold only exponents a solved rung can hold, and
-each pass the same exact residual check as a solved one.
+rungs must be complete, hold only exponents a solved rung can hold (rung 0's
+order 1 must have the top term its potential forces), and each pass the same
+exact residual check as a solved one.
 """
 
 from __future__ import annotations
@@ -234,8 +235,10 @@ class Hulthen(ProblemFamily):
         return {"name": self.name, "l": self.l}
 
     @classmethod
-    def from_json(cls, obj: dict, top: int | None = None) -> "Hulthen":
-        return cls(_field(obj, "l", int))
+    def from_json(cls, obj: dict, w1: dict[int, Fraction] | None = None) -> "Hulthen":
+        family = cls(_field(obj, "l", int))
+        _order_one_checked(family.leading, dict(family.potential_term(1).items()), w1)
+        return family
 
 
 @dataclass(frozen=True)
@@ -279,15 +282,20 @@ class GenericPerturbed(ProblemFamily):
         }
 
     @classmethod
-    def from_json(cls, obj: dict, top: int | None = None) -> "GenericPerturbed":
-        """`top`: the highest exponent a chain document's w_1 allows the
-        perturbation, checked before it is built."""
+    def from_json(cls, obj: dict, w1: dict[int, Fraction] | None = None) -> "GenericPerturbed":
+        """`w1`: rung 0's order 1 of a chain document (`_order_one`).  The
+        perturbation's keys must lie in 0..(top key of w1) + 1, and its top
+        term must force w1's (`_order_one_checked`), both checked before the
+        perturbation is built."""
         lead = _field(obj, "leading")
         leading = LeadingSuperpotential(
             *(_field(lead, key, Fraction) for key in _LEADING_KEYS)
         )
-        bounded = lambda p: LaurentPoly.from_json(_keys_within(p, 0, top, "order 1 of the potential"))
-        return cls(leading, _field(obj, "perturbation", bounded))
+        top = None if w1 is None else 1 + max([0, *w1])
+        bounded = lambda p: _keys_within(p, 0, top, "order 1 of the potential")
+        terms = _field(obj, "perturbation", lambda p: {int(e): Fraction(c) for e, c in bounded(p).items()})
+        _order_one_checked(leading, terms, w1)
+        return cls(leading, LaurentPoly(terms))
 
 
 @dataclass(frozen=True)
@@ -305,8 +313,10 @@ class Anharmonic(GenericPerturbed):
         return {"name": self.name}
 
     @classmethod
-    def from_json(cls, obj: dict, top: int | None = None) -> "Anharmonic":
-        return cls()
+    def from_json(cls, obj: dict, w1: dict[int, Fraction] | None = None) -> "Anharmonic":
+        family = cls()
+        _order_one_checked(family.leading, dict(family.potential_term(1).items()), w1)
+        return family
 
 
 _FAMILIES = {cls.name: cls for cls in (Hulthen, Anharmonic, GenericPerturbed)}
@@ -373,8 +383,8 @@ class ChainSolution:
         if K < 0 or r_max < 0 or found != list(range(r_max + 1)):
             raise ValueError(f"need K >= 0 and rungs 0..rMax in order; got K={K}, rungs {found}")
         # bound every key before any polynomial is built
-        top = _field(entries[0], "superpotential", _order_one_top) if K else None
-        family = _FAMILIES[name].from_json(family_obj, top)
+        w1 = _field(entries[0], "superpotential", _order_one) if K else None
+        family = _FAMILIES[name].from_json(family_obj, w1)
         if b != family.b:
             raise ValueError(f"chain b={b} disagrees with the family's b={family.b}")
         for r, entry in enumerate(entries):
@@ -408,10 +418,42 @@ def _keys_within(p: dict, lo: int, hi: int | None, what: str) -> dict:
     return p
 
 
-def _order_one_top(ps: list) -> int:
-    """The top of v_1 that rung 0's orders `ps` allow: 2 w_0 w_1 - w_1' =
-    v_1 - eps_1 reaches at most x^(top w_1 + 1), or x^0 if w_1 = 0."""
-    return 1 + max([0, *(int(e) for p in ps[1:2] for e in p)])
+def _order_one(ps: list) -> dict[int, Fraction]:
+    """Order 1 of rung 0's orders `ps` in a chain document as exponent ->
+    coefficient, not built into a polynomial ({} if `ps` has no order 1)."""
+    return {int(e): Fraction(c) for p in ps[1:2] for e, c in p.items()}
+
+
+def _order_one_checked(
+    leading: LeadingSuperpotential, v1: dict[int, Fraction], w1: dict[int, Fraction] | None
+) -> None:
+    """ValueError unless w1, rung 0's order 1 in a chain document (None: the
+    chain has no order 1), has the top term that the top term v x^T of v_1
+    forces.  B_1 = 0, so order 1 is 2 w_0 w_1 - w_1' = v_1 - eps_1, whose row
+    x^T reads 2c a = v for the top term a x^T of w_1 under a Coulomb-type
+    w_0, and 2om a = v for the top term a x^(T-1) under an oscillator-type
+    one; a constant v_1 is eps_1 and forces w_1 = 0.  Both are read from the
+    documents' terms, before either polynomial is built."""
+    if w1 is None:
+        return
+    coulomb = leading.is_coulomb
+    pivot = 2 * (leading.constant if coulomb else leading.linear)
+    if not pivot:
+        raise ValueError("a Coulomb-type leading term with zero constant part has no order-1 solution")
+    top = _top_term(v1)
+    forced = None if top is None or top[0] < 1 else (top[0] if coulomb else top[0] - 1, top[1] / pivot)
+    found = _top_term(w1)
+    if found != forced:
+        term = lambda t: "none (w_1 = 0)" if t is None else f"{rational_to_str(t[1])}*x^{t[0]}"
+        raise ValueError(
+            f"rung 0 order 1 has the top term {term(found)}, "
+            f"but order 1 of the potential forces {term(forced)}"
+        )
+
+
+def _top_term(terms: dict[int, Fraction]) -> tuple[int, Fraction] | None:
+    """The nonzero term of highest exponent, as (exponent, coefficient); None if there is none."""
+    return max(((e, c) for e, c in terms.items() if c), default=None)
 
 
 def _exponents_bounded(ps: list, r: int, family: ProblemFamily) -> list:

@@ -9,7 +9,7 @@ exponent (negative exponents and widely varying degrees coexist, centrifugal
 numerators over one common denominator.  It has one arithmetic, the integer
 kernel: products are convolutions of integer tuples, and a sum of terms, such
 as the solver's ``B_k`` convolution, right-hand sides, partner potentials and
-Riccati residual, is combined over the lcm of their denominators
+Riccati residual, or an order of a state's prefactor, is combined over the lcm of their denominators
 (``_dense_combine``) and reduced to canonical form once.  A polynomial's float
 value therefore depends only on the polynomial, not on how it was built.
 

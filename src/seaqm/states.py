@@ -15,15 +15,17 @@ from a lower rung q rewrites the prefactor in closed form,
 which keeps the entire construction in exact rational arithmetic.  Only
 evaluation, node counting and normalization are floating point.
 
-A state is evaluated at the order it was built to.  Evaluation reads flat
-float tables of x^p R_k, G_k and D, compiled once per state at that order
+A state is evaluated at the order it was built to.  Evaluation reads float
+term columns of x^p R_k, G_k and D, compiled once per state at that order
 (`_Tables`, kept on the `StateRep`).  One block kernel, `_table_values`,
 turns `_BLOCK` abscissae at a time into those values, a column per x, with
 the radial and overflow rules applied column by column; the origin takes the
-general power rule, and a pole left there is a `DomainError`.  psi is an
-`exact.horner` pass over the values, and the coupling series of psi is the
-exponential's recursion and the prefactor convolution, done elementwise on
-them; `pade=(m, n)` resums those series a block at a time by stacked float
+general power rule, and a pole left there is a `DomainError`.  It adds one
+term column at a time, so a block costs one array step per term position of
+the longest polynomial.  psi is an `exact.horner` pass over the values, and
+the coupling series of psi is the exponential's recursion and the prefactor
+convolution, done elementwise on them, one array step per order;
+`pade=(m, n)` resums those series a block at a time by stacked float
 Pades (`resummation.float_pade_block`).  The wavefunction rows, `count_nodes`,
 the normalization's tail scan and its quadrature (`quadrature.qags`, QUADPACK's
 QAGS, which asks for both halves of a bisection, 42 abscissae, in one call) all
@@ -32,23 +34,23 @@ go through it; `evaluate_state` and `state_lambda_series` are one-abscissa calls
 and exponentials from `math.exp` (libm), not from `np.power` or `np.exp`,
 whose vectorized versions differ in the last bit for some arguments; numpy
 only adds and multiplies elementwise, in the scalar order, which IEEE
-arithmetic makes exact.
+arithmetic makes exact (never by `np.add.reduce` or `reduceat`, which may
+sum pairwise).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, partial, reduce
+from functools import cached_property, partial
 from itertools import repeat
-from operator import add
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .engine import ChainSolution, ProblemFamily, solve_chain
 from .errors import DomainError, InvalidLeading, NonNormalizable, RungOrderViolation
-from .exact import LaurentPoly, horner
+from .exact import LaurentPoly, _Dense, _dense_derivative, _dense_mul, _dense_sum, horner
 from .quadrature import qags
 from .resummation import float_pade_block
 
@@ -160,16 +162,22 @@ def apply_creation(state: StateRep, q: int, chain: ChainSolution) -> StateRep:
         raise RungOrderViolation(f"creation rung q={q} must satisfy 0 <= q < {r}")
     R, W_q, W_r = state.prefactor, chain.rung(q).w, chain.rung(r).w
     W = [W_q[k] + W_r[k] for k in range(len(R))]
-    return replace(state, prefactor=tuple(p + d.derivative() * -1 for p, d in zip(_cauchy(W, R), R)))
+    prefactor = (
+        _dense_sum([*_products(W, R, k), (-1, _dense_derivative(R[k]._dense))]) for k in range(len(R))
+    )
+    return replace(state, prefactor=tuple(prefactor))
+
+
+def _products(a: Sequence[LaurentPoly], b: Sequence[LaurentPoly], k: int) -> list[tuple[int, _Dense]]:
+    """Order k of the Cauchy product of coupling series a and b as integer-kernel
+    terms: the products ``a[m] b[k-m]`` for m = 0..k."""
+    return [(1, _dense_mul(a[m]._dense, b[k - m]._dense)) for m in range(k + 1)]
 
 
 def _cauchy(a: Sequence[LaurentPoly], b: Sequence[LaurentPoly]) -> tuple[LaurentPoly, ...]:
     """Cauchy product of coupling series, truncated at the shorter: order k is
-    ``a[0] b[k]``, then ``+ a[m] b[k-m]`` for m = 1..k."""
-    return tuple(
-        reduce(add, (a[m] * b[k - m] for m in range(1, k + 1)), a[0] * b[k])
-        for k in range(min(len(a), len(b)))
-    )
+    the one canonical sum of `_products`."""
+    return tuple(_dense_sum(_products(a, b, k)) for k in range(min(len(a), len(b))))
 
 
 def build_eigenstate(
@@ -191,35 +199,43 @@ def build_eigenstate(
 
 
 class _Tables:
-    """x^p R_0..R_K, G_1..G_K and D of a state at its order K as flat float
-    tables: the terms, in that order and each polynomial's `float_terms` order,
-    are `coeffs[i] * x**exps[slots[i]]` (a float column), and polynomial j owns
-    `bounds[j]`.  x^p R_k is pole-free for every valid state."""
+    """x^p R_0..R_K, G_1..G_K and D of a state at its order K as float term
+    columns.  The polynomials are held longest first; column j holds the j-th
+    term, in `float_terms` order, of each polynomial that has one, so it covers
+    a leading run of them: `(coeffs, slots)`, the terms `coeffs[i] *
+    x**exps[slots[i]]` of the first ``len(coeffs)`` held polynomials.  Row
+    `rows[j]` of the held values is polynomial j of x^p R_0..R_K, G_1..G_K, D.
+    x^p R_k is pole-free for every valid state."""
 
-    __slots__ = ("K", "exps", "slots", "coeffs", "bounds")
+    __slots__ = ("K", "exps", "columns", "rows")
 
     def __init__(self, state: StateRep):
         xp = LaurentPoly.monomial(state.power)
+        self.K = state.order
+        polys = (*(xp * q for q in state.prefactor), *state.G[1 : self.K + 1], state.decay)
+        terms = [p.float_terms for p in polys]
+        held = sorted(range(len(terms)), key=lambda j: len(terms[j]), reverse=True)
         slot: dict[int, int] = {}  # exponent -> its index in exps
-        self.K, self.slots, self.coeffs, self.bounds = state.order, [], [], []
-        for p in (*(xp * q for q in state.prefactor), *state.G[1 : self.K + 1], state.decay):
-            start = len(self.slots)
-            for e, c in p.float_terms:
-                self.slots.append(slot.setdefault(e, len(slot)))
-                self.coeffs.append(c)
-            self.bounds.append((start, len(self.slots)))
-        self.exps, self.coeffs = tuple(slot), np.array(self.coeffs)[:, None]
+        self.columns = []
+        for j in range(len(terms[held[0]])):
+            column = [terms[i][j] for i in held if len(terms[i]) > j]
+            slots = [slot.setdefault(e, len(slot)) for e, _ in column]
+            self.columns.append((np.array([c for _, c in column])[:, None], np.array(slots)))
+        # Python's sort inverts `held`: np.argsort would page in numpy's sort
+        # kernels, about 0.25 MB of resident memory, for a few dozen rows
+        self.exps, self.rows = tuple(slot), np.array(sorted(range(len(held)), key=held.__getitem__))
 
 
 def _table_values(state: StateRep, t: _Tables, xs: Sequence[float]) -> tuple[np.ndarray, list]:
     """The block kernel: polynomial j of the tables (x^p R_0..R_K, G_1..G_K,
     D) at each x of xs as row j, a column per x, and per x the error it
-    raises or None.  Each distinct power is taken once by Python's ``**`` and
-    each polynomial summed left to right over its `float_terms`, as
-    `LaurentPoly.__call__`.  A radial state is rejected at x < 0.  The origin
-    takes the same rule as any x: a valid state's x^p R_k has no negative
-    exponent and each G_k starts at x^1, so the sums there are the constant
-    terms or +0.0, and a negative power is reported as a pole.
+    raises or None.  Each distinct power is taken once by Python's ``**``,
+    and the term columns are added one at a time into rows that start at
+    +0.0, so each polynomial is summed left to right over its `float_terms`,
+    as `LaurentPoly.__call__`.  A radial state is rejected at x < 0.  The
+    origin takes the same rule as any x: a valid state's x^p R_k has no
+    negative exponent and each G_k starts at x^1, so the sums there are the
+    constant terms or +0.0, and a negative power is reported as a pole.
     """
     powers = np.ones((len(t.exps), len(xs)))
     errors: list[Exception | None] = [None] * len(xs)
@@ -234,12 +250,12 @@ def _table_values(state: StateRep, t: _Tables, xs: Sequence[float]) -> tuple[np.
             errors[i] = exc
         except ZeroDivisionError:
             errors[i] = DomainError("prefactor retains a pole at x = 0")
+    held = np.zeros((len(t.rows), len(xs)))
     with np.errstate(all="ignore"):  # overflow to inf and nan unwarned, as Python floats do
-        # the terms of one polynomial at a time, so no (terms x block) array is held
-        vals = np.array([
-            reduce(add, t.coeffs[a:b] * powers[t.slots[a:b]], np.zeros(len(xs))) for a, b in t.bounds
-        ])
-    return vals, errors
+        # one term column at a time, over only the polynomials that have that term
+        for coeffs, slots in t.columns:
+            held[: len(coeffs)] += coeffs * powers[slots]
+    return held[t.rows], errors
 
 
 def _psi(t: _Tables, vals: np.ndarray, errors: list, lam: float) -> list[float]:
@@ -257,8 +273,8 @@ def _psi(t: _Tables, vals: np.ndarray, errors: list, lam: float) -> list[float]:
 def _series(t: _Tables, vals: np.ndarray, errors: list) -> np.ndarray:
     """The coupling series of psi from a block's table values, a row per x:
     exp(-sum_{k>=1} lam^k G_k) expanded termwise and convolved with the
-    prefactor series, each sum left to right.  An x where exp(-D) overflows
-    gets the OverflowError in `errors`."""
+    prefactor series, each sum left to right from +0.0.  An x where exp(-D)
+    overflows gets the OverflowError in `errors`."""
     K = t.K
     q, g = vals[: K + 1], vals[K + 1 : -1]
     base = np.full(len(errors), math.nan)
@@ -268,13 +284,18 @@ def _series(t: _Tables, vals: np.ndarray, errors: list) -> np.ndarray:
         except OverflowError as exc:
             errors[i] = errors[i] or exc
     with np.errstate(all="ignore"):
-        # E = exp(-sum_{k>=1} g_k lam^k):  m E_m = -sum_{j=1..m} j g_j E_{m-j}  (g_j is g[j - 1])
+        # E = exp(-sum_{k>=1} g_k lam^k):  m E_m = -sum_{j=1..m} j g_j E_{m-j}  (g_j is g[j - 1]);
+        # np.add.accumulate sums in sequence from the first term, and + 0.0 makes
+        # a zero +0.0, as a sum that starts at +0.0 leaves it
         jg = np.arange(1, K + 1)[:, None] * g
         E = np.ones_like(q)
         for m in range(1, K + 1):
-            E[m] = -reduce(add, jg[:m] * E[m - 1 :: -1], 0) / m
-        out = [base * reduce(add, q[: k + 1] * E[k::-1], 0) for k in range(K + 1)]
-    return np.array(out).T
+            E[m] = -(np.add.accumulate(jg[:m] * E[m - 1 :: -1])[-1] + 0.0) / m
+        # order k of the prefactor convolution gains q_j E_(k-j) at step j, for j = 0..k
+        out = np.zeros_like(q)
+        for j in range(K + 1):
+            out[j:] += q[j] * E[: K + 1 - j]
+        return (base * out).T
 
 
 def _columns(state: StateRep, xs: Sequence[float], kernel) -> Iterator:

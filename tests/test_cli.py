@@ -355,16 +355,16 @@ def test_critical_failure_names_its_cell(monkeypatch, capsys):
 
     def fake(n, l, order, pair):
         if (n, l) == (2, 1):
-            raise NoSignChange("no sign change of the resummed level on the scan grid")
+            raise NoSignChange(f"the [{pair[0][0]}/{pair[0][1]}] numerator has no root in (0, 2)")
         return seaqm.resummation.CriticalResult(n, l, 1.0, 0.0, "fake")
 
     monkeypatch.setattr("seaqm.cli.critical_lambda", fake)
     assert run(["critical", "--nmax", "2"]) == 3
     assert capsys.readouterr().err == (
         "computation failed: lambda_c(2,1) with [15/14] [14/14]: "
-        "no sign change of the resummed level on the scan grid\n"
+        "the [15/14] numerator has no root in (0, 2)\n"
     )
-    with pytest.raises(NoSignChange, match=r"^lambda_c\(2,1\) with \[10/9\] \[9/9\]: no sign"):
+    with pytest.raises(NoSignChange, match=r"^lambda_c\(2,1\) with \[10/9\] \[9/9\]: the \[10/9\] numerator"):
         seaqm.cli._critical_group((1, [2], 20, ((10, 9), (9, 9)), False))
 
 

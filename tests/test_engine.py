@@ -654,6 +654,34 @@ def test_chain_json_bounds_leading_term_and_perturbation_before_building():
     assert ChainSolution.from_json(doc).family.perturbation == P({1: 1, 9: 1})
 
 
+def test_chain_json_checks_order_one_top_term_before_building():
+    # B_1 = 0, so the top term of v_1 forces that of w_1: a document whose
+    # perturbation and w_1 both reach far is refused on their terms alone
+    oscillator = LeadingSuperpotential(pole=0, constant=0, linear=1, leading_energy=1)
+    doc = solve_chain(GenericPerturbed(oscillator, P.monomial(1)), 0, 2).to_json()
+    doc["family"]["perturbation"] = {"1": "1", "400000": "1"}
+    doc["rungs"][0]["superpotential"][1] = {"0": "1/2", "399999": "1"}
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"top term 1\*x\^399999, .* forces 1/2\*x\^399999$"):
+            ChainSolution.from_json(doc)
+        assert time.perf_counter() - start < 0.1
+        assert tracemalloc.get_traced_memory()[1] < 1_000_000
+    finally:
+        tracemalloc.stop()
+    # Coulomb-type: v x^T forces v/2c x^T; Hulthen's constant v_1 forces w_1 = 0
+    coulomb = LeadingSuperpotential(pole=F(-1), constant=F(1), linear=F(0), leading_energy=F(-1))
+    doc = solve_chain(GenericPerturbed(coulomb, P({1: 1, 2: -3})), 0, 2).to_json()
+    doc["rungs"][0]["superpotential"][1] = {"1": "-5/2", "2": "-3"}
+    with pytest.raises(ValueError, match=r"top term -3\*x\^2, .* forces -3/2\*x\^2$"):
+        ChainSolution.from_json(doc)
+    doc = solve_chain(Hulthen(1), 0, 2).to_json()
+    doc["rungs"][0]["superpotential"][1] = {"1": "3"}
+    with pytest.raises(ValueError, match=r"top term 3\*x\^1, .* forces none \(w_1 = 0\)$"):
+        ChainSolution.from_json(doc)
+
+
 def test_chain_json_rejects_edited_coefficient():
     doc = solve_chain(Hulthen(1), 2, 6).to_json()
     w4 = doc["rungs"][1]["superpotential"][4]

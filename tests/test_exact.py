@@ -1,6 +1,8 @@
 """Exact-arithmetic substrate tests."""
 
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -232,6 +234,18 @@ def test_convolution_zero_inputs():
 @settings(max_examples=40)
 def test_convolution_symmetric(a, b):
     assert _cauchy(a, b) == _cauchy(b, a)
+
+
+@given(st.lists(polys, min_size=1, max_size=5), st.lists(polys, min_size=1, max_size=5))
+@settings(max_examples=60)
+def test_convolution_is_one_sum_of_its_products(a, b):
+    # each order is one integer-kernel sum of its products; the definition, a
+    # left-to-right sum of LaurentPoly products, gives the same polynomials
+    expected = tuple(
+        reduce(add, (a[m] * b[k - m] for m in range(1, k + 1)), a[0] * b[k])
+        for k in range(min(len(a), len(b)))
+    )
+    assert _cauchy(a, b) == expected
 
 
 def test_convolution_truncates_at_shorter_series():

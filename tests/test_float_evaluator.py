@@ -214,6 +214,8 @@ def _walk(values):
 STATES = {
     "hulthen (5,2)": (Hulthen(2), 14, {"n": 5, "l": 2}, (0.0, 150.0), 0.03),
     "hulthen (6,3)": (Hulthen(3), 14, {"n": 6, "l": 3}, (0.0, 200.0), 0.015),
+    # seven rungs deep: x^p R_k runs from 1 to 19 terms and every odd order is zero
+    "hulthen (9,1)": (Hulthen(1), 14, {"n": 9, "l": 1}, (0.0, 300.0), 0.01),
     "anharmonic r=0": (Anharmonic(), 8, {"r": 0}, (-40.0, 40.0), 0.3),
     "anharmonic r=1": (Anharmonic(), 8, {"r": 1}, (-40.0, 40.0), 0.3),
     "anharmonic r=2": (Anharmonic(), 8, {"r": 2}, (-40.0, 40.0), 0.3),
@@ -236,7 +238,7 @@ edge_abscissae = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e-3, 1e-3),
     data=st.data(),
     name=st.sampled_from(sorted(STATES)),
     K=st.integers(0, 14),
-    block=st.sampled_from([1, 4, 7, 256]),
+    block=st.sampled_from([1, 4, 7, 42, 256]),  # 42: the abscissae of one QAGS call
 )
 @settings(max_examples=150, deadline=None)
 def test_kernels_match_laurent_evaluation_bit_for_bit(data, name, K, block):
