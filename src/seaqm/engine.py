@@ -31,7 +31,7 @@ over one denominator, and one gcd reduces it to the canonical ``w_k``.  Only
 the energy coefficient is formed as a single ``Fraction``.  The residual check
 takes from this path only each ``B_k``, formed once on the final
 w_1..w_(k-1); it forms ``2 w_0 w_k``, ``w_k'``, ``v_k`` (from the rung's own
-tuple) and ``eps_k`` itself.  A loaded chain's check forms every product afresh.
+tuple) and ``eps_k`` itself.
 
 Every problem family (``Hulthen``, ``GenericPerturbed`` and its quartic case
 ``Anharmonic``) is a ``ProblemFamily``, which owns the ladder: ``radial``
@@ -46,10 +46,12 @@ and map them to the ladder depth and back; and ``to_json()`` /
 
 The public surface is those families (with ``LeadingSuperpotential``), the
 solved ``Rung`` and ``ChainSolution``, ``solve_chain`` and
-``riccati_residual``.  ``ChainSolution.loads`` verifies what it loads: the
-rungs must be complete, hold only exponents a solved rung can hold (rung 0's
-order 1 must have the top term its potential forces), and each pass the same
-exact residual check as a solved one.
+``riccati_residual``.  ``ChainSolution.loads`` verifies what it loads by
+solving it again: once the orders below it are fixed, each order of a rung has
+exactly one polynomial solution, so a chain document is valid exactly when it
+equals the chain solved from its family, ``K`` and ``rMax``.  The solver's
+loop compares each order as soon as it is solved and stops at the first that
+differs.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from dataclasses import astuple, dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, lcm
+from operator import index
 from typing import Sequence
 
 from .errors import (
@@ -146,14 +149,16 @@ _LEADING_KEYS = ("pole", "constant", "linear", "leadingEnergy")  # JSON names of
 
 def _field(obj: object, key: str, convert=lambda v: v):
     """`convert(obj[key])` of a chain document; a ValueError that names `key` when
-    `obj` is not a JSON object, lacks `key`, or holds what `convert` cannot parse."""
+    `obj` is not a JSON object, lacks `key`, or holds what `convert` cannot parse
+    (an infinite number, which Python's `json` reads from ``Infinity`` or
+    ``1e400``, is an OverflowError of `Fraction`)."""
     if not isinstance(obj, dict):
         raise ValueError(f"expected a JSON object with the field {key!r}, got {type(obj).__name__}")
     if key not in obj:
         raise ValueError(f"missing field {key!r}")
     try:
         return convert(obj[key])
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
         raise ValueError(f"field {key!r}: {exc}") from None
 
 
@@ -235,10 +240,9 @@ class Hulthen(ProblemFamily):
         return {"name": self.name, "l": self.l}
 
     @classmethod
-    def from_json(cls, obj: dict, w1: dict[int, Fraction] | None = None) -> "Hulthen":
-        family = cls(_field(obj, "l", int))
-        _order_one_checked(family.leading, dict(family.potential_term(1).items()), w1)
-        return family
+    def from_json(cls, obj: dict, order_one: tuple | None = None) -> "Hulthen":
+        # `order_one` as in GenericPerturbed.from_json: l alone fixes this potential
+        return cls(_field(obj, "l", index))
 
 
 @dataclass(frozen=True)
@@ -282,19 +286,23 @@ class GenericPerturbed(ProblemFamily):
         }
 
     @classmethod
-    def from_json(cls, obj: dict, w1: dict[int, Fraction] | None = None) -> "GenericPerturbed":
-        """`w1`: rung 0's order 1 of a chain document (`_order_one`).  The
-        perturbation's keys must lie in 0..(top key of w1) + 1, and its top
-        term must force w1's (`_order_one_checked`), both checked before the
-        perturbation is built."""
+    def from_json(
+        cls, obj: dict, order_one: tuple[dict[int, Fraction], Fraction] | None = None
+    ) -> "GenericPerturbed":
+        """`order_one`: rung 0's order 1 of a chain document as (w_1 terms,
+        eps_1), None if the document has no order 1.  B_1 = 0, so the
+        perturbation is v_1 = 2 w_0 w_1 - w_1' + eps_1 on w_0 = `leading`,
+        which `_order_one_potential` forms on the document's sparse terms.
+        The perturbation is compared with it before it is built: a
+        polynomial stores its exponents densely, and solving its order 1
+        costs its top exponent in rows."""
         lead = _field(obj, "leading")
         leading = LeadingSuperpotential(
             *(_field(lead, key, Fraction) for key in _LEADING_KEYS)
         )
-        top = None if w1 is None else 1 + max([0, *w1])
-        bounded = lambda p: _keys_within(p, 0, top, "order 1 of the potential")
-        terms = _field(obj, "perturbation", lambda p: {int(e): Fraction(c) for e, c in bounded(p).items()})
-        _order_one_checked(leading, terms, w1)
+        terms = _field(obj, "perturbation", _sparse)
+        if order_one is not None and terms != _order_one_potential(leading, *order_one):
+            raise ResidualNonzero("rung 0 violates the Riccati identity at orders [1]")
         return cls(leading, LaurentPoly(terms))
 
 
@@ -313,10 +321,8 @@ class Anharmonic(GenericPerturbed):
         return {"name": self.name}
 
     @classmethod
-    def from_json(cls, obj: dict, w1: dict[int, Fraction] | None = None) -> "Anharmonic":
-        family = cls()
-        _order_one_checked(family.leading, dict(family.potential_term(1).items()), w1)
-        return family
+    def from_json(cls, obj: dict, order_one: tuple | None = None) -> "Anharmonic":
+        return cls()
 
 
 _FAMILIES = {cls.name: cls for cls in (Hulthen, Anharmonic, GenericPerturbed)}
@@ -371,36 +377,28 @@ class ChainSolution:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ChainSolution":
-        """The chain `obj` describes, verified: ValueError for a malformed or
-        incomplete ladder, ResidualNonzero for a rung that is not a solution."""
+        """The chain `obj` describes, verified by solving it again
+        (`_solve_rung`): ValueError for a malformed or incomplete ladder or a
+        rung whose order 0 is not the family's leading term, ResidualNonzero
+        at the first order that differs from the solved one.  The chain cache
+        is neither read nor filled."""
         family_obj = _field(obj, "family")
         name = _field(family_obj, "name", str)
         if name not in _FAMILIES:
             raise ValueError(f"unknown family name {name!r}")
-        b, K, r_max = (_field(obj, key, int) for key in ("b", "K", "rMax"))
+        b, K, r_max = (_field(obj, key, index) for key in ("b", "K", "rMax"))
         entries = _field(obj, "rungs", list)
-        found = [_field(entry, "r", int) for entry in entries]
+        found = [_field(entry, "r", index) for entry in entries]
         if K < 0 or r_max < 0 or found != list(range(r_max + 1)):
             raise ValueError(f"need K >= 0 and rungs 0..rMax in order; got K={K}, rungs {found}")
-        # bound every key before any polynomial is built
-        w1 = _field(entries[0], "superpotential", _order_one) if K else None
-        family = _FAMILIES[name].from_json(family_obj, w1)
+        docs = [_orders(entry, r, K) for r, entry in enumerate(entries)]
+        family = _FAMILIES[name].from_json(family_obj, docs[0][1] if K else None)
         if b != family.b:
             raise ValueError(f"chain b={b} disagrees with the family's b={family.b}")
-        for r, entry in enumerate(entries):
-            _field(entry, "superpotential", lambda ps: _exponents_bounded(ps, r, family))
-        rungs: list[Rung] = []
-        for r, entry in enumerate(entries):
-            w = _field(entry, "superpotential", lambda ps: tuple(map(LaurentPoly.from_json, ps)))
-            energy = _field(entry, "energy", lambda es: tuple(map(Fraction, es)))
-            if not len(w) == len(energy) == K + 1:
-                raise ValueError(f"rung {r} must hold orders 0..{K}")
-            lead = family.rung_leading(r)
-            if w[0] != lead.as_poly():
-                raise ValueError(f"rung {r} order-0 superpotential is not the family's leading term")
-            v = _rung_potentials(family, r, K, rungs)
-            rungs.append(_checked(Rung(r, lead, w, energy, v)))
-        return cls(family, r_max, K, tuple(rungs))
+        rungs: tuple[Rung, ...] = ()
+        for r, doc in enumerate(docs):
+            rungs += (_solve_rung(family, r, K, rungs, doc),)
+        return cls(family, r_max, K, rungs)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), indent=2)
@@ -410,63 +408,33 @@ class ChainSolution:
         return cls.from_json(json.loads(text))
 
 
-def _keys_within(p: dict, lo: int, hi: int | None, what: str) -> dict:
-    """`p` of a chain document, once its exponent keys lie in lo..hi (hi None: any)."""
-    bad = [e for e in p if hi is not None and not lo <= int(e) <= hi]
-    if bad:
-        raise ValueError(f"{what} holds the exponent {bad[0]}, outside {lo}..{hi}")
-    return p
+def _sparse(p: dict) -> dict[int, Fraction]:
+    """A polynomial of a chain document as exponent -> coefficient of its
+    nonzero terms, never built into a (dense) LaurentPoly."""
+    terms = {int(e): Fraction(c) for e, c in p.items()}
+    return {e: c for e, c in terms.items() if c}
 
 
-def _order_one(ps: list) -> dict[int, Fraction]:
-    """Order 1 of rung 0's orders `ps` in a chain document as exponent ->
-    coefficient, not built into a polynomial ({} if `ps` has no order 1)."""
-    return {int(e): Fraction(c) for p in ps[1:2] for e, c in p.items()}
+def _orders(entry: dict, r: int, K: int) -> list[tuple[dict[int, Fraction], Fraction]]:
+    """Rung r's orders 0..K in a chain document as (w_k terms, eps_k) pairs."""
+    w = _field(entry, "superpotential", lambda ps: [_sparse(p) for p in ps])
+    energy = _field(entry, "energy", lambda es: [Fraction(e) for e in es])
+    if not len(w) == len(energy) == K + 1:
+        raise ValueError(f"rung {r} must hold orders 0..{K}")
+    return list(zip(w, energy))
 
 
-def _order_one_checked(
-    leading: LeadingSuperpotential, v1: dict[int, Fraction], w1: dict[int, Fraction] | None
-) -> None:
-    """ValueError unless w1, rung 0's order 1 in a chain document (None: the
-    chain has no order 1), has the top term that the top term v x^T of v_1
-    forces.  B_1 = 0, so order 1 is 2 w_0 w_1 - w_1' = v_1 - eps_1, whose row
-    x^T reads 2c a = v for the top term a x^T of w_1 under a Coulomb-type
-    w_0, and 2om a = v for the top term a x^(T-1) under an oscillator-type
-    one; a constant v_1 is eps_1 and forces w_1 = 0.  Both are read from the
-    documents' terms, before either polynomial is built."""
-    if w1 is None:
-        return
-    coulomb = leading.is_coulomb
-    pivot = 2 * (leading.constant if coulomb else leading.linear)
-    if not pivot:
-        raise ValueError("a Coulomb-type leading term with zero constant part has no order-1 solution")
-    top = _top_term(v1)
-    forced = None if top is None or top[0] < 1 else (top[0] if coulomb else top[0] - 1, top[1] / pivot)
-    found = _top_term(w1)
-    if found != forced:
-        term = lambda t: "none (w_1 = 0)" if t is None else f"{rational_to_str(t[1])}*x^{t[0]}"
-        raise ValueError(
-            f"rung 0 order 1 has the top term {term(found)}, "
-            f"but order 1 of the potential forces {term(forced)}"
-        )
-
-
-def _top_term(terms: dict[int, Fraction]) -> tuple[int, Fraction] | None:
-    """The nonzero term of highest exponent, as (exponent, coefficient); None if there is none."""
-    return max(((e, c) for e, c in terms.items() if c), default=None)
-
-
-def _exponents_bounded(ps: list, r: int, family: ProblemFamily) -> list:
-    """`ps`, rung r's orders in a chain document, once every key of w_0 lies
-    in -1..1 and every key of w_k (k >= 1) in 0..k*D, D = max(1, ceil(top
-    v_j / j) for j <= k): top(w_k) <= max(top v_k, top w_m + top w_(k-m)),
-    and a partner adds only 2 w'."""
-    D = 1
-    for k, p in enumerate(ps):
-        if k:
-            D = max(D, -(-(family.potential_term(k).max_exponent or 0) // k))
-        _keys_within(p, *((0, k * D) if k else (-1, 1)), f"rung {r} order {k}")
-    return ps
+def _order_one_potential(
+    leading: LeadingSuperpotential, w1: dict[int, Fraction], eps1: Fraction
+) -> dict[int, Fraction]:
+    """2 w_0 w_1 - w_1' + eps_1 on sparse terms, w_0 = `leading`: each term
+    a x^e of w_1 adds 2om*a x^(e+1) + 2c*a x^e + (2p - e)*a x^(e-1)."""
+    v = {0: eps1}
+    two_w, two_c, two_p = 2 * leading.linear, 2 * leading.constant, 2 * leading.pole
+    for e, a in w1.items():
+        for x, c in ((e + 1, two_w), (e, two_c), (e - 1, two_p - e)):
+            v[x] = v.get(x, 0) + c * a
+    return {e: c for e, c in v.items() if c}
 
 
 def _self_convolution(w: Sequence[LaurentPoly], k: int) -> list[tuple[int, _Dense]]:
@@ -552,19 +520,14 @@ def solve_chain(family: ProblemFamily, r_max: int, K: int) -> ChainSolution:
     return _solve_chain_cached(family, r_max, K)
 
 
-def _rung_potentials(
-    family: ProblemFamily, r: int, K: int, below: Sequence[Rung]
-) -> tuple[LaurentPoly, ...]:
-    """Orders 0..K of the rung-r potential: the family's coupling expansion at
+def _rung_potential(family: ProblemFamily, r: int, k: int, below: Sequence[Rung]) -> LaurentPoly:
+    """Order k of the rung-r potential: the family's coupling expansion at
     r = 0, the partner rule ``v_r = v_{r-1} + 2 w_{r-1}'`` on rung r-1 of
     `below` above that."""
     if r == 0:
-        return tuple(family.base_potential(k) for k in range(K + 1))
+        return family.base_potential(k)
     prev = below[r - 1]
-    return tuple(
-        _dense_sum([(1, v._dense), (2, _dense_derivative(w._dense))])
-        for v, w in zip(prev.potential, prev.w)
-    )
+    return _dense_sum([(1, prev.potential[k]._dense), (2, _dense_derivative(prev.w[k]._dense))])
 
 
 def _checked(rung: Rung, B=None) -> Rung:
@@ -586,15 +549,39 @@ def _solve_chain_cached(family: ProblemFamily, r_max: int, K: int) -> ChainSolut
     return ChainSolution(family, r_max, K, below + (rung,))
 
 
-def _solve_rung(family: ProblemFamily, r: int, K: int, below: tuple[Rung, ...]) -> Rung:
+def _solve_rung(
+    family: ProblemFamily,
+    r: int,
+    K: int,
+    below: tuple[Rung, ...],
+    doc: Sequence[tuple[dict[int, Fraction], Fraction]] | None = None,
+) -> Rung:
+    """Rung r through order K on the rungs `below` it, checked.
+
+    With `doc`, a chain document's orders 0..K of rung r as (w_k terms, eps_k)
+    pairs (`_orders`), each order is compared as soon as it is solved, and
+    order k's potential is formed only once the orders below have matched.
+    The orders below fix order k's Riccati identity, which then has exactly
+    one polynomial solution, so the first order that differs is refused:
+    ValueError if w_0 is not the family's leading term, ResidualNonzero
+    otherwise.
+    """
     lead = family.rung_leading(r)
-    v = _rung_potentials(family, r, K, below)
     w = [lead.as_poly()]
     energy = [lead.leading_energy]
+    v: list[LaurentPoly] = []
     B = [_DENSE_ZERO]  # B_0; every B_k is kept for the rung's check
-    for k in range(1, K + 1):
-        B.append(_dense_combine(_self_convolution(w, k)))
-        w_k, eps_k = _back_substitute(lead, _dense_combine([(1, v[k]._dense), (-1, B[k])]))
-        w.append(w_k)
-        energy.append(eps_k)
-    return _checked(Rung(r, lead, tuple(w), tuple(energy), v), B)
+    for k in range(K + 1):
+        v.append(_rung_potential(family, r, k, below))
+        if k:
+            B.append(_dense_combine(_self_convolution(w, k)))
+            w_k, eps_k = _back_substitute(lead, _dense_combine([(1, v[k]._dense), (-1, B[k])]))
+            w.append(w_k)
+            energy.append(eps_k)
+        if doc is not None and doc[k] != (solved := (dict(w[k].items()), energy[k])):
+            if not k and doc[0][0] != solved[0]:
+                raise ValueError(f"rung {r} order-0 superpotential is not the family's leading term")
+            raise ResidualNonzero(
+                f"rung {r} differs at orders [{k}] from the one polynomial solution of the Riccati identity"
+            )
+    return _checked(Rung(r, lead, tuple(w), tuple(energy), tuple(v)), B)

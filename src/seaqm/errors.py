@@ -28,7 +28,9 @@ class UnsolvableOrder(SeaError):
 
 
 class ResidualNonzero(SeaError):
-    """Internal consistency failure: a solved rung violates the Riccati identity."""
+    """A rung is not the solution of the Riccati identity: a solved rung that
+    fails its exact check (an internal failure), or a loaded chain document's
+    rung that differs from the one solved from its family."""
 
 
 class OutOfBoundDomain(SeaError):

@@ -614,49 +614,55 @@ def test_golden_chain_digests():
 
 
 def test_chain_json_bounds_exponents_before_building():
-    # a solved w_k has its exponents in 0..k*D (D = 1 for Hulthen), so a far
-    # exponent is refused before any dense polynomial or product is formed
+    # a document's terms are compared with the solved rung's, never built into
+    # a dense polynomial, so a far exponent costs nothing before the refusal
     doc = solve_chain(Hulthen(0), 0, 2).to_json()
     for far in ("400000", "-1"):
         doc["rungs"][0]["superpotential"][2] = {"0": "1", far: "1"}
-        start = time.perf_counter()
-        with pytest.raises(ValueError, match=rf"rung 0 order 2 holds the exponent {far}, outside 0\.\.2"):
-            ChainSolution.from_json(doc)
-        assert time.perf_counter() - start < 0.1
-    # the bound holds on every golden chain
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(ResidualNonzero, match=r"rung 0 differs at orders \[2\]"):
+                ChainSolution.from_json(doc)
+            assert time.perf_counter() - start < 0.1
+            assert tracemalloc.get_traced_memory()[1] < 1_000_000
+        finally:
+            tracemalloc.stop()
+    # every golden chain is its own solution
     for family, r_max, K in golden_chains().values():
         chain = solve_chain(family, r_max, K)
         assert ChainSolution.loads(chain.dumps()) == chain
 
 
 def test_chain_json_bounds_leading_term_and_perturbation_before_building():
-    # w_0 is a leading term, so its keys lie in -1..1; with K >= 1 the order-1
-    # row puts the top of the perturbation at most one above that of w_1
+    # a far w_0 key is not the leading term; with K >= 1 a perturbation is
+    # compared with the order-1 potential that w_1 and eps_1 imply before it is built
     hulthen = solve_chain(Hulthen(0), 0, 2).to_json()
     hulthen["rungs"][0]["superpotential"][0] = {"-1": "-1", "0": "1", "400000": "1"}
     oscillator = LeadingSuperpotential(pole=0, constant=0, linear=1, leading_energy=1)
     generic = solve_chain(GenericPerturbed(oscillator, P.monomial(1)), 0, 2).to_json()
     generic["family"]["perturbation"] = {"1": "1", "400000": "1"}
-    for doc, message in [
-        (hulthen, r"'superpotential': rung 0 order 0 holds the exponent 400000, outside -1\.\.1"),
-        (generic, r"'perturbation': .* holds the exponent 400000, outside 0\.\.1"),
+    for doc, error, message in [
+        (hulthen, ValueError, r"rung 0 order-0 superpotential is not the family's leading term"),
+        (generic, ResidualNonzero, r"rung 0 violates the Riccati identity at orders \[1\]"),
     ]:
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(error, match=message):
                 ChainSolution.from_json(doc)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000, message
-    # a K = 0 document has no w_1 to bound the perturbation by
+    # a K = 0 document has no w_1 to check the perturbation against
     doc = solve_chain(GenericPerturbed(oscillator, P({1: 1, 9: 1})), 0, 0).to_json()
     assert ChainSolution.from_json(doc).family.perturbation == P({1: 1, 9: 1})
 
 
 def test_chain_json_checks_order_one_top_term_before_building():
-    # B_1 = 0, so the top term of v_1 forces that of w_1: a document whose
-    # perturbation and w_1 both reach far is refused on their terms alone
+    # B_1 = 0, so rung 0's order 1 fixes the perturbation term by term: a
+    # document whose perturbation and w_1 both reach far is refused on their
+    # sparse terms alone
     oscillator = LeadingSuperpotential(pole=0, constant=0, linear=1, leading_energy=1)
     doc = solve_chain(GenericPerturbed(oscillator, P.monomial(1)), 0, 2).to_json()
     doc["family"]["perturbation"] = {"1": "1", "400000": "1"}
@@ -664,22 +670,148 @@ def test_chain_json_checks_order_one_top_term_before_building():
     tracemalloc.start()
     try:
         start = time.perf_counter()
-        with pytest.raises(ValueError, match=r"top term 1\*x\^399999, .* forces 1/2\*x\^399999$"):
+        with pytest.raises(ResidualNonzero, match=r"rung 0 violates the Riccati identity at orders \[1\]$"):
             ChainSolution.from_json(doc)
         assert time.perf_counter() - start < 0.1
         assert tracemalloc.get_traced_memory()[1] < 1_000_000
     finally:
         tracemalloc.stop()
-    # Coulomb-type: v x^T forces v/2c x^T; Hulthen's constant v_1 forces w_1 = 0
+    # Coulomb-type: a wrong w_1 top term; Hulthen's potential is not in the
+    # document, so its w_1 is compared with the solved one
     coulomb = LeadingSuperpotential(pole=F(-1), constant=F(1), linear=F(0), leading_energy=F(-1))
     doc = solve_chain(GenericPerturbed(coulomb, P({1: 1, 2: -3})), 0, 2).to_json()
     doc["rungs"][0]["superpotential"][1] = {"1": "-5/2", "2": "-3"}
-    with pytest.raises(ValueError, match=r"top term -3\*x\^2, .* forces -3/2\*x\^2$"):
+    with pytest.raises(ResidualNonzero, match=r"rung 0 violates the Riccati identity at orders \[1\]$"):
         ChainSolution.from_json(doc)
     doc = solve_chain(Hulthen(1), 0, 2).to_json()
     doc["rungs"][0]["superpotential"][1] = {"1": "3"}
-    with pytest.raises(ValueError, match=r"top term 3\*x\^1, .* forces none \(w_1 = 0\)$"):
+    with pytest.raises(ResidualNonzero, match=r"rung 0 differs at orders \[1\]"):
         ChainSolution.from_json(doc)
+
+
+def far_order_one_document(w1: dict[str, str]) -> dict:
+    """An oscillator-type generic K = 2 document with the perturbation x + x^40000
+    and the order 1 `w1`, whose far top term 1/2 x^39999 is the one x^40000 forces."""
+    oscillator = LeadingSuperpotential(pole=0, constant=0, linear=1, leading_energy=1)
+    doc = solve_chain(GenericPerturbed(oscillator, P.monomial(1)), 0, 2).to_json()
+    doc["family"]["perturbation"] = {"1": "1", "40000": "1"}
+    doc["rungs"][0]["superpotential"][1] = w1
+    return doc
+
+
+def test_chain_json_refuses_far_forced_top_term_before_building():
+    for w1 in ({"0": "1/2", "39999": "1/2"}, {"39999": "1/2"}):
+        doc = far_order_one_document(w1)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(ResidualNonzero, match=r"rung 0 violates the Riccati identity at orders \[1\]$"):
+                ChainSolution.from_json(doc)
+            assert time.perf_counter() - start < 0.1, w1
+            assert tracemalloc.get_traced_memory()[1] < 1_000_000, w1
+        finally:
+            tracemalloc.stop()
+
+
+def test_chain_json_stops_at_first_differing_order(monkeypatch):
+    # orders 2..3000 empty: refused once order 2 is solved, without the
+    # potentials, solves or residuals of the orders above it
+    K = 3000
+    rung = solve_chain(Anharmonic(), 0, 1).to_json()["rungs"][0]
+    doc = {
+        "family": {"name": "anharmonic"},
+        "b": 0,
+        "rMax": 0,
+        "K": K,
+        "rungs": [
+            {
+                "r": 0,
+                "energy": rung["energy"] + ["0"] * (K - 1),
+                "superpotential": rung["superpotential"] + [{}] * (K - 1),
+            }
+        ],
+    }
+    solved = []
+    back_substitute = engine._back_substitute
+    monkeypatch.setattr(engine, "_back_substitute", lambda *a: solved.append(1) or back_substitute(*a))
+    start = time.perf_counter()
+    with pytest.raises(ResidualNonzero, match=r"rung 0 differs at orders \[2\]"):
+        ChainSolution.from_json(doc)
+    assert time.perf_counter() - start < 0.5
+    assert len(solved) == 2
+
+
+def one_term_order_one(lead: LeadingSuperpotential, T: int) -> P:
+    """The perturbation whose order 1 is w_1 = x^T exactly: 2 w_0 x^T - T x^(T-1)."""
+    return 2 * lead.as_poly() * P.monomial(T) - P.monomial(T - 1, T)
+
+
+coulomb_leads = st.builds(
+    LeadingSuperpotential,
+    pole=st.fractions(min_value=-3, max_value=7, max_denominator=4).filter(lambda p: p < 0 or p.denominator > 1),
+    constant=st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool),
+    linear=st.just(F(0)),
+    leading_energy=st.fractions(min_value=-3, max_value=3, max_denominator=5),
+)
+oscillator_leads = st.builds(
+    LeadingSuperpotential,
+    pole=st.just(F(0)),
+    constant=st.fractions(min_value=-3, max_value=3, max_denominator=5),
+    linear=st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool),
+    leading_energy=st.fractions(min_value=-3, max_value=3, max_denominator=5),
+)
+sparse_perturbations = st.dictionaries(
+    st.integers(min_value=0, max_value=29),
+    st.fractions(min_value=-9, max_value=9, max_denominator=7),
+    max_size=4,
+).map(P)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lead=st.one_of(coulomb_leads, oscillator_leads),
+    perturbation=sparse_perturbations,
+    r_max=st.integers(min_value=0, max_value=2),
+    K=st.integers(min_value=0, max_value=4),
+)
+# one-term w_1 = x^T under a far perturbation: the order-1 row leaves the
+# rest of w_1 empty, so w_1's term count says nothing about T
+@example(LeadingSuperpotential(0, 0, 1, 1), P({10: 2, 8: -9}), 0, 2)
+@example(LeadingSuperpotential(-1, 1, 0, -1), one_term_order_one(LeadingSuperpotential(-1, 1, 0, -1), 30), 1, 2)
+@example(LeadingSuperpotential(F(7, 2), 2, 0, 0), one_term_order_one(LeadingSuperpotential(F(7, 2), 2, 0, 0), 25), 2, 3)
+def test_every_solved_generic_chain_reloads_equal(lead, perturbation, r_max, K):
+    chain = solve_chain(GenericPerturbed(lead, perturbation), r_max, K)
+    text = chain.dumps()
+    back = ChainSolution.loads(text)
+    assert back == chain
+    assert back.dumps() == text
+
+
+def test_chain_json_infinite_numbers_raise_value_error():
+    # Python's json reads Infinity and 1e400 as float('inf'), which Fraction cannot hold
+    doc = solve_chain(Hulthen(1), 0, 2).to_json()
+    rung = doc["rungs"][0]
+    for field, edited in [
+        ("energy", {**rung, "energy": rung["energy"][:2] + ["INF"]}),
+        ("superpotential", {**rung, "superpotential": rung["superpotential"][:2] + [{"1": "INF"}]}),
+    ]:
+        text = json.dumps({**doc, "rungs": [edited]})
+        for inf in ("Infinity", "-Infinity", "1e400"):
+            with pytest.raises(ValueError, match=f"field '{field}'"):
+                ChainSolution.loads(text.replace('"INF"', inf))
+
+
+def test_chain_json_integer_fields_refuse_fractions():
+    doc = solve_chain(Hulthen(1), 1, 2).to_json()
+    for bad, field in [
+        ({**doc, "K": 2.9}, "K"),
+        ({**doc, "rMax": 1.0}, "rMax"),
+        ({**doc, "b": 2.0}, "b"),
+        ({**doc, "family": {"name": "hulthen", "l": 1.9}}, "l"),
+        ({**doc, "rungs": [doc["rungs"][0], {**doc["rungs"][1], "r": 1.0}]}, "r"),
+    ]:
+        with pytest.raises(ValueError, match=f"field '{field}'"):
+            ChainSolution.from_json(bad)
 
 
 def test_chain_json_rejects_edited_coefficient():
