@@ -49,9 +49,9 @@ solved ``Rung`` and ``ChainSolution``, ``solve_chain`` and
 ``riccati_residual``.  ``ChainSolution.loads`` verifies what it loads by
 solving it again: once the orders below it are fixed, each order of a rung has
 exactly one polynomial solution, so a chain document is valid exactly when it
-equals the chain solved from its family, ``K`` and ``rMax``.  The solver's
-loop compares each order as soon as it is solved and stops at the first that
-differs.
+equals the chain solved from its family, ``K`` and ``rMax``.  The solver
+compares each coefficient as soon as its row solves it and stops at the first
+that differs.
 """
 
 from __future__ import annotations
@@ -145,6 +145,7 @@ class LeadingSuperpotential:
 
 
 _LEADING_KEYS = ("pole", "constant", "linear", "leadingEnergy")  # JSON names of its fields, in order
+_Order = tuple[dict[int, Fraction], Fraction]  # a chain document's order k: (w_k's nonzero terms, eps_k)
 
 
 def _field(obj: object, key: str, convert=lambda v: v):
@@ -240,8 +241,7 @@ class Hulthen(ProblemFamily):
         return {"name": self.name, "l": self.l}
 
     @classmethod
-    def from_json(cls, obj: dict, order_one: tuple | None = None) -> "Hulthen":
-        # `order_one` as in GenericPerturbed.from_json: l alone fixes this potential
+    def from_json(cls, obj: dict) -> "Hulthen":
         return cls(_field(obj, "l", index))
 
 
@@ -286,21 +286,16 @@ class GenericPerturbed(ProblemFamily):
         }
 
     @classmethod
-    def from_json(
-        cls, obj: dict, order_one: tuple[dict[int, Fraction], Fraction] | None = None
-    ) -> "GenericPerturbed":
-        """`order_one`: rung 0's order 1 of a chain document as (w_1 terms,
-        eps_1), None if the document has no order 1.  B_1 = 0, so the
-        perturbation is v_1 = 2 w_0 w_1 - w_1' + eps_1 on w_0 = `leading`,
-        which `_order_one_potential` forms on the document's sparse terms.
-        The perturbation is compared with it before it is built: a
-        polynomial stores its exponents densely, and solving its order 1
-        costs its top exponent in rows."""
+    def from_json(cls, obj: dict, order_one: _Order | None = None) -> "GenericPerturbed":
+        """`order_one`: rung 0's order 1 of a chain document, None if it has
+        none.  The perturbation's sparse terms are checked before it is built,
+        which stores every exponent up to its top: no pole, and (B_1 = 0)
+        equal to v_1 = 2 w_0 w_1 - w_1' + eps_1 (`_order_one_potential`)."""
         lead = _field(obj, "leading")
-        leading = LeadingSuperpotential(
-            *(_field(lead, key, Fraction) for key in _LEADING_KEYS)
-        )
+        leading = LeadingSuperpotential(*(_field(lead, key, Fraction) for key in _LEADING_KEYS))
         terms = _field(obj, "perturbation", _sparse)
+        if min(terms, default=0) < 0:
+            raise ValueError("perturbation must be a pure polynomial (min exponent >= 0)")
         if order_one is not None and terms != _order_one_potential(leading, *order_one):
             raise ResidualNonzero("rung 0 violates the Riccati identity at orders [1]")
         return cls(leading, LaurentPoly(terms))
@@ -321,7 +316,7 @@ class Anharmonic(GenericPerturbed):
         return {"name": self.name}
 
     @classmethod
-    def from_json(cls, obj: dict, order_one: tuple | None = None) -> "Anharmonic":
+    def from_json(cls, obj: dict) -> "Anharmonic":
         return cls()
 
 
@@ -378,10 +373,10 @@ class ChainSolution:
     @classmethod
     def from_json(cls, obj: dict) -> "ChainSolution":
         """The chain `obj` describes, verified by solving it again
-        (`_solve_rung`): ValueError for a malformed or incomplete ladder or a
-        rung whose order 0 is not the family's leading term, ResidualNonzero
-        at the first order that differs from the solved one.  The chain cache
-        is neither read nor filled."""
+        (`_solve_rung`): ValueError for a malformed ladder, a family without
+        such a chain (InvalidLeading or UnsolvableOrder of the solver) or a
+        w_0 that is not the family's leading term; ResidualNonzero at the
+        first order that differs.  The chain cache is neither read nor filled."""
         family_obj = _field(obj, "family")
         name = _field(family_obj, "name", str)
         if name not in _FAMILIES:
@@ -392,12 +387,19 @@ class ChainSolution:
         if K < 0 or r_max < 0 or found != list(range(r_max + 1)):
             raise ValueError(f"need K >= 0 and rungs 0..rMax in order; got K={K}, rungs {found}")
         docs = [_orders(entry, r, K) for r, entry in enumerate(entries)]
-        family = _FAMILIES[name].from_json(family_obj, docs[0][1] if K else None)
-        if b != family.b:
-            raise ValueError(f"chain b={b} disagrees with the family's b={family.b}")
-        rungs: tuple[Rung, ...] = ()
-        for r, doc in enumerate(docs):
-            rungs += (_solve_rung(family, r, K, rungs, doc),)
+        family_cls = _FAMILIES[name]
+        try:
+            if family_cls is GenericPerturbed:  # its document holds the potential order 1 fixes
+                family = family_cls.from_json(family_obj, docs[0][1] if K else None)
+            else:
+                family = family_cls.from_json(family_obj)
+            if b != family.b:
+                raise ValueError(f"chain b={b} disagrees with the family's b={family.b}")
+            rungs: tuple[Rung, ...] = ()
+            for r, doc in enumerate(docs):
+                rungs += (_solve_rung(family, r, K, rungs, doc),)
+        except (InvalidLeading, UnsolvableOrder) as exc:
+            raise ValueError(f"the family has no chain through rung {r_max}, order {K}: {exc}") from None
         return cls(family, r_max, K, rungs)
 
     def dumps(self) -> str:
@@ -415,8 +417,8 @@ def _sparse(p: dict) -> dict[int, Fraction]:
     return {e: c for e, c in terms.items() if c}
 
 
-def _orders(entry: dict, r: int, K: int) -> list[tuple[dict[int, Fraction], Fraction]]:
-    """Rung r's orders 0..K in a chain document as (w_k terms, eps_k) pairs."""
+def _orders(entry: dict, r: int, K: int) -> list[_Order]:
+    """Rung r's orders 0..K in a chain document."""
     w = _field(entry, "superpotential", lambda ps: [_sparse(p) for p in ps])
     energy = _field(entry, "energy", lambda es: [Fraction(e) for e in es])
     if not len(w) == len(energy) == K + 1:
@@ -430,9 +432,8 @@ def _order_one_potential(
     """2 w_0 w_1 - w_1' + eps_1 on sparse terms, w_0 = `leading`: each term
     a x^e of w_1 adds 2om*a x^(e+1) + 2c*a x^e + (2p - e)*a x^(e-1)."""
     v = {0: eps1}
-    two_w, two_c, two_p = 2 * leading.linear, 2 * leading.constant, 2 * leading.pole
     for e, a in w1.items():
-        for x, c in ((e + 1, two_w), (e, two_c), (e - 1, two_p - e)):
+        for x, c in ((e + 1, 2 * leading.linear), (e, 2 * leading.constant), (e - 1, 2 * leading.pole - e)):
             v[x] = v.get(x, 0) + c * a
     return {e: c for e, c in v.items() if c}
 
@@ -449,11 +450,15 @@ def _self_convolution(w: Sequence[LaurentPoly], k: int) -> list[tuple[int, _Dens
 
 
 def _back_substitute(
-    leading: LeadingSuperpotential, rhs: tuple[int, Sequence[int], int]
-) -> tuple[LaurentPoly, Fraction]:
+    leading: LeadingSuperpotential, rhs: tuple[int, Sequence[int], int], doc: _Order | None = None
+) -> tuple[LaurentPoly, Fraction] | None:
     """Solve the row recurrence (module notes) on the numerators N_beta of
     ``rhs`` over ``den``, each row times L, the lcm of the denominators of
-    2om, 2c and 2p, so that its pivot P (2c*L or 2om*L) is an integer."""
+    2om, 2c and 2p, so that its pivot P (2c*L or 2om*L) is an integer.
+
+    With `doc`, a chain document's order, each coefficient is compared as
+    soon as its row solves it, top row first, and None is returned at the
+    first that differs: a refusal costs the rows the document matched."""
     lo, nums, den = rhs
     nonzero = [i for i, n in enumerate(nums) if n]
     if nonzero and lo + nonzero[0] < 0:
@@ -462,16 +467,23 @@ def _back_substitute(
     if not P:
         raise UnsolvableOrder("Coulomb-type leading term with zero constant part")
     top = lo + nonzero[-1] if nonzero else 0
+    if doc is not None and any(not 1 - s <= j <= top - s for j in doc[0]):  # rows solve w_(1-s)..w_(top-s)
+        return None
     N = [0] * lo + list(nums[max(-lo, 0) :]) + [0]  # N[beta] of x^beta; N[0] of a zero rhs
-    # u[j+1]: w_j * den * P^(top-beta+1), solved at row beta = j + s.  A row's
-    # unsolved unknowns are still 0, so subtracting its whole left side leaves
-    # P times the pivot (its 2om term is 0 or the pivot)
+    # u[j+1]: w_j * den * P^(top-beta+1), solved at row beta = j + s; row 0's
+    # slot u[1-s] is eps * den * L*P^top.  A row's unsolved unknowns are
+    # still 0, so subtracting its whole left side leaves P times the pivot
+    # (its 2om term is 0 or the pivot)
     u = [0] * (top + 3)
     scale = L  # L * P^(top-beta)
     for beta in range(top, -1, -1):
-        u[beta + 1 - s] = scale * N[beta] - C * u[beta + 1] - (B - (beta + 1) * LPs) * u[beta + 2]
+        u[beta + 1 - s] = n = scale * N[beta] - C * u[beta + 1] - (B - (beta + 1) * LPs) * u[beta + 2]
+        if doc is not None:
+            a, m, f = (doc[0].get(beta - s, 0), L, P) if beta else (doc[1], 1, 1)
+            if n * m * a.denominator != a.numerator * den * f * scale:
+                return None
         scale *= P
-    # row 0's pivot slot holds L*eps over den * P^top; bring w over it too
+    # bring w over eps's denominator den * P^top
     out, power = [], 1
     for n in u[2 - s : top + 2 - s]:
         out.append(n * power)
@@ -550,38 +562,35 @@ def _solve_chain_cached(family: ProblemFamily, r_max: int, K: int) -> ChainSolut
 
 
 def _solve_rung(
-    family: ProblemFamily,
-    r: int,
-    K: int,
-    below: tuple[Rung, ...],
-    doc: Sequence[tuple[dict[int, Fraction], Fraction]] | None = None,
+    family: ProblemFamily, r: int, K: int, below: tuple[Rung, ...], doc: Sequence[_Order] | None = None
 ) -> Rung:
     """Rung r through order K on the rungs `below` it, checked.
 
-    With `doc`, a chain document's orders 0..K of rung r as (w_k terms, eps_k)
-    pairs (`_orders`), each order is compared as soon as it is solved, and
-    order k's potential is formed only once the orders below have matched.
-    The orders below fix order k's Riccati identity, which then has exactly
-    one polynomial solution, so the first order that differs is refused:
-    ValueError if w_0 is not the family's leading term, ResidualNonzero
-    otherwise.
+    With `doc`, a chain document's orders 0..K of rung r (`_orders`), each
+    coefficient of order k is compared as soon as `_back_substitute` solves
+    it, and order k's potential is formed only once the orders below have
+    matched.  They fix order k's Riccati identity, which then has exactly one
+    polynomial solution, so the first coefficient that differs refuses the
+    document: ValueError if w_0 is not the family's leading term,
+    ResidualNonzero naming the order otherwise.
     """
     lead = family.rung_leading(r)
     w = [lead.as_poly()]
     energy = [lead.leading_energy]
-    v: list[LaurentPoly] = []
+    if doc is not None and doc[0][0] != dict(w[0].items()):
+        raise ValueError(f"rung {r} order-0 superpotential is not the family's leading term")
+    differs = f"rung {r} differs at orders [{{}}] from the one polynomial solution of the Riccati identity"
+    if doc is not None and doc[0][1] != energy[0]:
+        raise ResidualNonzero(differs.format(0))
+    v = [_rung_potential(family, r, 0, below)]
     B = [_DENSE_ZERO]  # B_0; every B_k is kept for the rung's check
-    for k in range(K + 1):
+    for k in range(1, K + 1):
         v.append(_rung_potential(family, r, k, below))
-        if k:
-            B.append(_dense_combine(_self_convolution(w, k)))
-            w_k, eps_k = _back_substitute(lead, _dense_combine([(1, v[k]._dense), (-1, B[k])]))
-            w.append(w_k)
-            energy.append(eps_k)
-        if doc is not None and doc[k] != (solved := (dict(w[k].items()), energy[k])):
-            if not k and doc[0][0] != solved[0]:
-                raise ValueError(f"rung {r} order-0 superpotential is not the family's leading term")
-            raise ResidualNonzero(
-                f"rung {r} differs at orders [{k}] from the one polynomial solution of the Riccati identity"
-            )
+        B.append(_dense_combine(_self_convolution(w, k)))
+        rhs = _dense_combine([(1, v[k]._dense), (-1, B[k])])
+        solved = _back_substitute(lead, rhs) if doc is None else _back_substitute(lead, rhs, doc[k])
+        if solved is None:
+            raise ResidualNonzero(differs.format(k))
+        w.append(solved[0])
+        energy.append(solved[1])
     return _checked(Rung(r, lead, tuple(w), tuple(energy), tuple(v)), B)

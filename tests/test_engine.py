@@ -578,6 +578,14 @@ def test_generic_unsolvable_without_constant_part():
     fam = GenericPerturbed(lead, P.monomial(1))
     with pytest.raises(UnsolvableOrder):
         solve_chain(fam, 0, 2)
+    # a chain document of that family is malformed, though w_1 = x^2 and
+    # eps_1 = 0 imply its perturbation -4x: the family has no order 1
+    doc = solve_chain(GenericPerturbed(lead, P.monomial(1, -4)), 0, 0).to_json()
+    doc["K"] = 1
+    doc["rungs"][0]["superpotential"].append({"2": "1"})
+    doc["rungs"][0]["energy"].append("0")
+    with pytest.raises(ValueError, match="no chain through rung 0, order 1: .*zero constant part"):
+        ChainSolution.from_json(doc)
 
 
 # ------------------------------------------------------------- serialization -
@@ -642,9 +650,17 @@ def test_chain_json_bounds_leading_term_and_perturbation_before_building():
     oscillator = LeadingSuperpotential(pole=0, constant=0, linear=1, leading_energy=1)
     generic = solve_chain(GenericPerturbed(oscillator, P.monomial(1)), 0, 2).to_json()
     generic["family"]["perturbation"] = {"1": "1", "400000": "1"}
+    # w_1 = x^-400000 and eps_1 = 1 on w_0 = -1/x + 1 imply this perturbation
+    # exactly; its pole is refused before it is built
+    coulomb = LeadingSuperpotential(pole=F(-1), constant=F(1), linear=F(0), leading_energy=F(-1))
+    pole = solve_chain(GenericPerturbed(coulomb, P.monomial(1)), 0, 2).to_json()
+    pole["family"]["perturbation"] = {"-400001": "399998", "-400000": "2", "0": "1"}
+    pole["rungs"][0]["superpotential"][1] = {"-400000": "1"}
+    pole["rungs"][0]["energy"][1] = "1"
     for doc, error, message in [
         (hulthen, ValueError, r"rung 0 order-0 superpotential is not the family's leading term"),
         (generic, ResidualNonzero, r"rung 0 violates the Riccati identity at orders \[1\]"),
+        (pole, ValueError, r"perturbation must be a pure polynomial"),
     ]:
         tracemalloc.start()
         try:
@@ -699,18 +715,44 @@ def far_order_one_document(w1: dict[str, str]) -> dict:
     return doc
 
 
+def consistent_far_order_one_document(S: int) -> dict:
+    """An oscillator-type generic K = 2 document whose order 1, w_1 = (1 + x^S)/2
+    with eps_1 = 0, is the one its perturbation x + x^(S+1) - (S/2) x^(S-1)
+    forces, and whose order 2 is empty; the solved w_2 reaches x^(2S-1)."""
+    oscillator = LeadingSuperpotential(pole=0, constant=0, linear=1, leading_energy=1)
+    doc = solve_chain(GenericPerturbed(oscillator, P.monomial(1)), 0, 2).to_json()
+    doc["family"]["perturbation"] = {"1": "1", str(S + 1): "1", str(S - 1): str(F(-S, 2))}
+    doc["rungs"][0]["superpotential"][1:] = [{"0": "1/2", str(S): "1/2"}, {}]
+    doc["rungs"][0]["energy"][1:] = ["0", "0"]
+    return doc
+
+
 def test_chain_json_refuses_far_forced_top_term_before_building():
-    for w1 in ({"0": "1/2", "39999": "1/2"}, {"39999": "1/2"}):
-        doc = far_order_one_document(w1)
+    refusals = [
+        (far_order_one_document(w1), r"rung 0 violates the Riccati identity at orders \[1\]$")
+        for w1 in ({"0": "1/2", "39999": "1/2"}, {"39999": "1/2"})
+    ]
+    # order 1 matches, so it is solved; order 2 is compared row by row from
+    # its top and refused at its first row, never solved to its ~2S rows of
+    # growing numerators (S = 1000 took 0.15 s and 2.6 MB solved whole)
+    refusals.append((consistent_far_order_one_document(1000), r"rung 0 differs at orders \[2\]"))
+    for doc, message in refusals:
         tracemalloc.start()
         try:
             start = time.perf_counter()
-            with pytest.raises(ResidualNonzero, match=r"rung 0 violates the Riccati identity at orders \[1\]$"):
+            with pytest.raises(ResidualNonzero, match=message):
                 ChainSolution.from_json(doc)
-            assert time.perf_counter() - start < 0.1, w1
-            assert tracemalloc.get_traced_memory()[1] < 1_000_000, w1
+            assert time.perf_counter() - start < 0.1, message
+            assert tracemalloc.get_traced_memory()[1] < 1_000_000, message
         finally:
             tracemalloc.stop()
+    # the same order 1 with its solved order 2 loads
+    S = 30
+    doc = consistent_far_order_one_document(S)
+    oscillator = LeadingSuperpotential(pole=0, constant=0, linear=1, leading_energy=1)
+    chain = solve_chain(GenericPerturbed(oscillator, P.from_json(doc["family"]["perturbation"])), 0, 2)
+    assert chain.to_json()["rungs"][0]["superpotential"][1] == {"0": "1/2", str(S): "1/2"}
+    assert ChainSolution.from_json(chain.to_json()) == chain
 
 
 def test_chain_json_stops_at_first_differing_order(monkeypatch):
@@ -739,6 +781,26 @@ def test_chain_json_stops_at_first_differing_order(monkeypatch):
         ChainSolution.from_json(doc)
     assert time.perf_counter() - start < 0.5
     assert len(solved) == 2
+
+
+def test_chain_json_refuses_extra_terms_and_edited_energies():
+    # a valid order with one more term above its top or below its lowest
+    # solved exponent (x^1 under a Coulomb-type, x^0 under an oscillator-type
+    # leading term) is refused, though every solved row matches; so is an
+    # order whose w_k matches but whose eps_k, solved in row 0, does not
+    for family in (Hulthen(1), Anharmonic()):
+        doc = solve_chain(family, 1, 3).to_json()
+        rung = doc["rungs"][1]
+        w2 = rung["superpotential"][2]
+        keys = [int(e) for e in w2]
+        lowest = 1 if family.radial else 0
+        edits = [{"superpotential": rung["superpotential"][:2] + [{**w2, str(e): "1"}] + rung["superpotential"][3:]}
+                 for e in (max(keys) + 1, max(keys) + 7, lowest - 1)]
+        energy = rung["energy"][:2] + [str(F(rung["energy"][2]) + F(1, 1000))] + rung["energy"][3:]
+        for edit in edits + [{"energy": energy}]:
+            edited = {**doc, "rungs": [doc["rungs"][0], {**rung, **edit}]}
+            with pytest.raises(ResidualNonzero, match=r"rung 1 differs at orders \[2\]"):
+                ChainSolution.from_json(edited)
 
 
 def one_term_order_one(lead: LeadingSuperpotential, T: int) -> P:
