@@ -578,14 +578,6 @@ def test_generic_unsolvable_without_constant_part():
     fam = GenericPerturbed(lead, P.monomial(1))
     with pytest.raises(UnsolvableOrder):
         solve_chain(fam, 0, 2)
-    # a chain document of that family is malformed, though w_1 = x^2 and
-    # eps_1 = 0 imply its perturbation -4x: the family has no order 1
-    doc = solve_chain(GenericPerturbed(lead, P.monomial(1, -4)), 0, 0).to_json()
-    doc["K"] = 1
-    doc["rungs"][0]["superpotential"].append({"2": "1"})
-    doc["rungs"][0]["energy"].append("0")
-    with pytest.raises(ValueError, match="no chain through rung 0, order 1: .*zero constant part"):
-        ChainSolution.from_json(doc)
 
 
 # ------------------------------------------------------------- serialization -
@@ -847,6 +839,18 @@ def test_every_solved_generic_chain_reloads_equal(lead, perturbation, r_max, K):
     back = ChainSolution.loads(text)
     assert back == chain
     assert back.dumps() == text
+
+
+def test_chain_json_unsolvable_family_raises_value_error():
+    # w_1 = x^2 and eps_1 = 0 imply the perturbation -4x, but over a
+    # Coulomb-type leading term with zero constant part the family has no order 1
+    lead = LeadingSuperpotential(pole=F(-1), constant=F(0), linear=F(0), leading_energy=F(0))
+    doc = solve_chain(GenericPerturbed(lead, P.monomial(1, -4)), 0, 0).to_json()
+    doc["K"] = 1
+    doc["rungs"][0]["superpotential"].append({"2": "1"})
+    doc["rungs"][0]["energy"].append("0")
+    with pytest.raises(ValueError, match="no chain through rung 0, order 1: .*zero constant part"):
+        ChainSolution.from_json(doc)
 
 
 def test_chain_json_infinite_numbers_raise_value_error():
