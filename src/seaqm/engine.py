@@ -23,6 +23,12 @@ Excited levels come from a ladder of partner problems: rung r+1 has potential
 except for the lowest state removed at each step.  Every solved rung is
 verified against the exact Riccati identity before a chain is returned.
 
+``solve_chain`` caches one chain: the ladder being extended.  Asking for rung
+r+1 of the same family at the same K adds one rung to it; another family,
+another K or a shallower prefix is solved again.  So a caller that reads
+several rungs walks one ladder at a time, in rung order, and a process holds
+one ladder in memory, however many it has solved.
+
 Each order of a rung is solved on integers end to end.  The partner potential
 ``v_{r,k}`` and the right-hand side ``v_k - B_k`` are integer combinations of
 the dense forms of ``exact`` (integer numerators over one denominator); the
@@ -80,7 +86,9 @@ from .exact import (
     _dense_poly,
     _dense_reduced,
     _dense_sum,
+    _terms_from_json,
     bernoulli_minus,
+    rational_from_str,
     rational_to_str,
 )
 
@@ -150,16 +158,17 @@ _Order = tuple[dict[int, Fraction], Fraction]  # a chain document's order k: (w_
 
 def _field(obj: object, key: str, convert=lambda v: v):
     """`convert(obj[key])` of a chain document; a ValueError that names `key` when
-    `obj` is not a JSON object, lacks `key`, or holds what `convert` cannot parse
-    (an infinite number, which Python's `json` reads from ``Infinity`` or
-    ``1e400``, is an OverflowError of `Fraction`)."""
+    `obj` is not a JSON object, lacks `key`, or holds what `convert` cannot parse.
+    A document's rationals are strings in `rational_to_str`'s grammar, read by
+    `rational_from_str`; any other number, such as the float Python's `json`
+    reads from ``Infinity`` or ``1e400``, is refused."""
     if not isinstance(obj, dict):
         raise ValueError(f"expected a JSON object with the field {key!r}, got {type(obj).__name__}")
     if key not in obj:
         raise ValueError(f"missing field {key!r}")
     try:
         return convert(obj[key])
-    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError) as exc:
         raise ValueError(f"field {key!r}: {exc}") from None
 
 
@@ -292,8 +301,8 @@ class GenericPerturbed(ProblemFamily):
         which stores every exponent up to its top: no pole, and (B_1 = 0)
         equal to v_1 = 2 w_0 w_1 - w_1' + eps_1 (`_order_one_potential`)."""
         lead = _field(obj, "leading")
-        leading = LeadingSuperpotential(*(_field(lead, key, Fraction) for key in _LEADING_KEYS))
-        terms = _field(obj, "perturbation", _sparse)
+        leading = LeadingSuperpotential(*(_field(lead, key, rational_from_str) for key in _LEADING_KEYS))
+        terms = _field(obj, "perturbation", _terms_from_json)
         if min(terms, default=0) < 0:
             raise ValueError("perturbation must be a pure polynomial (min exponent >= 0)")
         if order_one is not None and terms != _order_one_potential(leading, *order_one):
@@ -410,17 +419,10 @@ class ChainSolution:
         return cls.from_json(json.loads(text))
 
 
-def _sparse(p: dict) -> dict[int, Fraction]:
-    """A polynomial of a chain document as exponent -> coefficient of its
-    nonzero terms, never built into a (dense) LaurentPoly."""
-    terms = {int(e): Fraction(c) for e, c in p.items()}
-    return {e: c for e, c in terms.items() if c}
-
-
 def _orders(entry: dict, r: int, K: int) -> list[_Order]:
     """Rung r's orders 0..K in a chain document."""
-    w = _field(entry, "superpotential", lambda ps: [_sparse(p) for p in ps])
-    energy = _field(entry, "energy", lambda es: [Fraction(e) for e in es])
+    w = _field(entry, "superpotential", lambda ps: [_terms_from_json(p) for p in ps])
+    energy = _field(entry, "energy", lambda es: [rational_from_str(e) for e in es])
     if not len(w) == len(energy) == K + 1:
         raise ValueError(f"rung {r} must hold orders 0..{K}")
     return list(zip(w, energy))
@@ -552,10 +554,12 @@ def _checked(rung: Rung, B=None) -> Rung:
     return rung
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=1)
 def _solve_chain_cached(family: ProblemFamily, r_max: int, K: int) -> ChainSolution:
-    # Chains extend their one-rung-shorter prefix, so ladders of different
-    # depths over the same family share all common rungs through the cache.
+    # The cache holds the ladder being extended.  A chain reads only its
+    # one-rung-shorter prefix, which the call below has just stored, so a
+    # ladder asked for in rung order solves each rung once; another family,
+    # another K or a shallower prefix is solved again.
     below = _solve_chain_cached(family, r_max - 1, K).rungs if r_max > 0 else ()
     rung = _solve_rung(family, r_max, K, below)
     return ChainSolution(family, r_max, K, below + (rung,))

@@ -20,6 +20,7 @@ the Bernoulli recurrence reads for every smaller index.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import repeat
@@ -33,6 +34,7 @@ __all__ = [
     "LaurentPoly",
     "bernoulli_minus",
     "horner",
+    "rational_from_str",
     "rational_to_str",
 ]
 
@@ -43,6 +45,34 @@ def rational_to_str(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
+
+
+_INTEGER = re.compile(r"-?[0-9]+")  # an exponent, as `LaurentPoly.to_json` writes it
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")  # a coefficient, as rational_to_str writes it
+
+
+def rational_from_str(text: str) -> Fraction:
+    """The inverse of `rational_to_str`: ``"p"`` or ``"p/q"`` in decimal digits
+    with q != 0, a ValueError for anything else.  Its cost is linear in the
+    text; ``Fraction(str)`` also reads decimal exponents, and expands
+    ``"1e10000000"`` exactly."""
+    match = _RATIONAL.fullmatch(text) if isinstance(text, str) else None
+    q = int(match[2] or 1) if match else 0
+    if not q:
+        raise ValueError(f"expected 'p' or 'p/q' with integers p and q != 0, got {text!r:.40}")
+    return Fraction(int(match[1]), q)
+
+
+def _terms_from_json(obj: Mapping[str, str]) -> dict[int, Fraction]:
+    """The nonzero terms, exponent -> coefficient, of a polynomial's JSON
+    object (`LaurentPoly.to_json`): decimal integer keys and
+    `rational_from_str` values, a ValueError otherwise."""
+    terms = {}
+    for e, c in obj.items():
+        if not (isinstance(e, str) and _INTEGER.fullmatch(e)):
+            raise ValueError(f"expected a decimal integer exponent, got {e!r:.40}")
+        terms[int(e)] = rational_from_str(c)
+    return {e: c for e, c in terms.items() if c}
 
 
 def horner(coeffs: Sequence, t):
@@ -201,7 +231,7 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, obj: Mapping[str, str]) -> "LaurentPoly":
-        return cls({int(e): Fraction(v) for e, v in obj.items()})
+        return cls(_terms_from_json(obj))
 
     def __repr__(self) -> str:
         if not self:

@@ -30,11 +30,13 @@ def pade_digest(P: PadeApproximant) -> str:
 
 def golden_pade_digests() -> dict[str, str]:
     """Label -> digest of every golden approximant."""
+    # one l-ladder at a time, n ascending (the chain cache holds one ladder);
+    # the labels are listed n outer
+    kept = {(n, l): critical_lambda(n, l).approximants for l in range(9) for n in range(l + 1, 10)}
     digests = {}
-    for n in range(1, 10):
-        for l in range(n):
-            for i, P in enumerate(critical_lambda(n, l).approximants):
-                digests[f"critical n={n} l={l} #{i} [{P.m}/{P.n}]"] = pade_digest(P)
+    for n, l in sorted(kept):
+        for i, P in enumerate(kept[n, l]):
+            digests[f"critical n={n} l={l} #{i} [{P.m}/{P.n}]"] = pade_digest(P)
     for r in (0, 1):
         coeffs = anharmonic_energy_series(r, 41).coeffs
         for m, n in ((21, 20), (20, 20)):

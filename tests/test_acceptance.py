@@ -122,10 +122,11 @@ def test_criterion_3_l0_series_terminates():
 
 @pytest.fixture(scope="module")
 def critical_table():
+    # one l-ladder at a time, n ascending: the chain cache holds one ladder
     return {
         (n, l): critical_lambda(n, l, 30, ((15, 14), (14, 14)))
-        for n in range(1, 10)
-        for l in range(n)
+        for l in range(9)
+        for n in range(l + 1, 10)
     }
 
 
@@ -241,31 +242,34 @@ def test_criterion_6_pair_precision_clause_at_lambda_3():
 
 def test_criterion_7_property_suite(critical_table):
     """Exact residuals, node counts, parity, and re-expansion identities."""
-    # Riccati residuals identically zero: screened Coulomb l <= 4, r <= 4, K = 14
-    for l in range(5):
-        chain = solve_chain(Hulthen(l), 4, 14)
-        for r in range(5):
-            rung = chain.rung(r)
-            res = riccati_residual(rung.w, rung.potential, rung.energy, 14)
-            assert all(p.is_zero for p in res), (l, r)
-            assert all(rung.energy[k] == 0 for k in range(3, 15, 2)), (l, r)
-    chain = solve_chain(Anharmonic(), 4, 14)
-    for r in range(5):
-        rung = chain.rung(r)
-        res = riccati_residual(rung.w, rung.potential, rung.energy, 14)
-        assert all(p.is_zero for p in res), r
-    # eigenstate residuals and node counts over the same range
+    # Riccati and eigenstate residuals identically zero: screened Coulomb
+    # l <= 4, r <= 4, K = 14.  Each ladder is walked in rung order, states
+    # first, so the chain cache extends it one rung at a time
     for l in range(5):
         for r in range(5):
             n = l + 1 + r
             state = build_eigenstate(Hulthen(l), 14, n=n, l=l)
             chain = solve_chain(Hulthen(l), r, 14)
             assert all(p.is_zero for p in hamiltonian_residual(state, chain)), (n, l)
-            assert count_nodes(build_eigenstate(Hulthen(l), 0, n=n, l=l), 0.0) == r, (n, l)
+        chain = solve_chain(Hulthen(l), 4, 14)
+        for r in range(5):
+            rung = chain.rung(r)
+            res = riccati_residual(rung.w, rung.potential, rung.energy, 14)
+            assert all(p.is_zero for p in res), (l, r)
+            assert all(rung.energy[k] == 0 for k in range(3, 15, 2)), (l, r)
+    states = [build_eigenstate(Anharmonic(), 14, r=r) for r in range(5)]
     chain = solve_chain(Anharmonic(), 4, 14)
     for r in range(5):
-        state = build_eigenstate(Anharmonic(), 14, r=r)
-        assert all(p.is_zero for p in hamiltonian_residual(state, chain)), r
+        rung = chain.rung(r)
+        res = riccati_residual(rung.w, rung.potential, rung.energy, 14)
+        assert all(p.is_zero for p in res), r
+        assert all(p.is_zero for p in hamiltonian_residual(states[r], chain)), r
+    # node counts of the K = 0 states over the same range
+    for l in range(5):
+        for r in range(5):
+            n = l + 1 + r
+            assert count_nodes(build_eigenstate(Hulthen(l), 0, n=n, l=l), 0.0) == r, (n, l)
+    for r in range(5):
         assert count_nodes(build_eigenstate(Anharmonic(), 0, r=r), 0.0) == r
     # re-expansion identity for every approximant used in criteria 4 and 6
     checked = 0

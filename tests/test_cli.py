@@ -11,6 +11,7 @@ import seaqm.resummation
 import seaqm.states
 import seaqm.validation
 from seaqm.cli import main
+from seaqm.engine import _solve_chain_cached
 from seaqm.validation import coefficient_suite
 from seaqm.errors import NoSignChange
 
@@ -231,6 +232,16 @@ def test_critical_small_table(tmp_path, monkeypatch):
     assert table[(1, 0)] == 2.0
     assert table[(2, 0)] == 0.5
     assert abs(table[(2, 1)] - 0.3767388) <= 5e-7
+
+
+def test_critical_table_holds_one_ladder(tmp_path, monkeypatch):
+    # the table walks one l-ladder at a time, n ascending: each of its 45
+    # rungs is solved once, and the chain cache ends holding one ladder
+    monkeypatch.setenv("SEA_THREADS", "1")
+    _solve_chain_cached.cache_clear()
+    assert run(["critical", "--nmax", "9", "--out", str(tmp_path / "t.csv")]) == 0
+    info = _solve_chain_cached.cache_info()
+    assert (info.misses, info.currsize) == (45, 1)
 
 
 def test_critical_resume_skips_done_cells(tmp_path, monkeypatch):
@@ -745,6 +756,34 @@ def test_validate_table1_subset(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["suites"][0]["checks"] == 6
     assert doc["status"] == "pass"
+
+
+def test_validate_table1_solves_each_rung_once(tmp_path, monkeypatch):
+    # the suite walks one l-ladder at a time, so its 45 cells cost 45 rungs,
+    # and still reports its checks n outer, l inner
+    checks, suite = [], seaqm.validation._suite
+
+    def recording(name, results):
+        checks.extend(check for check, *_ in results)
+        return suite(name, results)
+
+    monkeypatch.setattr(seaqm.validation, "_suite", recording)
+    _solve_chain_cached.cache_clear()
+    out = tmp_path / "v.json"
+    assert run(["validate", "--suite", "table1", "--nmax", "9", "--out", str(out)]) == 0
+    assert _solve_chain_cached.cache_info().misses == 45
+    assert checks == [f"lambda_c({n},{l})" for n in range(1, 10) for l in range(n)]
+    doc = json.loads(out.read_text())
+    assert doc == {
+        "metadata": {
+            "command": "validate",
+            "version": seaqm.__version__,
+            "parameters": {"command": "validate", "out": str(out), "suite": "table1", "nmax": 9},
+        },
+        "suites": [{"suite": "table1", "checks": 45, "failures": []}],
+        "records": [],
+        "status": "pass",
+    }
 
 
 def test_critical_bad_sea_threads_exit_2(monkeypatch, capsys):

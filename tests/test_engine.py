@@ -423,8 +423,10 @@ def test_solver_hands_the_check_each_B_k_formed_afresh(monkeypatch):
             solve_chain(*spec)
     finally:
         _solve_chain_cached.cache_clear()
-    # the r <= 1 ladder is a prefix of the golden anharmonic chain, so the cache serves it
-    assert len(handed) == sum(r_max + 1 for _, r_max, _ in specs[:-1])
+    # one check per rung solved: the cache holds only the last ladder, a generic
+    # one, so the anharmonic r <= 1 ladder (a prefix of the golden r <= 4 one,
+    # solved three chains earlier) is solved again, its 2 rungs checked again
+    assert len(handed) == sum(r_max + 1 for _, r_max, _ in specs)
     for w, B_handed in handed:
         assert len(B_handed) == len(w)
         for k, B_k in enumerate(B_handed):
@@ -865,6 +867,43 @@ def test_chain_json_infinite_numbers_raise_value_error():
         for inf in ("Infinity", "-Infinity", "1e400"):
             with pytest.raises(ValueError, match=f"field '{field}'"):
                 ChainSolution.loads(text.replace('"INF"', inf))
+
+
+def test_chain_json_zero_denominator_raises_value_error():
+    # Fraction("1/0") raises ZeroDivisionError; a document's rationals are read
+    # in rational_to_str's grammar, whose denominator is nonzero
+    oscillator = LeadingSuperpotential(pole=0, constant=F(1, 2), linear=1, leading_energy=F(3, 4))
+    doc = solve_chain(GenericPerturbed(oscillator, P.monomial(1)), 0, 2).to_json()
+    family, rung = doc["family"], doc["rungs"][0]
+    w2 = rung["superpotential"][:2] + [{"1": "-3/0"}]
+    for field, edited in [
+        ("energy", {**doc, "rungs": [{**rung, "energy": rung["energy"][:2] + ["1/0"]}]}),
+        ("superpotential", {**doc, "rungs": [{**rung, "superpotential": w2}]}),
+        ("perturbation", {**doc, "family": {**family, "perturbation": {"1": "1/0"}}}),
+        ("leadingEnergy", {**doc, "family": {**family, "leading": {**family["leading"], "leadingEnergy": "3/0"}}}),
+    ]:
+        with pytest.raises(ValueError, match=f"field '{field}'.*got '-?[13]/0'"):
+            ChainSolution.from_json(edited)
+
+
+def test_chain_json_reads_only_integers_and_ratios_in_time():
+    # Fraction(str) expands a decimal exponent exactly: "1e10000000" takes
+    # seconds; the loader refuses every number outside "p" and "p/q" on its text
+    doc = solve_chain(Hulthen(1), 0, 2).to_json()
+    rung = doc["rungs"][0]
+    for bad in ("1e10000000", "1.5", "+1", "١", 1):
+        for field, edited in [
+            ("energy", {**rung, "energy": rung["energy"][:2] + [bad]}),
+            ("superpotential", {**rung, "superpotential": rung["superpotential"][:2] + [{"1": bad}]}),
+        ]:
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=f"field '{field}'"):
+                ChainSolution.from_json({**doc, "rungs": [edited]})
+            assert time.perf_counter() - start < 0.1, (field, bad)
+    for key in ("1e10000000", "1.0", "+1", "1/1"):
+        edited = {**rung, "superpotential": rung["superpotential"][:2] + [{key: "1"}]}
+        with pytest.raises(ValueError, match="field 'superpotential'.*exponent"):
+            ChainSolution.from_json({**doc, "rungs": [edited]})
 
 
 def test_chain_json_integer_fields_refuse_fractions():

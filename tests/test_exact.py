@@ -16,6 +16,7 @@ from seaqm.exact import (
     _dense_sum,
     bernoulli_minus,
     horner,
+    rational_from_str,
     rational_to_str,
 )
 from seaqm.states import _cauchy
@@ -170,6 +171,20 @@ def test_exponents_must_be_integers():
     with pytest.raises(ValueError):
         P.from_json({"1.5": "1"})
     assert P({np.int64(2): F(1, 3)}) == P.monomial(2, F(1, 3))
+
+
+@given(st.fractions())
+@example(F(0))
+@example(F(-7, 3))
+def test_rational_from_str_inverts_rational_to_str(q):
+    assert rational_from_str(rational_to_str(q)) == q
+
+
+def test_rational_from_str_reads_only_its_grammar():
+    assert rational_from_str("-0012/4") == F(-3)
+    for bad in ("1/0", "1e5", "1.5", "+1", " 1", "1 ", "1_0", "-", "/2", "1/-2", "١", "", 1, F(1)):
+        with pytest.raises(ValueError):
+            rational_from_str(bad)
 
 
 @given(polys)

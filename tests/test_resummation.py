@@ -571,7 +571,7 @@ def test_double_roots_end():
 def test_table_through_n_15_falls_with_l():
     # past the tabulated n <= 9, lambda_c is 0.006-0.02 and an approximant's
     # first pole often lies within 0.002 above it
-    table = {(n, l): critical_lambda(n, l, 30) for n in range(2, 16) for l in range(1, n)}
+    table = {(n, l): critical_lambda(n, l, 30) for l in range(1, 15) for n in range(l + 1, 16)}
     for n in range(2, 16):
         lams = [table[n, l].lambda_c for l in range(1, n)]
         assert all(a > b for a, b in zip(lams, lams[1:])), n
