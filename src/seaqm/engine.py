@@ -29,15 +29,19 @@ another K or a shallower prefix is solved again.  So a caller that reads
 several rungs walks one ladder at a time, in rung order, and a process holds
 one ladder in memory, however many it has solved.
 
-Each order of a rung is solved on integers end to end.  The partner potential
-``v_{r,k}`` and the right-hand side ``v_k - B_k`` are integer combinations of
-the dense forms of ``exact`` (integer numerators over one denominator); the
-back-substitution scales every row by one integer, so the whole order lies
-over one denominator, and one gcd reduces it to the canonical ``w_k``.  Only
-the energy coefficient is formed as a single ``Fraction``.  The residual check
+Each order of a rung is solved on integers end to end.  ``B_k`` is one call
+of the product kernel ``exact._dense_dot``, which forms each product as one
+big-integer product of packed w_m (for the anharmonic oscillator on stride 2:
+every w_k is odd), each w_m packed once per slot width in the rung; the
+partner potential ``v_{r,k}`` and the right-hand side ``v_k - B_k`` are
+integer combinations of the dense forms of ``exact`` (integer numerators over
+one denominator); the back-substitution scales every row by one integer, so
+the whole order lies over one denominator, and one gcd reduces it to the
+canonical ``w_k``.  Only the energy coefficient is formed as a single
+``Fraction``.  The residual check
 takes from this path only each ``B_k``, formed once on the final
-w_1..w_(k-1); it forms ``2 w_0 w_k``, ``w_k'``, ``v_k`` (from the rung's own
-tuple) and ``eps_k`` itself.
+w_1..w_(k-1); it forms ``2 w_0 w_k`` (on the same kernel), ``w_k'``, ``v_k``
+(from the rung's own tuple) and ``eps_k`` itself.
 
 Every problem family (``Hulthen``, ``GenericPerturbed`` and its quartic case
 ``Anharmonic``) is a ``ProblemFamily``, which owns the ladder: ``radial``
@@ -79,10 +83,9 @@ from .errors import (
 from .exact import (
     LaurentPoly,
     _DENSE_ZERO,
-    _Dense,
     _dense_combine,
     _dense_derivative,
-    _dense_mul,
+    _dense_dot,
     _dense_poly,
     _dense_reduced,
     _dense_sum,
@@ -440,14 +443,13 @@ def _order_one_potential(
     return {e: c for e, c in v.items() if c}
 
 
-def _self_convolution(w: Sequence[LaurentPoly], k: int) -> list[tuple[int, _Dense]]:
-    """Weighted integer-kernel terms of ``B_k = sum_{m+n=k, m,n>=1} w_m w_n``,
-    each distinct product formed once: ``2 w_m w_{k-m}`` for m < k/2 plus the
-    middle square."""
-    terms = [(2, _dense_mul(w[m]._dense, w[k - m]._dense)) for m in range(1, (k + 1) // 2)]
+def _self_convolution(w: Sequence[LaurentPoly], k: int) -> list[tuple[int, LaurentPoly, LaurentPoly]]:
+    """`_dense_dot` terms of ``B_k = sum_{m+n=k, m,n>=1} w_m w_n``, each
+    distinct product once: ``2 w_m w_{k-m}`` for m < k/2 plus the middle
+    square."""
+    terms = [(2, w[m], w[k - m]) for m in range(1, (k + 1) // 2)]
     if k % 2 == 0 and k >= 2:
-        mid = w[k // 2]._dense
-        terms.append((1, _dense_mul(mid, mid)))
+        terms.append((1, w[k // 2], w[k // 2]))
     return terms
 
 
@@ -507,13 +509,12 @@ def riccati_residual(
     are always formed here, so every order is an exact zero test.
     """
     if B is None:
-        B = [_dense_combine(_self_convolution(w, k)) for k in range(K + 1)]
-    w0 = w[0]._dense
+        B = [_dense_dot(_self_convolution(w, k)) for k in range(K + 1)]
     return [
         _dense_sum(
             [
                 (1, B[k]),
-                (2 if k else 1, _dense_mul(w0, w[k]._dense)),
+                (1, _dense_dot([(2 if k else 1, w[0], w[k])])),
                 (-1, _dense_derivative(w[k]._dense)),
                 (-1, v[k]._dense),
                 (1, (0, (eps[k].numerator,), eps[k].denominator)),
@@ -588,9 +589,10 @@ def _solve_rung(
         raise ResidualNonzero(differs.format(0))
     v = [_rung_potential(family, r, 0, below)]
     B = [_DENSE_ZERO]  # B_0; every B_k is kept for the rung's check
+    packs: dict = {}  # the packed w_m, shared by the orders of this rung
     for k in range(1, K + 1):
         v.append(_rung_potential(family, r, k, below))
-        B.append(_dense_combine(_self_convolution(w, k)))
+        B.append(_dense_dot(_self_convolution(w, k), packs))
         rhs = _dense_combine([(1, v[k]._dense), (-1, B[k])])
         solved = _back_substitute(lead, rhs) if doc is None else _back_substitute(lead, rhs, doc[k])
         if solved is None:

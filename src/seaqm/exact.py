@@ -7,15 +7,25 @@ polynomial has one representation, its canonical dense integer form: a lowest
 exponent (negative exponents and widely varying degrees coexist, centrifugal
 ``1/x**2`` terms next to degree ~2k polynomials) with a tuple of integer
 numerators over one common denominator.  It has one arithmetic, the integer
-kernel: products are convolutions of integer tuples, and a sum of terms, such
-as the solver's ``B_k`` convolution, right-hand sides, partner potentials and
-Riccati residual, or an order of a state's prefactor, is combined over the lcm of their denominators
-(``_dense_combine``) and reduced to canonical form once.  A polynomial's float
-value therefore depends only on the polynomial, not on how it was built.
+kernel, with one product: ``_dense_dot`` forms a weighted sum of products,
+such as the solver's ``B_k`` convolution, an order of a state's prefactor or a
+single product, by Kronecker substitution.  Each operand is packed into a
+big integer, one slot per term on the exponent stride the operands and
+products share (2 for the odd superpotential coefficients of the anharmonic
+oscillator, so their zero terms cost nothing), each product is one
+big-integer product, and the sum is unpacked once; the solver keeps each
+w_m's packing across the orders of a rung while the slot width holds.  A
+weighted sum of dense forms, such as right-hand sides, partner potentials and
+Riccati residual, is combined over the lcm of their denominators
+(``_dense_combine``).  Either is reduced to canonical form once, so a
+polynomial's float value depends only on the polynomial, not on how it was
+built.
 
-Values are immutable after construction and safe to share across threads; the
-one internal cache is the Bernoulli table (a ``functools.lru_cache``), which
-the Bernoulli recurrence reads for every smaller index.
+Values are immutable after construction and safe to share across threads.
+The internal caches are the Bernoulli table (a ``functools.lru_cache``), which
+the Bernoulli recurrence reads for every smaller index, and each polynomial's
+`_shape`, the two numbers ``_dense_dot`` reads of an operand, kept from its
+first product.
 """
 
 from __future__ import annotations
@@ -23,7 +33,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import repeat
+from itertools import compress, count, repeat
 from math import comb, gcd, lcm
 from operator import add, index, mul
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -99,7 +109,7 @@ class LaurentPoly:
     immutable and hashable.
     """
 
-    __slots__ = ("_dense",)
+    __slots__ = ("_dense", "_stride_bits")
 
     def __init__(self, terms: Mapping[int, Fraction | int] = {}):  # never mutated
         # operator.index: a float exponent is a TypeError, never truncated
@@ -157,6 +167,18 @@ class LaurentPoly:
     def __bool__(self) -> bool:
         return bool(self._dense[1])
 
+    @property
+    def _shape(self) -> tuple[int, int]:
+        """What `_dense_dot` reads of an operand: the gcd of the nonzero
+        terms' offsets from the lowest exponent, and the bit length of the
+        largest |numerator|.  Found on first use and kept."""
+        try:
+            return self._stride_bits
+        except AttributeError:
+            nums = self._dense[1]
+            self._stride_bits = (gcd(*compress(count(), nums)), max(map(int.bit_length, nums), default=0))
+            return self._stride_bits
+
     # -- algebra -------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -183,7 +205,7 @@ class LaurentPoly:
 
     def __mul__(self, other: "LaurentPoly | Fraction | int") -> "LaurentPoly":
         if isinstance(other, LaurentPoly):
-            return _dense_poly(_dense_reduced(*_dense_mul(self._dense, other._dense)))
+            return _dense_poly(_dense_reduced(*_dense_dot([(1, self, other)])))
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
             lo, nums, den = self._dense
@@ -248,18 +270,66 @@ _Dense = tuple[int, tuple[int, ...], int]
 _DENSE_ZERO: _Dense = (0, (), 1)
 
 
-def _dense_mul(a: _Dense, b: _Dense) -> _Dense:
-    """Exact product of two dense forms (schoolbook convolution of the numerators)."""
-    alo, an, ad = a
-    blo, bn, bd = b
-    if not an or not bn:
-        return _DENSE_ZERO
-    nb = len(bn)
-    out = [0] * (len(an) + nb - 1)
-    for i, x in enumerate(an):
-        if x:
-            out[i : i + nb] = map(add, out[i : i + nb], map(mul, repeat(x), bn))
-    return (alo + blo, tuple(out), ad * bd)
+def _dense_dot(
+    terms: Iterable[tuple[int, LaurentPoly, LaurentPoly]], packs: dict | None = None
+) -> tuple[int, list[int], int]:
+    """sum_j c_j * a_j * b_j for integer weights c_j, as integer numerators over
+    the lcm of the products' denominators: not reduced, and zero numerators may
+    stand at either end (as `_dense_combine`).  The one exact product.
+
+    Kronecker substitution on the exponent stride s, the gcd of every
+    operand's nonzero-term offsets and of the products' lowest exponents
+    relative to the lowest: each distinct operand is packed as
+    sum_i n_(s*i) * 2^(N*i), each term is one big-integer product shifted into
+    place in a running sum, and the sum is unpacked once into signed N-bit
+    digits.  A digit sums at most min(slots of a, slots of b) products per
+    term, each below 2^(bits of |weight| + bits of max|a| + bits of max|b|),
+    so an N of that bound plus bits(term count) + 2 holds every digit below
+    2^(N-2) and the unpacking is exact.
+
+    N is rounded up to whole 64-bit words, so calls on growing operands often
+    share it: `packs`, a dict a caller keeps across calls (the solver keeps
+    one per rung), maps id(operand) to its last packing, which is reused
+    while s and N are unchanged, and to the operand itself, so that no other
+    object takes that id while the dict lives."""
+    terms = [t for t in terms if t[0] and t[1]._dense[1] and t[2]._dense[1]]
+    if not terms:
+        return (0, [], 1)
+    ops = {id(p): p for _, a, b in terms for p in (a, b)}
+    los = [a._dense[0] + b._dense[0] for _, a, b in terms]
+    lo = min(los)
+    s = gcd(*[e - lo for e in los], *[p._shape[0] for p in ops.values()]) or 1
+    den = lcm(*[a._dense[2] * b._dense[2] for _, a, b in terms])
+    bound = slots = 0
+    for j, (c, a, b) in enumerate(terms):
+        (alo, an, ad), (blo, bn, bd) = a._dense, b._dense
+        c *= den // (ad * bd)
+        la, lb = (len(an) - 1) // s + 1, (len(bn) - 1) // s + 1
+        bound = max(bound, c.bit_length() + a._shape[1] + b._shape[1] + min(la, lb).bit_length())
+        shift = (alo + blo - lo) // s
+        slots = max(slots, shift + la + lb - 1)
+        terms[j] = (c, id(a), id(b), shift)
+    width = (bound + len(terms).bit_length() + 65) // 64 * 8  # bytes per slot: N = 8 * width
+    N, half = 8 * width, 1 << (8 * width - 1)
+    packs = {} if packs is None else packs
+    for k, p in ops.items():
+        if packs.get(k, (None,))[0] != (s, N):
+            packs[k] = ((s, N), _pack(p._dense[1][::s], N), p)
+    total = int.from_bytes(half.to_bytes(width, "little") * slots, "little")  # half in every slot
+    for c, ka, kb, shift in terms:
+        total += (c * packs[ka][1] * packs[kb][1]) << N * shift
+    raw, from_bytes = total.to_bytes(width * slots, "little"), int.from_bytes
+    out = [0] * (s * (slots - 1) + 1)
+    out[::s] = [from_bytes(raw[i : i + width], "little") - half for i in range(0, width * slots, width)]
+    return (lo, out, den)
+
+
+def _pack(nums: Sequence[int], N: int) -> int:
+    """sum_i nums[i] * 2^(N*i)."""
+    acc = 0
+    for n in reversed(nums):
+        acc = (acc << N) + n
+    return acc
 
 
 def _dense_derivative(a: _Dense) -> _Dense:

@@ -50,7 +50,7 @@ import numpy as np
 
 from .engine import ChainSolution, ProblemFamily, solve_chain
 from .errors import DomainError, InvalidLeading, NonNormalizable, RungOrderViolation
-from .exact import LaurentPoly, _Dense, _dense_derivative, _dense_mul, _dense_sum, horner
+from .exact import LaurentPoly, _dense_derivative, _dense_dot, _dense_poly, _dense_reduced, _dense_sum, horner
 from .quadrature import qags
 from .resummation import float_pade_block
 
@@ -163,21 +163,26 @@ def apply_creation(state: StateRep, q: int, chain: ChainSolution) -> StateRep:
     R, W_q, W_r = state.prefactor, chain.rung(q).w, chain.rung(r).w
     W = [W_q[k] + W_r[k] for k in range(len(R))]
     prefactor = (
-        _dense_sum([*_products(W, R, k), (-1, _dense_derivative(R[k]._dense))]) for k in range(len(R))
+        _dense_sum([(1, _dense_dot(_products(W, R, k))), (-1, _dense_derivative(R[k]._dense))])
+        for k in range(len(R))
     )
     return replace(state, prefactor=tuple(prefactor))
 
 
-def _products(a: Sequence[LaurentPoly], b: Sequence[LaurentPoly], k: int) -> list[tuple[int, _Dense]]:
-    """Order k of the Cauchy product of coupling series a and b as integer-kernel
-    terms: the products ``a[m] b[k-m]`` for m = 0..k."""
-    return [(1, _dense_mul(a[m]._dense, b[k - m]._dense)) for m in range(k + 1)]
+def _products(
+    a: Sequence[LaurentPoly], b: Sequence[LaurentPoly], k: int
+) -> list[tuple[int, LaurentPoly, LaurentPoly]]:
+    """Order k of the Cauchy product of coupling series a and b as
+    `_dense_dot` terms: the products ``a[m] b[k-m]`` for m = 0..k."""
+    return [(1, a[m], b[k - m]) for m in range(k + 1)]
 
 
 def _cauchy(a: Sequence[LaurentPoly], b: Sequence[LaurentPoly]) -> tuple[LaurentPoly, ...]:
     """Cauchy product of coupling series, truncated at the shorter: order k is
     the one canonical sum of `_products`."""
-    return tuple(_dense_sum(_products(a, b, k)) for k in range(min(len(a), len(b))))
+    return tuple(
+        _dense_poly(_dense_reduced(*_dense_dot(_products(a, b, k)))) for k in range(min(len(a), len(b)))
+    )
 
 
 def build_eigenstate(

@@ -23,7 +23,7 @@ from seaqm.engine import (
 )
 from seaqm.engine import _back_substitute, _self_convolution, _solve_chain_cached
 from seaqm.errors import InvalidLeading, ResidualNonzero, UnsolvableOrder
-from seaqm.exact import LaurentPoly, _dense_combine, _dense_sum
+from seaqm.exact import LaurentPoly, _dense_combine, _dense_dot, _dense_sum
 
 from family_recurrences import (
     anharmonic_ladder,
@@ -169,7 +169,16 @@ def test_leading_shape_validation():
 
 def B(w, k):
     """``B_k = sum_{m+n=k, m,n>=1} w_m w_n`` from the solver's kernel terms."""
-    return _dense_sum(_self_convolution(w, k))
+    return _dense_sum([(1, _dense_dot(_self_convolution(w, k)))])
+
+
+def plain_B(w, k):
+    """``B_k`` by plain {exponent: Fraction} products of every pair m + n = k,
+    which share no code with the product kernel."""
+    out: dict = {}
+    for m in range(1, k):
+        out = dict_add(out, dict_mul(plain(w[m]), plain(w[k - m])))
+    return out
 
 
 def test_convolution_B_order_one_empty():
@@ -417,26 +426,34 @@ def test_solver_hands_the_check_each_B_k_formed_afresh(monkeypatch):
 
     monkeypatch.setattr(engine, "riccati_residual", recording)
     _solve_chain_cached.cache_clear()
-    specs = [*golden_chains().values(), (Anharmonic(), 1, 41)]
+    specs = [*golden_chains().values(), (Anharmonic(), 1, 41), (Hulthen(2), 4, 30)]
     try:
         for spec in specs:
             solve_chain(*spec)
     finally:
         _solve_chain_cached.cache_clear()
-    # one check per rung solved: the cache holds only the last ladder, a generic
-    # one, so the anharmonic r <= 1 ladder (a prefix of the golden r <= 4 one,
-    # solved three chains earlier) is solved again, its 2 rungs checked again
+    # one check per rung solved: the cache holds only the last ladder, so the
+    # anharmonic r <= 1 ladder (a prefix of the golden r <= 4 one, solved
+    # three chains earlier) and the Hulthen l = 2 ladder are solved again
     assert len(handed) == sum(r_max + 1 for _, r_max, _ in specs)
+    # B(w, k) runs the solver's kernel on both sides; the anharmonic r = 0, 1
+    # rungs at K = 41 and the Hulthen (7, 2) rung at K = 30 are checked
+    # against plain Fraction convolution instead
+    plain_checked = {id(handed[i][0]) for i in (-7, -6, -1)}
     for w, B_handed in handed:
         assert len(B_handed) == len(w)
         for k, B_k in enumerate(B_handed):
-            assert _dense_sum([(1, B_k)]) == B(w, k), k
+            got = _dense_sum([(1, B_k)])
+            if id(w) in plain_checked:
+                assert plain(got) == plain_B(w, k), k
+            else:
+                assert got == B(w, k), k
 
 
 def test_corrupt_B_k_is_seen_at_exactly_that_order():
     for family, r, K in [(Hulthen(1), 2, 8), (Anharmonic(), 1, 9)]:
         rung = solve_chain(family, r, K).rung(r)
-        fresh = [_dense_combine(_self_convolution(rung.w, k)) for k in range(K + 1)]
+        fresh = [_dense_dot(_self_convolution(rung.w, k)) for k in range(K + 1)]
         for k in range(K + 1):
             B_bad = list(fresh)
             B_bad[k] = _dense_combine([(1, fresh[k]), (1, P.monomial(k % 3, F(1, 11))._dense)])

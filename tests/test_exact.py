@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from functools import reduce
+from math import lcm
 from operator import add
 
 import numpy as np
@@ -12,8 +13,9 @@ from hypothesis import strategies as st
 from seaqm.errors import NonIntegrableTerm
 from seaqm.exact import (
     LaurentPoly,
-    _dense_mul,
-    _dense_sum,
+    _dense_dot,
+    _dense_poly,
+    _dense_reduced,
     bernoulli_minus,
     horner,
     rational_from_str,
@@ -125,16 +127,55 @@ def test_poly_mul_commutes(a, b):
     assert a * b == b * a
 
 
-@given(st.lists(st.tuples(st.integers(min_value=-3, max_value=3), polys, polys), max_size=5))
-@settings(max_examples=80)
+@st.composite
+def kernel_terms(draw):
+    """`_dense_dot` inputs the small `polys` never reach: numerators up to
+    2^400, operands with every s-th term only (s = 1, 2 or 3: odd-only and
+    even-only polynomials at s = 2), lowest exponents on one residue class
+    mod s or anywhere (an odd difference forces s = 1 on stride-2 operands),
+    weights of 0, and sums that cancel in some slots or in all of them."""
+    s = draw(st.sampled_from([1, 2, 3]))
+    base = draw(st.integers(min_value=-4, max_value=4))
+    aligned = draw(st.booleans())
+
+    def operand():
+        lo = base + s * draw(st.integers(-2, 3)) if aligned else draw(st.integers(-6, 8))
+        nums = draw(st.lists(st.integers(-(2**400), 2**400), min_size=1, max_size=8))
+        den = draw(st.integers(1, 2**64))
+        return P({lo + s * i: F(n, den) for i, n in enumerate(nums)})
+
+    terms = [(draw(st.integers(-3, 3)), operand(), operand()) for _ in range(draw(st.integers(1, 5)))]
+    cancel = draw(st.sampled_from(["none", "some", "all"]))
+    if cancel == "all":  # the same products, operands swapped: every slot cancels
+        terms += [(-c, b, a) for c, a, b in terms]
+    elif cancel == "some":  # one term of b changed: only a's span, shifted, survives
+        terms += [(-c, a, b + P.monomial(b.min_exponent or 0, 1)) for c, a, b in terms]
+    return terms
+
+
+small_terms = st.lists(st.tuples(st.integers(min_value=-3, max_value=3), polys, polys), max_size=5)
+
+
+@given(st.one_of(small_terms, kernel_terms()))
+@example([(1, P({1: 2**400, 3: -5}), P({-1: F(1, 3), 1: 7}))])  # odd times odd: s = 2
+@example([(2, P({0: 1, 3: -(2**300), 6: 5}), P({2: F(3, 7), 5: 1})), (-1, P({3: 1}), P({2: 1}))])  # s = 3
+@example([(1, P({1: 1, 3: 1}), P({1: 1, 3: 1})), (1, P({0: 1, 2: 1}), P({1: 1}))])  # odd shift: s = 1
+@example([(0, P({1: 5}), P({2: 7})), (3, P({0: F(1, 2), 2: 1}), P({0: 2**400}))])  # a zero weight
+@example([(2, P({0: 2**400, 2: -1}), P({1: F(1, 9)})), (-2, P({1: F(1, 9)}), P({0: 2**400, 2: -1}))])  # all cancel
+@example([(1, P({0: 3, 2: 1}), P({0: 1, 2: 5})), (-1, P({0: 3, 2: 1}), P({0: 2, 2: 5}))])  # some cancel
+@example([(-3, P(dict.fromkeys(range(150), 2**400 - 1)), P(dict.fromkeys(range(150), 2**400 - 1)))])  # digits near N
+@settings(max_examples=120, deadline=None)
 def test_integer_kernel_matches_fraction_products(terms):
-    # weighted sums of products, combined over the lcm of the denominators,
-    # and LaurentPoly's operators, which are that kernel, against plain
-    # {exponent: Fraction} arithmetic
+    # weighted sums of products by the one product kernel, over the lcm of the
+    # products' denominators, and LaurentPoly's operators, which are that
+    # kernel and the integer combination, against plain {exponent: Fraction}
+    # arithmetic
     expected: dict = {}
     for c, a, b in terms:
         expected = dict_add(expected, dict_mul(plain(a), plain(b)), c)
-    got = _dense_sum((c, _dense_mul(a._dense, b._dense)) for c, a, b in terms)
+    lo, nums, den = _dense_dot(terms)
+    assert den == lcm(*(a._dense[2] * b._dense[2] for c, a, b in terms if c and a and b))
+    got = _dense_poly(_dense_reduced(lo, nums, den))
     assert plain(got) == expected
     assert got == P(expected)  # the canonical form, whichever route built it
     for c, a, b in terms:

@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate
 
 from seaqm.errors import OrderExceeded, OutOfBoundDomain
-from seaqm.reference import hulthen_energy_coefficient
+from seaqm.reference import BENDER_WU, hulthen_energy_coefficient
 from seaqm.spectra import (
     anharmonic_energy_series,
     evaluate_truncated,
@@ -113,6 +113,42 @@ def test_anharmonic_series_first_excited():
     # (3/4)(2r^2+2r+1) agree with the recurrence here
     series = anharmonic_energy_series(1, 2)
     assert series.coeffs == (F(3), F(15, 4), F(-165, 16))
+
+
+def _richardson(seq: dict[int, float], N: int) -> float:
+    """The k -> oo limit of seq(k) = c_0 + c_1/k + ... + c_N/k^N through its
+    last N + 1 terms (Bender & Orszag, Advanced Mathematical Methods, 8.1)."""
+    k0 = max(seq) - N
+    return sum(
+        (-1) ** (j + N) * (k0 + j) ** N * seq[k0 + j] / (math.factorial(j) * math.factorial(N - j))
+        for j in range(N + 1)
+    )
+
+
+@pytest.mark.parametrize("r", [0, 1])
+def test_anharmonic_series_follows_bender_wu_at_large_order(r):
+    """Orders 20..41 against the Bender-Wu large-order law, a check that does
+    not come from the engine.
+
+    Bender & Wu, Phys. Rev. D 7 (1973) 1620, expand level K of
+    H = p^2 + x^2/4 + g x^4/4 as E_K(g) = K + 1/2 + sum_n A_n g^n and find
+    A_n ~ (-1)^(n+1) (sqrt(6)/pi^(3/2)) (12^K/K!) 3^n Gamma(n + K + 1/2),
+    with the ground level's next term a factor 1 - 95/(72 n).  Here
+    H = -d^2/dx^2 + x^2 + lam x^4; x -> x/sqrt(2) makes it twice theirs at
+    g = lam/2, so a_k = 2 A_k / 2^k (`BENDER_WU` holds A_1..A_3 of the ground
+    level), and a_k over (-1)^(k+1) (2 sqrt(6)/pi^(3/2)) (12^r/r!) (3/2)^k
+    Gamma(k + r + 1/2) tends to 1 from below.
+    """
+    a = anharmonic_energy_series(r, 41).coeffs
+    if r == 0:
+        assert {k: 2 ** (k - 1) * a[k] for k in BENDER_WU} == BENDER_WU
+    law = 2 * math.sqrt(6) / math.pi**1.5 * 12**r / math.factorial(r)
+    ratio = {k: float(a[k]) / ((-1) ** (k + 1) * law * 1.5**k * math.gamma(k + r + 0.5)) for k in range(20, 42)}
+    assert all(ratio[k - 1] < ratio[k] < 1 for k in range(21, 42))
+    assert _richardson(ratio, 4) == pytest.approx(1, abs=1e-3)
+    if r == 0:  # k^2 (ratio(k) - ratio(k-1)) tends to -c_1
+        slope = {k: -k * (k - 1) * (ratio[k] - ratio[k - 1]) for k in range(21, 42)}
+        assert _richardson(slope, 4) == pytest.approx(-95 / 72, abs=1e-2)
 
 
 # --------------------------------------------------------------- evaluation -

@@ -3,11 +3,13 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from seaqm.engine import Anharmonic, GenericPerturbed, Hulthen, LeadingSuperpotential, solve_chain
 from seaqm.errors import DomainError, InvalidLeading, NonNormalizable, RungOrderViolation
 from seaqm.exact import LaurentPoly
+from seaqm.spectra import hulthen_l0_state
 from seaqm.states import (
     apply_creation,
     build_eigenstate,
@@ -15,6 +17,7 @@ from seaqm.states import (
     count_nodes,
     edge_state,
     evaluate_state,
+    evaluate_state_grid,
     hamiltonian_residual,
     normalize,
     normalize_function,
@@ -314,3 +317,23 @@ def test_creation_pole_bound():
         mins = [p.min_exponent for p in st.prefactor if not p.is_zero]
         assert min(mins) >= -j
     assert st.power + min(mins) >= 0
+
+
+# ------------------------------------------------ against the exact l = 0 state -
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_plain_l0_states_follow_the_exact_eigenfunction(n):
+    # the closed-form l = 0 eigenfunction at lam = 0.1 (0.2 and 0.45 of the
+    # critical 2/n^2): the plain truncated state, built by `apply_creation`
+    # and `_cauchy` on the product kernel, scaled by least squares, comes
+    # closer to it at every order tried
+    lam, xs = 0.1, np.linspace(0.05, 30, 600)
+    exact = np.array([hulthen_l0_state(n).wavefunction(x, lam) for x in xs])
+    errors = []
+    for K in (6, 10, 14, 20):
+        psi = np.array(list(evaluate_state_grid(build_eigenstate(Hulthen(0), K, n=n, l=0), xs, lam)))
+        scale = (psi @ exact) / (psi @ psi)
+        errors.append(np.max(np.abs(scale * psi - exact)) / np.max(np.abs(exact)))
+    assert all(later < earlier for earlier, later in zip(errors, errors[1:])), errors
+    assert errors[-1] < 1e-7, errors
