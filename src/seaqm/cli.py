@@ -279,6 +279,7 @@ def cmd_critical(args: argparse.Namespace) -> int:
     resume_path = Path(args.resume) if args.resume else None
     done = _resumed_cells(resume_path, run) if resume_path and resume_path.exists() else {}
     cells = [(n, l) for n in range(1, args.nmax + 1) for l in range(n)]
+    keys = [f"{n},{l}" for n, l in cells]
     pending_by_l: dict[int, list[int]] = {}
     for n, l in cells:
         if f"{n},{l}" not in done:
@@ -288,11 +289,13 @@ def cmd_critical(args: argparse.Namespace) -> int:
 
     def record(group: list[dict]) -> None:
         # progress is saved after every finished l-group, so an interrupted
-        # run resumes from the last one
+        # run resumes from the last one; the cells are written in table order
+        # (then any other cells the file held), whatever order groups finish in
         for rec in group:
             done[f"{rec['n']},{rec['l']}"] = rec
         if resume_path:
-            _replace_file(resume_path, json.dumps({"parameters": run, "cells": done}, indent=2))
+            saved = {key: done[key] for key in keys if key in done} | done
+            _replace_file(resume_path, json.dumps({"parameters": run, "cells": saved}, indent=2))
 
     if workers > 1:
         # only a parallel table needs multiprocessing, so a cold start skips it

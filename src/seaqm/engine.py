@@ -40,7 +40,8 @@ the whole order lies over one denominator, and one gcd reduces it to the
 canonical ``w_k``.  Only the energy coefficient is formed as a single
 ``Fraction``.  The residual check
 takes from this path only each ``B_k``, formed once on the final
-w_1..w_(k-1); it forms ``2 w_0 w_k`` (on the same kernel), ``w_k'``, ``v_k``
+w_1..w_(k-1); it forms ``2 w_0 w_k`` (one shifted, scaled copy of w_k per
+term of the short w_0, in the same integer combination), ``w_k'``, ``v_k``
 (from the rung's own tuple) and ``eps_k`` itself.
 
 Every problem family (``Hulthen``, ``GenericPerturbed`` and its quartic case
@@ -506,22 +507,29 @@ def riccati_residual(
     ``C_0 = w_0^2`` and ``C_k = B_k + 2 w_0 w_k``.  `B`, indexed by order,
     holds the solver's ``B_k`` (module notes); without it each ``B_k`` is
     formed afresh from w.  ``2 w_0 w_k``, ``w_k'``, ``v_k`` and ``eps_k``
-    are always formed here, so every order is an exact zero test.
+    are always formed here, so every order is an exact zero test; ``2 w_0 w_k``
+    enters the order's one integer combination as a copy of w_k, shifted and
+    scaled, per nonzero term of w_0.
     """
     if B is None:
         B = [_dense_dot(_self_convolution(w, k)) for k in range(K + 1)]
-    return [
-        _dense_sum(
-            [
-                (1, B[k]),
-                (1, _dense_dot([(2 if k else 1, w[0], w[k])])),
-                (-1, _dense_derivative(w[k]._dense)),
-                (-1, v[k]._dense),
-                (1, (0, (eps[k].numerator,), eps[k].denominator)),
-            ]
+    lo0, nums0, den0 = w[0]._dense
+    residuals = []
+    for k in range(K + 1):
+        lo, nums, den = w[k]._dense
+        residuals.append(
+            _dense_sum(
+                [
+                    (1, B[k]),
+                    *((2 * a if k else a, (lo + lo0 + i, nums, den * den0))
+                      for i, a in enumerate(nums0) if a),
+                    (-1, _dense_derivative(w[k]._dense)),
+                    (-1, v[k]._dense),
+                    (1, (0, (eps[k].numerator,), eps[k].denominator)),
+                ]
+            )
         )
-        for k in range(K + 1)
-    ]
+    return residuals
 
 
 def solve_chain(family: ProblemFamily, r_max: int, K: int) -> ChainSolution:

@@ -3,13 +3,16 @@
 For exact series (energies, critical couplings) `pade` finds the denominator
 exactly (high-order Hankel systems are catastrophically ill-conditioned in
 floating point), on rows scaled to integers one by one, with one Bareiss
-elimination shared by [m/n] and [m-1/n], and checks every re-expansion row in
-integers.  Only the final evaluation is floating point.  Float-only series (a
-wavefunction's coupling series, a row per x) get low-order float Pades by
-stacked LU solves, with the same fallback and pole rules row by row.  Critical
-screening strengths, the zero crossing of the resummed level, are decided in
-integers by Descartes' rule of signs, and reported as the mean of two
-approximants' roots with the half-difference as the uncertainty.
+elimination shared by [m/n] and [m-1/n], run on each independent block of the
+rows apart (a series with zero odd terms splits them by parity), and checks
+every re-expansion row in integers.  An approximant is held as one integer
+form, coprime numerator and denominator coefficients, which root isolation
+reads directly.  Only the final evaluation is floating point.  Float-only
+series (a wavefunction's coupling series, a row per x) get low-order float
+Pades by stacked LU solves, with the same fallback and pole rules row by row.
+Critical screening strengths, the zero crossing of the resummed level, are
+decided in integers by Descartes' rule of signs, and reported as the mean of
+two approximants' roots with the half-difference as the uncertainty.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from math import gcd, lcm
-from operator import mul, ne
+from operator import add, mul, ne
 from typing import Sequence
 
 import numpy as np
@@ -47,25 +50,41 @@ __all__ = [
 class PadeApproximant:
     """Rational approximant [m/n] with exact coefficients.
 
-    The denominator's constant term is normalized to 1 and the Taylor
-    re-expansion matches the source series through order m + n.
+    Held as one integer form: the value is p(x)/q(x) for integer coefficient
+    tuples p (m + 1 terms) and q (n + 1 terms), constant term first, with one
+    gcd of 1 over all of them and q[0] > 0, so each approximant has exactly
+    one form.  `numerator` and `denominator` are its Fraction views with the
+    denominator's constant term normalized to 1; the Taylor re-expansion
+    matches the source series through order m + n.
     """
 
     m: int
     n: int
-    numerator: tuple[Fraction, ...]
-    denominator: tuple[Fraction, ...]
+    p: tuple[int, ...]
+    q: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.numerator) != self.m + 1 or len(self.denominator) != self.n + 1:
+        if len(self.p) != self.m + 1 or len(self.q) != self.n + 1:
             raise ValueError("coefficient lengths must be m+1 and n+1")
-        if self.denominator[0] != 1:
-            raise ValueError("denominator constant term must be 1")
+        if self.q[0] <= 0:
+            raise ValueError("denominator constant term must be positive")
+        if gcd(*self.p, *self.q) != 1:
+            raise ValueError("numerator and denominator coefficients must have gcd 1")
+
+    @cached_property
+    def numerator(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.q[0]) for c in self.p)
+
+    @cached_property
+    def denominator(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.q[0]) for c in self.q)
 
     @cached_property
     def float_coefficients(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """Numerator and denominator coefficients as floats, converted once."""
-        return tuple(map(float, self.numerator)), tuple(map(float, self.denominator))
+        """Numerator and denominator coefficients as floats, converted once:
+        each a correctly rounded integer quotient, as float() of its Fraction."""
+        q0 = self.q[0]
+        return tuple(c / q0 for c in self.p), tuple(c / q0 for c in self.q)
 
     def to_json(self) -> dict:
         return {
@@ -83,24 +102,20 @@ def _check_orders(count: int, m: int, n: int) -> None:
         raise ValueError(f"[{m}/{n}] needs {m + n + 1} coefficients, got {count}")
 
 
-def _primitive(coeffs: Sequence[Fraction]) -> list[int]:
-    """The coprime integers proportional to `coeffs`."""
-    L = lcm(*(x.denominator for x in coeffs))
-    ints = [x.numerator * (L // x.denominator) for x in coeffs]
-    g = gcd(*ints) or 1
-    return [a // g for a in ints]
+def _row(a: list[int], t: int, n: int) -> list[int]:
+    """Row t of the Pade system, sum_j c_{t-j} q_j = 0 (j = 0..n), from the
+    integer series a padded with n zeros in front, scaled to coprime integers
+    on its own."""
+    row = a[t : t + n + 1][::-1]
+    g = gcd(*row) or 1
+    return [x // g for x in row]
 
 
-def _row(c: list[Fraction], t: int, n: int) -> list[int]:
-    """Row t of the Pade system, sum_j c_{t-j} q_j = 0 (j = 0..n), from c padded
-    with n zeros in front, scaled to coprime integers on its own."""
-    return _primitive(c[t : t + n + 1][::-1])
-
-
-def _kernel(rows: list[list[int]], width: int) -> list[list[int]]:
+def _eliminate(rows: list[list[int]], width: int) -> list[tuple[int, list[int]]]:
     """Integer kernel basis of `rows` by fraction-free (Bareiss) echelon form with
     column pivoting, on columns divided by their content: one Cramer vector per
-    free column, mapped back to the original columns."""
+    free column, mapped back to the original columns, as (free column, vector)
+    pairs.  With no rows, the unit vectors."""
     g = [gcd(*col) or 1 for col in zip(*rows)] or [1] * width
     L = lcm(*g)
     M = [[a // gj for a, gj in zip(row, g)] for row in rows]
@@ -123,8 +138,38 @@ def _kernel(rows: list[list[int]], width: int) -> list[list[int]]:
         x[free] = det
         for i, p in reversed(list(enumerate(pivots))):
             x[p] = -sum(map(mul, M[i][p + 1 :], x[p + 1 :])) // M[i][p]
-        basis.append([xj * (L // gj) for xj, gj in zip(x, g)])
+        basis.append((free, [xj * (L // gj) for xj, gj in zip(x, g)]))
     return basis
+
+
+def _kernel(rows: list[list[int]], width: int) -> list[list[int]]:
+    """Integer kernel basis of `rows`, one vector per free column in column
+    order, eliminated block by block: the columns that rows' nonzero entries
+    join (union-find) form independent blocks, each eliminated on its own rows
+    by `_eliminate`.  Each vector is a multiple of the one that eliminating
+    all rows at once gives, as a block's free columns are those of the whole."""
+    root = list(range(width))
+
+    def find(j: int) -> int:
+        while root[j] != j:
+            root[j] = j = root[root[j]]
+        return j
+
+    touched = [[j for j, a in enumerate(row) if a] for row in rows]
+    for cols in touched:
+        for j in cols[1:]:
+            root[find(j)] = find(cols[0])
+    blocks: dict[int, list[int]] = {}
+    for j in range(width):
+        blocks.setdefault(find(j), []).append(j)
+    basis = {}
+    for r, cols in blocks.items():
+        block = [[row[j] for j in cols] for row, t in zip(rows, touched) if t and find(t[0]) == r]
+        for free, x in _eliminate(block, len(cols)):
+            basis[cols[free]] = v = [0] * width
+            for j, a in zip(cols, x):
+                v[j] = a
+    return [basis[j] for j in sorted(basis)]
 
 
 # process-local memo of row-block kernels by n and values, each taken once; cleared when full
@@ -145,10 +190,12 @@ def pade(series: Sequence[Fraction], m: int, n: int) -> PadeApproximant:
     """
     _check_orders(len(series), m, n)
     coeffs = [c if type(c) is Fraction else Fraction(c) for c in series[: m + n + 1]]
+    D = lcm(*(c.denominator for c in coeffs))
+    a = [c.numerator * (D // c.denominator) for c in coeffs]
     Y = [1]
     if n:
-        padded = [Fraction(0)] * n + coeffs
-        key = lambda lo, hi: (n, *(c.as_integer_ratio() for c in padded[lo : hi + n + 1]))
+        padded, ratios = [0] * n + a, [(0, 1)] * n + [c.as_integer_ratio() for c in coeffs]
+        key = lambda lo, hi: (n, *ratios[lo : hi + n + 1])
         t, basis = m + 1, _KERNELS.pop(key(m + 2, m + n), None)
         if basis is None:
             t, basis = m + n, _kernel([_row(padded, s, n) for s in range(m + 1, m + n)], n + 1)
@@ -163,17 +210,17 @@ def pade(series: Sequence[Fraction], m: int, n: int) -> PadeApproximant:
             raise SingularPadeSystem(f"[{m}/{n}] denominator system is singular")
         g = gcd(*Y)
         Y = [y // g for y in Y]
-    D = lcm(*(c.denominator for c in coeffs))
-    a = [c.numerator * (D // c.denominator) for c in coeffs]
-    conv = [sum(Y[j] * a[k - j] for j in range(min(k, n) + 1)) for k in range(m + n + 1)]
-    # with q_0 = 1 the re-expansion matches the series through m + n exactly
+    conv = [0] * (m + n + 1)
+    for j, y in enumerate(Y):  # one shifted, scaled copy of the series per nonzero y
+        if y:
+            conv[j:] = map(add, conv[j:], [y * x for x in a[: m + n + 1 - j]])
+    # with q = D Y the re-expansion matches the series through m + n exactly
     # when every convolution term past the numerator vanishes
     if any(conv[m + 1 :]):
         raise SingularPadeSystem(f"[{m}/{n}] re-expansion check failed")
-    return PadeApproximant(
-        m, n, tuple(Fraction(c, Y[0] * D) for c in conv[: m + 1]),
-        tuple(Fraction(y, Y[0]) for y in Y),
-    )
+    q = [D * y for y in Y]
+    g = gcd(*conv[: m + 1], *q) * (1 if q[0] > 0 else -1)
+    return PadeApproximant(m, n, tuple(c // g for c in conv[: m + 1]), tuple(y // g for y in q))
 
 
 def reexpand(P: PadeApproximant, order: int) -> list[Fraction]:
@@ -280,7 +327,7 @@ class CriticalResult:
 _BITS = 57  # dyadic digits of a root on (0, 1), half the coupling: 2^-56 in lambda
 
 
-def _scaled(p: list[int], a: int, k: int) -> list[int]:
+def _scaled(p: Sequence[int], a: int, k: int) -> list[int]:
     """2^(kd) p(a x / 2^k) for p of degree d, constant term first."""
     return [c * a**i << k * (len(p) - 1 - i) for i, c in enumerate(p)]
 
@@ -342,13 +389,13 @@ def _track_root(series: Sequence[Fraction], m: int, n: int) -> tuple[float, Pade
     notes, nn = [], n
     while True:
         P = pade_with_fallback(series, m, nn)
-        root = _leftmost_root(_scaled(_primitive(P.numerator), 2, 0))
+        root = _leftmost_root(_scaled(P.p, 2, 0))
         if root is None:
             raise NoSignChange(f"the [{P.m}/{P.n}] numerator has no root in (0, 2)"
                                + "".join(f" ({note})" for note in notes))
         lo, hi, k = root
         lam = (lo + hi) / (1 << k)  # the bracket's midpoint on the coupling scale
-        D = _scaled(_primitive(P.denominator), hi, k - 1)  # D(hi x), whose sum has D(hi)'s sign
+        D = _scaled(P.q, hi, k - 1)  # D(hi x), whose sum has D(hi)'s sign
         if sum(D) and _leftmost_root(D) is None:
             return lam, P, notes
         notes.append(f"[{P.m}/{P.n}] denominator zero at or below the root {lam:.6g}; reduced n")

@@ -285,6 +285,27 @@ def test_critical_resume_saves_each_group(tmp_path, monkeypatch):
     assert sorted(json.loads(progress.read_text())["cells"]) == ["1,0", "2,0", "2,1"]
 
 
+def test_critical_resume_writes_cells_in_table_order(tmp_path, monkeypatch):
+    # with workers, l-groups finish in any order; here the pool hands them back
+    # in reverse, and the progress file still lists the cells n outer, l inner
+    import concurrent.futures
+
+    handed = []
+
+    def reverse_completion(futures):
+        handed.append(len(futures))
+        return reversed(list(futures))
+
+    monkeypatch.setenv("SEA_THREADS", "2")
+    monkeypatch.setattr(concurrent.futures, "as_completed", reverse_completion)
+    progress = tmp_path / "progress.json"
+    argv = ["critical", "--nmax", "4", "--resume", str(progress), "--out", str(tmp_path / "t.csv")]
+    assert run(argv) == 0
+    assert handed == [4]
+    table = [f"{n},{l}" for n in range(1, 5) for l in range(n)]
+    assert list(json.loads(progress.read_text())["cells"]) == table
+
+
 def test_critical_resume_rejects_changed_parameters(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("SEA_THREADS", "1")
     progress = tmp_path / "progress.json"

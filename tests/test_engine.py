@@ -400,6 +400,7 @@ def test_riccati_residual_detects_corruption():
     assert not res[2].is_zero
     assert res[0].is_zero and res[1].is_zero
     # changing any one coefficient of any solved w_k is seen at order k
+    perturbed = set()
     for family, r, K in [(Hulthen(1), 2, 8), (Anharmonic(), 2, 6)]:
         rung = solve_chain(family, r, K).rung(r)
         for k in range(K + 1):
@@ -409,6 +410,15 @@ def test_riccati_residual_detects_corruption():
                 res = riccati_residual(w, rung.potential, rung.energy, K)
                 assert not res[k].is_zero, (family, k, e)
                 assert all(p.is_zero for p in res[:k]), (family, k, e)
+        # changing any one term of w_0 is seen at order 0 and at every order
+        # k whose 2 w_0 w_k reads it, that is wherever w_k is not zero
+        for e, c in rung.w[0].items():
+            w = list(rung.w)
+            w[0] = w[0] + P.monomial(e, c / 7)
+            res = riccati_residual(w, rung.potential, rung.energy, K)
+            assert [not p.is_zero for p in res] == [True] + [not wk.is_zero for wk in rung.w[1:]], (family, e)
+            perturbed.add(e)
+    assert perturbed == {-1, 0, 1}  # the Hulthen pole and constant, the oscillator's linear term
 
 
 # ------------------------------------------- the solver's B_k in the check -

@@ -89,9 +89,10 @@ def test_pade_reexpansion_identity(series):
 
 
 def _reference_pade(series, m, n):
-    """[m/n] by Gaussian elimination over the rationals, the numerator by
-    convolution and the re-expansion check: the Fraction construction that
-    the integer (Bareiss) build of `pade` must reproduce exactly."""
+    """The numerator and denominator of [m/n] (denominator constant term 1) by
+    Gaussian elimination over the rationals, the numerator by convolution and
+    the re-expansion check: the Fraction construction that the integer
+    (Bareiss) build of `pade` must reproduce exactly."""
     c = [F(x) for x in series[: m + n + 1]]
     A = [[c[m + i - j] if m + i >= j else F(0) for j in range(1, n + 1)] + [-c[m + i]]
          for i in range(1, n + 1)]
@@ -108,10 +109,12 @@ def _reference_pade(series, m, n):
         q[r] = (A[r][n] - sum(A[r][j] * q[j] for j in range(r + 1, n))) / A[r][r]
     q = [F(1)] + q
     p = [sum(q[j] * c[i - j] for j in range(min(i, n) + 1)) for i in range(m + 1)]
-    P = PadeApproximant(m, n, tuple(p), tuple(q))
-    if reexpand(P, m + n) != c:
+    taylor = []
+    for k in range(m + n + 1):
+        taylor.append((p[k] if k <= m else F(0)) - sum(q[j] * taylor[k - j] for j in range(1, min(k, n) + 1)))
+    if taylor != c:
         raise SingularPadeSystem("re-expansion check failed")
-    return P
+    return tuple(p), tuple(q)
 
 
 _coefficient = st.one_of(
@@ -127,7 +130,17 @@ def _pade_case(draw):
     n = draw(st.integers(0, 6))
     extra = draw(st.integers(0, 2))
     series = draw(st.lists(_coefficient, min_size=m + n + 1 + extra, max_size=m + n + 1 + extra))
-    return series, m, n
+    # lattice series, as the Hulthen levels' (E_k = 0 at odd k >= 3): past the
+    # first two terms, zero off k = offset (mod stride), which splits the
+    # Hankel rows into `stride` independent blocks
+    stride = draw(st.sampled_from([1, 2, 3]))
+    offset = draw(st.integers(0, stride - 1))
+    return [c if k < 2 or k % stride == offset else F(0) for k, c in enumerate(series)], m, n
+
+
+def _views(series, m, n):
+    P = pade(series, m, n)
+    return P.numerator, P.denominator
 
 
 @given(_pade_case())
@@ -143,7 +156,7 @@ def test_pade_matches_fraction_elimination(case):
         with pytest.raises(SingularPadeSystem):
             pade(series, m, n)
         return
-    assert pade(series, m, n) == expected
+    assert _views(series, m, n) == expected
 
 
 def _pade_or_singular(series, m, n, build):
@@ -167,11 +180,105 @@ def test_pade_pairs_share_one_elimination(case):
     for order, eliminations in (((m, m - 1), {1}), ((m - 1, m), {1, 2})):
         resummation._KERNELS.clear()
         with mock.patch.object(resummation, "_kernel", wraps=resummation._kernel) as kernel:
-            assert {mm: _pade_or_singular(series, mm, n, pade) for mm in order} == expected
+            assert {mm: _pade_or_singular(series, mm, n, _views) for mm in order} == expected
         assert kernel.call_count in eliminations
     for mm in (m, m - 1):
         resummation._KERNELS.clear()
-        assert _pade_or_singular(series, mm, n, pade) == expected[mm]
+        assert _pade_or_singular(series, mm, n, _views) == expected[mm]
+
+
+def _lattice(stride, last, override=None):
+    # 1/(k + 1) on k = 0 (mod stride) and at k < 2, else 0, through `last`
+    c = [F(1, k + 1) if k < 2 or k % stride == 0 else F(0) for k in range(last + 1)]
+    for k, v in (override or {}).items():
+        c[k] = v
+    return c
+
+
+def _blocks(series, m, n):
+    """The (rows, columns) shapes `_kernel` eliminates for a cold [m/n], and
+    the build's outcome."""
+    resummation._KERNELS.clear()
+    with mock.patch.object(resummation, "_eliminate", wraps=resummation._eliminate) as eliminate:
+        outcome = _pade_or_singular(series, m, n, _views)
+    return [(len(rows), width) for (rows, width), _ in eliminate.call_args_list], outcome
+
+
+@pytest.mark.parametrize(
+    "series, m, n, shapes, dim",
+    [
+        # stride 2: even rows on the even columns, odd rows on the odd ones
+        (_lattice(2, 11), 6, 5, [(2, 3), (2, 3)], 2),
+        # stride 3: three residue classes, one a nonsingular 2 x 2 block
+        (_lattice(3, 11), 6, 5, [(1, 2), (2, 2), (1, 2)], 2),
+        # c_4..c_10 geometric, c_2 off it: the even block's two rows are
+        # proportional, so its two kernel vectors beside the odd block's one
+        # make the system singular
+        (_lattice(2, 11, {4: F(1, 16), 6: F(1, 64), 8: F(1, 256), 10: F(1, 1024)}), 6, 5,
+         [(2, 3), (2, 3)], 3),
+        # c_3 = 0 leaves column 1 untouched by the one row: a free unit vector
+        (_lattice(2, 5), 3, 2, [(1, 2), (0, 1)], 2),
+    ],
+)
+def test_kernel_eliminates_each_block_on_its_own(series, m, n, shapes, dim):
+    got, outcome = _blocks(series, m, n)
+    assert sorted(got) == sorted(shapes)
+    assert outcome == _pade_or_singular(series, m, n, _reference_pade)
+    assert (outcome is SingularPadeSystem) == (dim > 2)
+    D = math.lcm(*(c.denominator for c in series))
+    rows = [resummation._row([0] * n + [int(c * D) for c in series], t, n) for t in range(m + 1, m + n)]
+    basis = resummation._kernel(rows, n + 1)
+    assert len(basis) == dim
+    for v in basis:  # each vector solves every row
+        assert not any(sum(a * b for a, b in zip(row, v)) for row in rows)
+
+
+def test_table_and_energy_pairs_eliminate_their_blocks():
+    # Hulthen E_k vanish at odd k >= 3, so the 13 x 15 rows of (5,2) [15/14]
+    # split by parity; the anharmonic series has no zero term and one block
+    hulthen = hulthen_energy_series(5, 2, 30).coeffs
+    assert _blocks(hulthen, 15, 14)[0] == [(7, 8), (6, 7)]
+    assert _blocks(anharmonic_energy_series(0, 41).coeffs, 21, 20)[0] == [(19, 21)]
+
+
+@given(_pade_case())
+@settings(max_examples=100, deadline=None)
+def test_pade_integer_form_is_canonical(case):
+    series, m, n = case
+    try:
+        P = pade(series, m, n)
+    except SingularPadeSystem:
+        return
+    assert math.gcd(*P.p, *P.q) == 1 and P.q[0] > 0
+    floats = P.float_coefficients
+    assert [x.hex() for x in floats[0]] == [float(c).hex() for c in P.numerator]
+    assert [x.hex() for x in floats[1]] == [float(c).hex() for c in P.denominator]
+
+
+@given(st.lists(st.integers(-10**30, 10**30), min_size=1, max_size=6),
+       st.lists(st.integers(-10**30, 10**30), min_size=1, max_size=6))
+def test_float_coefficients_round_like_the_fraction_views(p, q):
+    # p_i / q_0 in integers rounds correctly, as float() of the reduced Fraction
+    if not q[0]:
+        return
+    g = math.gcd(*p, *q) * (1 if q[0] > 0 else -1)
+    P = PadeApproximant(len(p) - 1, len(q) - 1, tuple(a // g for a in p), tuple(b // g for b in q))
+    assert [x.hex() for x in P.float_coefficients[0]] == [float(c).hex() for c in P.numerator]
+    assert [x.hex() for x in P.float_coefficients[1]] == [float(c).hex() for c in P.denominator]
+
+
+@pytest.mark.parametrize(
+    "m, n, p, q, problem",
+    [
+        (1, 1, (2, 4), (2, 6), "gcd 1"),  # a common factor 2
+        (0, 1, (1,), (-1, 1), "positive"),  # the same value as (-1,), (1, -1)
+        (0, 1, (1,), (0, 1), "positive"),
+        (1, 1, (1,), (1, 1), "lengths"),
+    ],
+)
+def test_non_canonical_integer_forms_are_refused(m, n, p, q, problem):
+    with pytest.raises(ValueError, match=problem):
+        PadeApproximant(m, n, p, q)
 
 
 def test_kernel_memo_stays_bounded():
