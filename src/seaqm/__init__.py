@@ -34,7 +34,6 @@ from .spectra import (
     EnergySeries,
     anharmonic_energy_series,
     evaluate_truncated,
-    hulthen_energy_closed_l0,
     hulthen_energy_series,
     hulthen_l0_state,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "evaluate_state",
     "evaluate_truncated",
     "hamiltonian_residual",
-    "hulthen_energy_closed_l0",
     "hulthen_energy_series",
     "hulthen_l0_state",
     "hulthen_numeric",

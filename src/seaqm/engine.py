@@ -133,10 +133,6 @@ class LeadingSuperpotential:
                 "or oscillator-type (pole == 0, linear != 0)"
             )
 
-    @property
-    def is_coulomb(self) -> bool:
-        return self.pole != 0
-
     @cached_property
     def _row_constants(self) -> tuple[int, int, int, int, int, int]:
         """`_back_substitute`'s integers, formed once per leading term: the
@@ -186,7 +182,7 @@ class ProblemFamily:
 
     @property
     def radial(self) -> bool:
-        return self.leading.is_coulomb
+        return self.leading.pole != 0
 
     def potential_term(self, k: int) -> LaurentPoly:
         """Order k >= 1 of the rung-0 potential."""
@@ -205,7 +201,7 @@ class ProblemFamily:
         if r < 0:
             raise InvalidLeading("rung index must be non-negative")
         lead = self.leading
-        if not lead.is_coulomb:
+        if not self.radial:
             return replace(lead, leading_energy=lead.leading_energy + 2 * r * lead.linear)
         p = lead.pole
         if p.denominator == 1 and 1 <= p <= r:

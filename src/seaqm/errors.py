@@ -33,10 +33,6 @@ class ResidualNonzero(SeaError):
     rung that differs from the one solved from its family."""
 
 
-class OutOfBoundDomain(SeaError):
-    """Parameter outside the bound-state regime."""
-
-
 class RungOrderViolation(SeaError):
     """A creation operator was applied from a rung at or above the state's rung."""
 

@@ -172,9 +172,8 @@ def _kernel(rows: list[list[int]], width: int) -> list[list[int]]:
     return [basis[j] for j in sorted(basis)]
 
 
-# process-local memo of row-block kernels by n and values, each taken once; cleared when full
+# process-local memo of the last elimination's kernel by n and values: callers build [m/n], then [m-1/n]
 _KERNELS: dict[tuple, list[list[int]]] = {}
-_KERNELS_SIZE = 8
 
 
 def pade(series: Sequence[Fraction], m: int, n: int) -> PadeApproximant:
@@ -199,8 +198,7 @@ def pade(series: Sequence[Fraction], m: int, n: int) -> PadeApproximant:
         t, basis = m + 1, _KERNELS.pop(key(m + 2, m + n), None)
         if basis is None:
             t, basis = m + n, _kernel([_row(padded, s, n) for s in range(m + 1, m + n)], n + 1)
-            if len(_KERNELS) >= _KERNELS_SIZE:
-                _KERNELS.clear()
+            _KERNELS.clear()
             _KERNELS[key(m + 1, m + n - 1)] = basis
         e = _row(padded, t, n)
         K1, K2, *rank_deficient = basis  # a third vector: singular, and Y_0 = 0 then too

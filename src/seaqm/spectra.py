@@ -1,9 +1,11 @@
-"""Physical energy series assembled from partner chains, plus the closed
-forms available for the zero-angular-momentum screened Coulomb levels.
+"""Physical energy series assembled from partner chains, plus the closed-form
+eigenstate of the zero-angular-momentum screened Coulomb levels.
 
 A screened Coulomb level (n, l) is the energy series of rung r = n - 1 - l of
 the chain built with base parameter b = l + 1; an anharmonic level r is the
-energy series of rung r of the quartic chain.
+energy series of rung r of the quartic chain.  The exact l = 0 series ends at
+k = 2, so ``evaluate_truncated(hulthen_energy_series(n, 0, 2), lam, 2)`` is
+the closed-form level -(1/n - n*lam/2)^2, bound only for 0 <= lam <= 2/n^2.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .engine import Anharmonic, Hulthen, ProblemFamily, solve_chain
-from .errors import OrderExceeded, OutOfBoundDomain
+from .errors import OrderExceeded
 from .exact import LaurentPoly, horner, rational_to_str
 
 __all__ = [
@@ -22,7 +24,6 @@ __all__ = [
     "ClosedFormL0",
     "hulthen_energy_series",
     "anharmonic_energy_series",
-    "hulthen_energy_closed_l0",
     "hulthen_l0_state",
     "evaluate_truncated",
 ]
@@ -84,26 +85,13 @@ def anharmonic_energy_series(r: int, K: int) -> EnergySeries:
     return _level_series(Anharmonic(), K, r=r)
 
 
-def hulthen_energy_closed_l0(n: int, lam: float) -> float:
-    """Closed-form l=0 energy -(1/n - n*lam/2)^2, valid for 0 <= lam <= 2/n^2.
-
-    Beyond the critical coupling 2/n^2 the level is unbound and the formula
-    does not apply; the critical point itself evaluates to exactly 0.
-    """
-    if n < 1:
-        raise ValueError("principal quantum number must be >= 1")
-    if lam < 0 or lam > 2.0 / n**2:
-        raise OutOfBoundDomain(f"lam={lam} outside [0, {2.0 / n**2}] for n={n}")
-    return -((1.0 / n - n * lam / 2.0) ** 2)
-
-
 @dataclass(frozen=True)
 class ClosedFormL0:
     """Closed-form l=0 level: a degree-n polynomial eta_n in y = 1 - e^(-lam*x)
     times the decay factor (1 - y)^(b_n) with b_n = 1/(n*lam) - n/2.
 
     The eta coefficients c_k are stored as exact polynomials in mu = 1/lam, so
-    the termination of the recurrence at k = n + 1 is an exact cancellation.
+    the recurrence ends by exact cancellation: c[n + 1] is the zero polynomial.
     The normalization is fixed by c_1 = 1; the state is normalizable only for
     0 <= lam < 2/n^2.
     """
@@ -113,10 +101,6 @@ class ClosedFormL0:
 
     def b(self, lam: float) -> float:
         return 1.0 / (self.n * lam) - self.n / 2.0
-
-    def quantization_residual(self) -> LaurentPoly:
-        """c_{n+1} as a polynomial in mu; identically zero by quantization."""
-        return self.c[self.n + 1]
 
     def eta(self, y: float, lam: float) -> float:
         mu = 1.0 / lam

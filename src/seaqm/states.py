@@ -111,10 +111,6 @@ class StateRep:
     def order(self) -> int:
         return len(self.prefactor) - 1
 
-    @property
-    def radial(self) -> bool:
-        return self.family.radial
-
     @cached_property
     def _tables(self) -> _Tables:
         """The float tables of the state at its own order, compiled on first use."""
@@ -244,7 +240,7 @@ def _table_values(state: StateRep, t: _Tables, xs: Sequence[float]) -> tuple[np.
     """
     powers = np.ones((len(t.exps), len(xs)))
     errors: list[Exception | None] = [None] * len(xs)
-    radial = state.radial
+    radial = state.family.radial
     for i, x in enumerate(map(float, xs)):
         if radial and x < 0:
             errors[i] = DomainError("radial states are defined for x >= 0")
@@ -422,7 +418,7 @@ def normalize(state: StateRep, lam: float, pade: tuple[int, int] | None = None) 
     """Normalization constant N with the square of N*psi integrating to 1;
     psi is resummed at each x when `pade` is given, as in `evaluate_state_grid`."""
     grid = partial(evaluate_state_grid, state, lam=lam, pade=pade)
-    return normalize_function(grid, state.radial)
+    return normalize_function(grid, state.family.radial)
 
 
 def hamiltonian_residual(state: StateRep, chain: ChainSolution) -> list[LaurentPoly]:
@@ -461,7 +457,7 @@ def count_nodes(state: StateRep, lam: float) -> int:
     Where psi is no longer finite inside the window the state has no such
     part to count, and NonNormalizable names the first such x.
     """
-    if state.radial:
+    if state.family.radial:
         hi = max(40.0, 12.0 * state.power**2)
         xs = [hi * (i + 1) / (_NODE_SAMPLES + 1) for i in range(_NODE_SAMPLES)]
     else:
@@ -477,7 +473,7 @@ def count_nodes(state: StateRep, lam: float) -> int:
     start, end = 0, len(vals)
     while end - start > 2 and abs(vals[end - 1]) > abs(vals[end - 2]):
         end -= 1
-    if not state.radial:
+    if not state.family.radial:
         while end - start > 2 and abs(vals[start]) > abs(vals[start + 1]):
             start += 1
     kept = vals[start:end]

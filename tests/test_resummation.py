@@ -282,12 +282,13 @@ def test_non_canonical_integer_forms_are_refused(m, n, p, q, problem):
 
 
 def test_kernel_memo_stays_bounded():
+    # the memo keeps only the last elimination, which the next [m-1/n] takes
     resummation._KERNELS.clear()
     series = [F(1, k + 1) for k in range(40)]
-    for n in range(1, 4 * resummation._KERNELS_SIZE):
+    for n in range(1, 32):
         for m in (2, 1):
             pade(series, m, n)
-            assert len(resummation._KERNELS) <= resummation._KERNELS_SIZE
+            assert len(resummation._KERNELS) == (m == 2)
 
 
 def test_anharmonic_pairs_through_shared_kernel_match_golden_digests():

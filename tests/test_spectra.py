@@ -6,12 +6,11 @@ from fractions import Fraction
 import pytest
 from scipy import integrate
 
-from seaqm.errors import OrderExceeded, OutOfBoundDomain
+from seaqm.errors import OrderExceeded
 from seaqm.reference import BENDER_WU, hulthen_energy_coefficient
 from seaqm.spectra import (
     anharmonic_energy_series,
     evaluate_truncated,
-    hulthen_energy_closed_l0,
     hulthen_energy_series,
     hulthen_l0_state,
 )
@@ -46,13 +45,13 @@ def test_hulthen_series_label_validation():
 
 
 def test_closed_l0_values():
-    assert hulthen_energy_closed_l0(1, 0.0) == -1.0
-    assert hulthen_energy_closed_l0(2, 0.5) == 0.0  # the critical point itself
-    assert hulthen_energy_closed_l0(1, 1.0) == -0.25
-    with pytest.raises(OutOfBoundDomain):
-        hulthen_energy_closed_l0(2, 0.6)
-    with pytest.raises(OutOfBoundDomain):
-        hulthen_energy_closed_l0(1, -0.1)
+    # the l = 0 series ends at k = 2: it is the closed form -(1/n - n lam/2)^2
+    for n in range(1, 7):
+        assert hulthen_energy_series(n, 0, 2).coeffs == (F(-1, n * n), F(1), F(-n * n, 4))
+    energy = lambda n, lam: evaluate_truncated(hulthen_energy_series(n, 0, 2), lam, 2)
+    assert energy(1, 0.0) == -1.0
+    assert energy(2, 0.5) == 0.0  # the critical point itself
+    assert energy(1, 1.0) == -0.25
 
 
 def test_l0_state_eta_shapes():
@@ -66,7 +65,7 @@ def test_l0_state_eta_shapes():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
 def test_l0_state_quantization_terminates(n):
-    assert hulthen_l0_state(n).quantization_residual().is_zero
+    assert hulthen_l0_state(n).c[n + 1].is_zero
 
 
 def test_l0_ground_state_matches_sinh_form():

@@ -75,7 +75,7 @@ def test_edge_state_generic_coulomb_is_radial():
     lead = LeadingSuperpotential(pole=F(-1), constant=F(1), linear=F(0), leading_energy=F(-1))
     chain = solve_chain(GenericPerturbed(lead, P.monomial(1)), 1, 2)
     st = edge_state(chain, 1)
-    assert st.radial and st.power == 2 and st.r == 1
+    assert st.family.radial and st.power == 2 and st.r == 1
     with pytest.raises(DomainError):
         evaluate_state(st, -1.0, 0.0)
 
@@ -155,7 +155,7 @@ def test_build_eigenstate_generic_matches_anharmonic(r):
     ref = build_eigenstate(Anharmonic(), 6, r=r)
     assert st.prefactor == ref.prefactor and st.G == ref.G
     assert st.power == ref.power and st.decay == ref.decay
-    assert st.r == r and not st.radial
+    assert st.r == r and not st.family.radial
 
 
 # ---------------------------------------------------------------- evaluation -
